@@ -13,7 +13,6 @@ import sys
 from dataclasses import replace
 
 from . import harness, metrics
-from .netsim import UniformLatency
 
 
 def _seed_override(seed: int) -> int:
@@ -79,7 +78,6 @@ def cmd_fuzz(args) -> int:
     seed = _seed_override(args.seed)
     engines = ("ot", "woot") if args.engine == "both" else (args.engine,)
     result = harness.fuzz(args.runs, base_seed=seed, engines=engines, max_ops=args.ops)
-    result["sites"] = "2-5"
     _emit(json.dumps(result, indent=2, sort_keys=True), args.output)
     if not result["ok"]:
         first = result["failures"][0]
@@ -91,23 +89,8 @@ def cmd_fuzz(args) -> int:
 def cmd_bench(args) -> int:
     w = metrics.Workload(doc_len=args.doc_len, sites=args.sites, n_ops=args.ops, window=args.window, seed=_seed_override(args.seed))
     result = metrics.bench(w)
-    if args.format == "csv":
-        rows = [{k: v for k, v in row.items()} for row in result["table"]]
-        _emit(json.dumps(rows, indent=2, sort_keys=True) if not rows else _bench_csv(rows), args.output)
-    else:
-        _emit(json.dumps(result, indent=2, sort_keys=True), args.output)
+    _emit(json.dumps(result, indent=2, sort_keys=True), args.output)
     return 0 if result["ok"] else 1
-
-
-def _bench_csv(rows) -> str:
-    import csv as _csv
-    import io
-
-    out = io.StringIO()
-    writer = _csv.DictWriter(out, fieldnames=sorted(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fz = sub.add_parser("fuzz", help="random seeded sessions, all checks enforced")
     fz.add_argument("--runs", type=int, default=100)
-    fz.add_argument("--sites", type=int, default=5, help="upper bound on sites (informational; runs draw 2-5)")
     fz.add_argument("--ops", type=int, default=200)
     fz.add_argument("--seed", type=int, default=0)
     fz.add_argument("--engine", choices=["ot", "woot", "both"], default="both")
@@ -138,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     be.add_argument("--ops", type=int, default=100)
     be.add_argument("--window", type=int, default=10)
     be.add_argument("--seed", type=int, default=0)
-    be.add_argument("--format", choices=["json", "csv"], default="json")
     be.add_argument("--output", default=None)
     be.set_defaults(func=cmd_bench)
 

@@ -2,41 +2,65 @@
 
 A Site owns the visible text and delegates consistency work to an engine
 through two calls: loh (local op -> wire message) and roh (wire message ->
-position-based op to replay). Both shipped engines plug in here, so the
-harness can run identical scenarios against either.
+position-based op to replay). Every engine plugs in here the same way, so
+the harness can run identical scenarios against any of them.
 
-Wire layout (big-endian, length-prefixed):
+Wire layout (big-endian, length-prefixed; nothing may follow the payload):
   envelope  = origin u32 | seq u64 | nclock u32 | nclock * (site u32, count u64)
               | payload_len u32 | payload
-  payloads  = 'T' op-text                      symmetric OT op
-              'C' seen u64, op-text            OT client -> sequencer
-              'S' index u64, op-text           sequencer -> OT clients
-              'W' char, id, prev, next         WOOT insert (id = sid i64, seq u64)
+  payloads  = 'T' op                           symmetric OT op
+              'C' seen u64, op                 OT client -> sequencer
+              'S' index u64, op                sequencer -> OT clients
+              'W' text, id, prev, next         WOOT insert (id = sid i64, seq u64)
               'X' target id                    WOOT delete
-Op-text is the canonical `I <pos> <char>` / `D <pos>` / `N` form, UTF-8.
+  op        = 'I' position u32, text  |  'D' position u32  |  'N'
+  text      = len u32 | UTF-8 bytes
+The decoders raise WireFormatError (a ValueError) on a short field, trailing
+bytes, an unknown kind, bad UTF-8, or a value the message types reject.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Protocol, Union
 
-from .model import ExternalOp, NoOp, SiteId, TimestampedOp, VectorClock, apply_external, format_op, parse_op
-from .ot import ClientOpMsg, OtSite, SequencerClient, ServerOpMsg
-from .woot import DeleteId, IdOp, InsertId, ObjectId, WootSite
+from .model import (
+    Delete,
+    EngineInvariantError,
+    ExternalOp,
+    Insert,
+    NoOp,
+    SiteId,
+    TimestampedOp,
+    VectorClock,
+    apply_external,
+    format_op,
+)
+from .ot import ClientOpMsg, ServerOpMsg
+from .woot import DeleteId, IdOp, InsertId, ObjectId
 
 WireMessage = Union[TimestampedOp, ClientOpMsg, ServerOpMsg, IdOp]
 
 
 def message_meta(msg: WireMessage) -> tuple:
     """(origin, seq, clock) of the op carried by any wire message."""
-    stamped = msg.stamped if isinstance(msg, (ClientOpMsg, ServerOpMsg)) else msg
-    return stamped.origin, stamped.seq, stamped.clock
+    return msg.origin, msg.seq, msg.clock
+
+
+def message_text(msg: WireMessage) -> str:
+    """The op a message carries, as one trace-log token."""
+    if isinstance(msg, IdOp):
+        return str(msg.op).replace(" ", "")
+    return format_op(msg.op).replace(" ", "_")
 
 
 # ---------------------------------------------------------------------------
 # serialization
+
+
+class WireFormatError(ValueError):
+    """The bytes are not one well-formed encoded message."""
 
 
 def _encode_id(oid: ObjectId) -> bytes:
@@ -59,13 +83,37 @@ def _decode_text(data: bytes, off: int) -> tuple:
     return data[off : off + n].decode("utf-8"), off + n
 
 
+def _encode_op(op: ExternalOp) -> bytes:
+    if isinstance(op, Insert):
+        return b"I" + struct.pack(">I", op.position) + _encode_text(op.character)
+    if isinstance(op, Delete):
+        return b"D" + struct.pack(">I", op.position)
+    if isinstance(op, NoOp):
+        return b"N"
+    raise TypeError(f"not an ExternalOp: {op!r}")
+
+
+def _decode_op(data: bytes, off: int) -> tuple:
+    kind = data[off : off + 1]
+    if kind == b"I":
+        (pos,) = struct.unpack_from(">I", data, off + 1)
+        char, off = _decode_text(data, off + 5)
+        return Insert(pos, char), off
+    if kind == b"D":
+        (pos,) = struct.unpack_from(">I", data, off + 1)
+        return Delete(pos), off + 5
+    if kind == b"N":
+        return NoOp(), off + 1
+    raise WireFormatError(f"unknown op kind {kind!r}")
+
+
 def encode_payload(msg: WireMessage) -> bytes:
     if isinstance(msg, TimestampedOp):
-        return b"T" + _encode_text(format_op(msg.op))
+        return b"T" + _encode_op(msg.op)
     if isinstance(msg, ClientOpMsg):
-        return b"C" + struct.pack(">Q", msg.seen) + _encode_text(format_op(msg.stamped.op))
+        return b"C" + struct.pack(">Q", msg.seen) + _encode_op(msg.op)
     if isinstance(msg, ServerOpMsg):
-        return b"S" + struct.pack(">Q", msg.index) + _encode_text(format_op(msg.stamped.op))
+        return b"S" + struct.pack(">Q", msg.index) + _encode_op(msg.op)
     if isinstance(msg, IdOp):
         if isinstance(msg.op, InsertId):
             return (
@@ -81,27 +129,31 @@ def encode_payload(msg: WireMessage) -> bytes:
 
 def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock) -> WireMessage:
     kind, off = payload[:1], 1
-    if kind == b"T":
-        text, _ = _decode_text(payload, off)
-        return TimestampedOp(parse_op(text), origin, seq, clock)
-    if kind == b"C":
-        (seen,) = struct.unpack_from(">Q", payload, off)
-        text, _ = _decode_text(payload, off + 8)
-        return ClientOpMsg(TimestampedOp(parse_op(text), origin, seq, clock), seen)
-    if kind == b"S":
-        (index,) = struct.unpack_from(">Q", payload, off)
-        text, _ = _decode_text(payload, off + 8)
-        return ServerOpMsg(TimestampedOp(parse_op(text), origin, seq, clock), index)
-    if kind == b"W":
-        char, off = _decode_text(payload, off)
-        oid, off = _decode_id(payload, off)
-        prev, off = _decode_id(payload, off)
-        nxt, off = _decode_id(payload, off)
-        return IdOp(InsertId(char, oid, prev, nxt), origin, seq, clock)
-    if kind == b"X":
-        target, _ = _decode_id(payload, off)
-        return IdOp(DeleteId(target), origin, seq, clock)
-    raise ValueError(f"unknown payload kind {kind!r}")
+    try:
+        if kind == b"T":
+            op, off = _decode_op(payload, off)
+            msg = TimestampedOp(op, origin, seq, clock)
+        elif kind == b"C" or kind == b"S":
+            (n,) = struct.unpack_from(">Q", payload, off)
+            op, off = _decode_op(payload, off + 8)
+            stamped = TimestampedOp(op, origin, seq, clock)
+            msg = ClientOpMsg(stamped, n) if kind == b"C" else ServerOpMsg(stamped, n)
+        elif kind == b"W":
+            char, off = _decode_text(payload, off)
+            oid, off = _decode_id(payload, off)
+            prev, off = _decode_id(payload, off)
+            nxt, off = _decode_id(payload, off)
+            msg = IdOp(InsertId(char, oid, prev, nxt), origin, seq, clock)
+        elif kind == b"X":
+            target, off = _decode_id(payload, off)
+            msg = IdOp(DeleteId(target), origin, seq, clock)
+        else:
+            raise WireFormatError(f"unknown payload kind {kind!r}")
+    except (struct.error, ValueError) as exc:  # a short field, bad UTF-8, or a value the message types reject
+        raise WireFormatError(f"malformed {kind!r} payload: {exc}") from exc
+    if off != len(payload):  # trailing bytes, or a text running past the end
+        raise WireFormatError(f"{kind!r} fields end at byte {off} of a {len(payload)}-byte payload")
+    return msg
 
 
 def encode_envelope(origin: SiteId, seq: int, clock: VectorClock, payload: bytes) -> bytes:
@@ -112,17 +164,21 @@ def encode_envelope(origin: SiteId, seq: int, clock: VectorClock, payload: bytes
 
 
 def decode_envelope(data: bytes) -> tuple:
-    origin, seq, nclock = struct.unpack_from(">IQI", data, 0)
-    off = 16
-    entries = {}
-    for _ in range(nclock):
-        s, n = struct.unpack_from(">IQ", data, off)
-        entries[s] = n
-        off += 12
-    (plen,) = struct.unpack_from(">I", data, off)
+    try:
+        origin, seq, nclock = struct.unpack_from(">IQI", data, 0)
+        off = 16
+        entries = {}
+        for _ in range(nclock):
+            s, n = struct.unpack_from(">IQ", data, off)
+            entries[s] = n
+            off += 12
+        (plen,) = struct.unpack_from(">I", data, off)
+    except struct.error as exc:
+        raise WireFormatError(f"short envelope: {exc}") from exc
     off += 4
-    payload = data[off : off + plen]
-    return origin, seq, VectorClock(entries), payload
+    if off + plen != len(data):
+        raise WireFormatError(f"payload length {plen}, but {len(data) - off} bytes follow")
+    return origin, seq, VectorClock(entries), data[off:]
 
 
 def encode_message(msg: WireMessage) -> bytes:
@@ -139,8 +195,16 @@ def decode_message(data: bytes) -> WireMessage:
 # site container
 
 
-class EngineInvariantError(RuntimeError):
-    """The engine's mirror of the document disagrees with the visible text."""
+class Engine(Protocol):
+    """What a Site needs of an engine. `remote` returns None when there is
+    nothing to replay, and rejects a message from the engine's own site."""
+
+    state: str  # the engine's mirror of the visible text
+    clock: VectorClock  # what it has delivered, for causal gating
+
+    def local(self, eo: ExternalOp) -> WireMessage: ...
+    def remote(self, msg: WireMessage) -> Optional[ExternalOp]: ...
+    def fold_metrics(self, bundle, first: bool) -> None: ...
 
 
 @dataclass
@@ -149,12 +213,12 @@ class Site:
 
     Local path: apply to external, then loh, then hand the message out.
     Remote path: roh, then apply the returned op to external.
+    After either, the engine's mirror must equal the visible text.
     """
 
     id: SiteId
-    engine: Union[OtSite, SequencerClient, WootSite]
+    engine: Engine
     external: str = ""
-    ablation: bool = False  # WOOT only: suppress conversion + external apply
 
     def generate(self, eo: ExternalOp) -> WireMessage:
         if isinstance(eo, NoOp):
@@ -165,29 +229,14 @@ class Site:
         return msg
 
     def deliver(self, msg: WireMessage) -> Optional[ExternalOp]:
-        if isinstance(msg, IdOp):
-            if msg.origin == self.id:
-                raise ValueError("a site never delivers its own message")
-            eo = self.engine.remote(msg, skip_conversion=self.ablation)
-        elif isinstance(msg, ServerOpMsg):
-            eo = self.engine.remote(msg)  # own echo yields None
-        else:
-            stamped = msg if isinstance(msg, TimestampedOp) else msg.stamped
-            if stamped.origin == self.id:
-                raise ValueError("a site never delivers its own message")
-            eo = self.engine.remote(stamped)
+        eo = self.engine.remote(msg)
         if eo is not None:
             self.external = apply_external(self.external, eo)
-        if not self.ablation:
-            self._check_mirror()
+        self._check_mirror()
         return eo
 
     def _check_mirror(self) -> None:
         if self.engine.state != self.external:
             raise EngineInvariantError(
                 f"site {self.id}: engine mirror {self.engine.state!r} != external {self.external!r}"
-            )
-        if isinstance(self.engine, WootSite) and self.engine.istate.value() != self.external:
-            raise EngineInvariantError(
-                f"site {self.id}: value(IS) {self.engine.istate.value()!r} != external {self.external!r}"
             )

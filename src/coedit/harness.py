@@ -20,7 +20,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .model import (
@@ -42,7 +42,7 @@ from .netsim import (
     UniformLatency,
 )
 from .ot import OtSite, SequencerClient, SequencerServer
-from .woot import DeleteId, IdOp, WootSite
+from .woot import SkipConversionSite, WootSite
 from . import metrics as metrics_mod
 
 
@@ -108,7 +108,6 @@ class RunReport:
     convergence_detail: str
     intention: IntentionVerdict
     quiescent: bool
-    requeue_events: int
     gc_total: int
     metrics: "metrics_mod.MetricsBundle"
     trace: List[str]
@@ -130,14 +129,8 @@ class RunReport:
             "final_states": {str(k): v for k, v in self.final_states.items()},
             "converged": self.converged,
             "convergence_detail": self.convergence_detail,
-            "intention": {
-                "survivors_ok": self.intention.survivors_ok,
-                "deletions_ok": self.intention.deletions_ok,
-                "order_ok": self.intention.order_ok,
-                "violations": self.intention.violations,
-            },
+            "intention": asdict(self.intention),
             "quiescent": self.quiescent,
-            "requeue_events": self.requeue_events,
             "gc_total": self.gc_total,
             "trace_digest": self.trace_digest,
             "metrics": self.metrics.summary(),
@@ -238,13 +231,14 @@ class _Run:
         ids = list(range(scenario.sites))
         self.server: Optional[SequencerServer] = None
         if engine == "woot":
-            engines = {i: WootSite.create(i, scenario.initial) for i in ids}
+            woot_cls = SkipConversionSite if ablation else WootSite
+            engines = {i: woot_cls.create(i, scenario.initial) for i in ids}
         elif scenario.mode == "sequencer":
             engines = {i: SequencerClient(site=i, state=scenario.initial) for i in ids}
             self.server = SequencerServer(client_ids=ids, state=scenario.initial)
         else:
             engines = {i: OtSite(site=i, state=scenario.initial) for i in ids}
-        self.sites = {i: Site(id=i, engine=engines[i], external=scenario.initial, ablation=ablation) for i in ids}
+        self.sites = {i: Site(id=i, engine=engines[i], external=scenario.initial) for i in ids}
 
         # instance tags: one per character position, mirrored per site
         init_tags = [("init", k) for k in range(len(scenario.initial))]
@@ -254,9 +248,7 @@ class _Run:
         self.delete_targets: Dict[tuple, tuple] = {}  # delete op key -> tag
         self.order_pairs: List[tuple] = []  # (first tag, second tag)
         self.intention = IntentionVerdict()
-        self.woot_targets: set = set()  # distinct tombstoned object ids
         self.n_inserts = 0
-        self.n_deletes = 0
         self.local_ns: List[int] = []
         self.remote_ns: List[int] = []
         self.generated: List[ScriptEntry] = []
@@ -271,7 +263,7 @@ class _Run:
         self.fuzz_rng = random.Random(f"ops-{scenario.seed}")
 
         self.sim = Simulator(
-            SimConfig(scenario.mode, scenario.latency, scenario.seed, scenario.sites),
+            SimConfig(scenario.mode, scenario.latency, scenario.seed),
             ids,
             self._generate,
             self._deliver,
@@ -321,10 +313,7 @@ class _Run:
         return msg
 
     def _track_local(self, site_id: SiteId, eo: ExternalOp, msg: WireMessage) -> None:
-        from .framework import message_meta
-
-        origin, seq, _ = message_meta(msg)
-        key = (origin, seq)
+        key = (msg.origin, msg.seq)
         tags = self.tags[site_id]
         if isinstance(eo, Insert):
             self.n_inserts += 1
@@ -338,23 +327,17 @@ class _Run:
                         self.order_pairs.append((key, tag))
             tags.insert(eo.position, key)
         else:
-            self.n_deletes += 1
             self.delete_targets[key] = tags.pop(eo.position)
-            if isinstance(msg, IdOp) and isinstance(msg.op, DeleteId):
-                self.woot_targets.add(msg.op.target)
 
     # -- delivery -----------------------------------------------------------
 
     def _deliver(self, site_id: SiteId, msg: WireMessage, tick: int) -> Optional[ExternalOp]:
-        from .framework import message_meta
-
         t0 = time.perf_counter_ns()
         eo = self.sites[site_id].deliver(msg)
         self.remote_ns.append(time.perf_counter_ns() - t0)
         if eo is None:
             return eo
-        origin, seq, _ = message_meta(msg)
-        key = (origin, seq)
+        key = (msg.origin, msg.seq)
         tags = self.tags[site_id]
         if isinstance(eo, Insert):
             tags.insert(eo.position, key)
@@ -381,7 +364,6 @@ class _Run:
                 collected = site.engine.gc(stability)
                 gc_total += collected
                 self.sim.log_gc(i, collected)
-            trace = self.sim.trace
 
         finals = {i: s.external for i, s in self.sites.items()}
         dumps = {}
@@ -403,7 +385,7 @@ class _Run:
             remote_ns=self.remote_ns,
             gc_total=gc_total,
         )
-        self._check_woot_accounting(bundle)
+        self._check_woot_accounting()
         return RunReport(
             engine=self.engine_name,
             ablation=self.ablation,
@@ -416,7 +398,6 @@ class _Run:
             convergence_detail=detail,
             intention=self.intention,
             quiescent=quiescent,
-            requeue_events=self.sim.requeue_events,
             gc_total=gc_total,
             metrics=bundle,
             trace=trace,
@@ -441,19 +422,20 @@ class _Run:
                         f"site {i}: instances {first} and {second} in reversed order"
                     )
 
-    def _check_woot_accounting(self, bundle) -> None:
+    def _check_woot_accounting(self) -> None:
         if self.engine_name != "woot" or self.ablation:
             return
         expected_total = len(self.scenario.initial) + self.n_inserts
+        tombstoned = len(set(self.delete_targets.values()))  # distinct instances deleted
         for i, site in self.sites.items():
             seq = site.engine.istate
             if seq.total_count() != expected_total:
                 raise AssertionError(
                     f"site {i}: object count {seq.total_count()} != initial+inserts {expected_total}"
                 )
-            if seq.visible_count() != expected_total - len(self.woot_targets):
+            if seq.visible_count() != expected_total - tombstoned:
                 raise AssertionError(
-                    f"site {i}: visible count {seq.visible_count()} != {expected_total} - {len(self.woot_targets)}"
+                    f"site {i}: visible count {seq.visible_count()} != {expected_total} - {tombstoned}"
                 )
             invisible = [m.total_counts[k] - m.visible_counts[k] for m in [site.engine.metrics] for k in range(len(m.total_counts))]
             if any(b < a for a, b in zip(invisible, invisible[1:])):
@@ -516,14 +498,11 @@ def shrink_script(scenario: Scenario, script: Tuple[ScriptEntry, ...], engine: s
 def fuzz(n_runs: int, base_seed: int = 0, engines: Tuple[str, ...] = ("ot", "woot"), max_ops: int = 200, shrink: bool = True) -> dict:
     """Seeded random sessions; every run must pass every check on every engine."""
     failures = []
-    runs = 0
-    meta_rng = random.Random(f"fuzz-meta-{base_seed}")
     for k in range(n_runs):
         seed = base_seed + k
         for engine in engines:
             mode = "sequencer" if engine == "ot" else "causal"
             scenario = _random_scenario(random.Random(f"scn-{seed}"), seed, mode, max_ops)
-            runs += 1
             try:
                 report = run_scenario(scenario, engine)
                 reason = _failure_reason(report)
@@ -535,8 +514,7 @@ def fuzz(n_runs: int, base_seed: int = 0, engines: Tuple[str, ...] = ("ot", "woo
                     shrunk = shrink_script(scenario, report.script, engine)
                     artifact["script"] = [f"@{e.tick} s{e.site} {format_op(e.op)}" for e in shrunk]
                 failures.append(artifact)
-    del meta_rng
-    return {"runs": runs, "failures": failures, "ok": not failures}
+    return {"runs": n_runs * len(engines), "failures": failures, "ok": not failures}
 
 
 def cross_engine_compare(scenario: Scenario) -> dict:

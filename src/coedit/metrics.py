@@ -88,51 +88,28 @@ def _mean(xs) -> int:
 
 
 def collect(engine: str, engines: dict, server=None, local_ns=None, remote_ns=None, gc_total: int = 0) -> MetricsBundle:
-    """Fold per-site engine counters into one bundle for a finished run."""
+    """Fold per-site engine counters, then the server's, into one bundle for
+    a finished run; each engine adds its own."""
     bundle = MetricsBundle(engine=engine)
     bundle.local_ns = list(local_ns or [])
     bundle.remote_ns = list(remote_ns or [])
     bundle.gc_total = gc_total
-    if engine == "ot":
-        for eng in engines.values():
-            m = eng.metrics
-            bundle.c_samples.extend(m.concurrent_set_sizes)
-            bundle.transform_total += m.transform_count
-            bundle.insert_tie_seen |= m.insert_tie_seen
-            bundle.buffer_final = max(bundle.buffer_final, len(eng.buffer))
-        if server is not None:
-            bundle.c_samples.extend(server.metrics.concurrent_set_sizes)
-            bundle.transform_total += server.metrics.transform_count
-            bundle.insert_tie_seen |= server.metrics.insert_tie_seen
-    else:
-        any_site = next(iter(engines.values()))
-        bundle.visible_series = list(any_site.metrics.visible_counts)
-        bundle.total_series = list(any_site.metrics.total_counts)
-        for eng in engines.values():
-            bundle.search_steps_per_op.extend(eng.metrics.search_steps_per_op)
-            bundle.init_cost = max(bundle.init_cost, eng.metrics.init_cost)
-            bundle.init_ns = max(bundle.init_ns, eng.metrics.init_ns)
+    parts = list(engines.values()) + ([server] if server is not None else [])
+    for k, part in enumerate(parts):
+        part.fold_metrics(bundle, first=k == 0)
     return bundle
 
 
 def csv_row(run_id: str, report) -> dict:
-    b = report.metrics
-    return {
-        "run_id": run_id,
-        "engine": report.engine,
-        "sites": report.sites,
-        "doc_len": len(report.initial),
-        "ops": len(report.script),
-        "max_c": b.max_c,
-        "mean_c": round(b.mean_c, 3),
-        "C": b.final_visible,
-        "C_t": b.final_total,
-        "local_ns_mean": _mean(b.local_ns),
-        "remote_ns_mean": _mean(b.remote_ns),
-        "init_cost": b.init_cost,
-        "gc_total": b.gc_total,
-        "converged": report.converged,
-    }
+    row = dict(
+        report.metrics.summary(),
+        run_id=run_id,
+        sites=report.sites,
+        doc_len=len(report.initial),
+        ops=len(report.script),
+        converged=report.converged,
+    )
+    return {k: row[k] for k in CSV_COLUMNS}
 
 
 def rows_to_csv(rows: List[dict]) -> str:

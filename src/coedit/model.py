@@ -17,6 +17,10 @@ class BoundsError(ValueError):
     """Raised when an operation's position falls outside the document."""
 
 
+class EngineInvariantError(RuntimeError):
+    """An engine's own view of the document disagrees with the visible text."""
+
+
 @dataclass(frozen=True)
 class Insert:
     position: int

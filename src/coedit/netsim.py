@@ -10,9 +10,12 @@ Two modes:
               destination until causally ready (origin's next seq, nothing
               from other sites the receiver has not seen).
   sequencer - every message goes to a central virtual node first. The node
-              hands each op to a handler (the OT sequencer server rebases it;
-              a plain relay just stamps it), assigns a consecutive index, and
-              broadcasts it to all sites, which deliver in index order.
+              hands each op, in per-origin order, to the sequencer server,
+              which rebases it and assigns a consecutive index, and
+              broadcasts the result to all sites, which deliver in index order.
+
+A site failing to handle a message is an invariant failure and propagates
+out of `Simulator.run`; nothing is held back for a retry.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Union
 
 from .model import SiteId, VectorClock, format_op
 from .framework import (
@@ -28,9 +31,8 @@ from .framework import (
     decode_message,
     encode_message,
     message_meta,
+    message_text,
 )
-from .ot import ClientOpMsg, SequencerServer, ServerOpMsg
-from .woot import IdOp, NotExecutableError
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,6 @@ class SimConfig:
     mode: str = "causal"  # "causal" | "sequencer"
     latency: LatencyModel = FixedLatency(1)
     seed: int = 0
-    sites: int = 2
 
     def __post_init__(self):
         if self.mode not in ("causal", "sequencer"):
@@ -77,10 +78,8 @@ class SimConfig:
 @dataclass
 class Envelope:
     origin: SiteId
-    seq: int
     clock: VectorClock
     payload: bytes  # full encoded message
-    send_time: int
     arrivals: Dict[int, int] = field(default_factory=dict)
 
 
@@ -98,6 +97,8 @@ class Simulator:
     `deliver_cb(site, message, tick)` replays a remote message at a site and
     returns the position-based op actually applied (or None).
     `clock_of(site)` exposes the site's delivery clock for causal gating.
+    Sequencer mode needs `sequencer_server`, whose `process(sender, msg)`
+    returns the message to broadcast, carrying its stream index as `index`.
     """
 
     def __init__(
@@ -107,8 +108,10 @@ class Simulator:
         generate_cb: Callable,
         deliver_cb: Callable,
         clock_of: Callable,
-        sequencer_server: Optional[SequencerServer] = None,
+        sequencer_server=None,
     ):
+        if config.mode == "sequencer" and sequencer_server is None:
+            raise ValueError("sequencer mode requires a sequencer server")
         self.config = config
         self.site_ids = list(site_ids)
         self.generate_cb = generate_cb
@@ -121,9 +124,6 @@ class Simulator:
         self.now = 0
         # causal mode hold-back
         self.pending: Dict[SiteId, List[Envelope]] = {s: [] for s in site_ids}
-        # woot executability hold-back (drains under causal delivery)
-        self.requeued: Dict[SiteId, List[WireMessage]] = {s: [] for s in site_ids}
-        self.requeue_events = 0
         # sequencer state
         self.sequencer_server = sequencer_server
         self.seq_hold: Dict[SiteId, dict] = {s: {} for s in site_ids}  # index -> Envelope
@@ -151,8 +151,8 @@ class Simulator:
         return max(1, d)
 
     def broadcast(self, msg: WireMessage, src: int, dests: List[int]) -> Envelope:
-        origin, seq, clock = message_meta(msg)
-        env = Envelope(origin, seq, clock, encode_message(msg), self.now)
+        origin, _, clock = message_meta(msg)
+        env = Envelope(origin, clock, encode_message(msg))
         for dst in sorted(dests):
             delay = self._draw_latency(src, dst)
             env.arrivals[dst] = self.now + delay
@@ -166,17 +166,11 @@ class Simulator:
         if msg is None:
             return
         origin, seq, clock = message_meta(msg)
-        self.trace.append(f"tick={self.now} site={site} kind=gen op={self._op_text(msg)} key={origin}:{seq}")
+        self.trace.append(f"tick={self.now} site={site} kind=gen op={message_text(msg)} key={origin}:{seq}")
         if self.config.mode == "sequencer":
             self.broadcast(msg, site, [SEQUENCER_NODE])
         else:
             self.broadcast(msg, site, [s for s in self.site_ids if s != site])
-
-    def _op_text(self, msg: WireMessage) -> str:
-        if isinstance(msg, IdOp):
-            return str(msg.op).replace(" ", "")
-        stamped = msg.stamped if isinstance(msg, (ClientOpMsg, ServerOpMsg)) else msg
-        return format_op(stamped.op).replace(" ", "_")
 
     def _handle_sequencer(self, env: Envelope) -> None:
         msg = decode_message(env.payload)
@@ -186,8 +180,6 @@ class Simulator:
         while self.seq_expected[origin] in self.seq_fifo[origin]:
             ready = self.seq_fifo[origin].pop(self.seq_expected[origin])
             self.seq_expected[origin] += 1
-            if not isinstance(ready, ClientOpMsg) or self.sequencer_server is None:
-                raise ValueError("sequencer mode requires the OT sequencer engine")
             out = self.sequencer_server.process(origin, ready)
             self.broadcast(out, SEQUENCER_NODE, self.site_ids)
 
@@ -205,8 +197,6 @@ class Simulator:
         # messages leave the sequencer in index order; per-destination links
         # may reorder them, so hold back until the stream index matches
         msg = decode_message(env.payload)
-        if not isinstance(msg, ServerOpMsg):
-            raise ValueError("sequencer mode requires ServerOpMsg payloads")
         self.seq_hold[dst][msg.index] = msg
         while self.seq_next[dst] in self.seq_hold[dst]:
             ready = self.seq_hold[dst].pop(self.seq_next[dst])
@@ -215,32 +205,9 @@ class Simulator:
 
     def _deliver(self, dst: int, msg: WireMessage) -> None:
         origin, seq, _ = message_meta(msg)
-        try:
-            eo = self.deliver_cb(dst, msg, self.now)
-        except NotExecutableError:
-            self.requeued[dst].append(msg)
-            self.requeue_events += 1
-            return
+        eo = self.deliver_cb(dst, msg, self.now)
         text = "none" if eo is None else format_op(eo).replace(" ", "_")
         self.trace.append(f"tick={self.now} site={dst} kind=deliver op={text} key={origin}:{seq}")
-        self._retry_requeued(dst)
-
-    def _retry_requeued(self, dst: int) -> None:
-        progress = True
-        while progress and self.requeued[dst]:
-            progress = False
-            still: List[WireMessage] = []
-            for msg in self.requeued[dst]:
-                try:
-                    eo = self.deliver_cb(dst, msg, self.now)
-                except NotExecutableError:
-                    still.append(msg)
-                    continue
-                origin, seq, _ = message_meta(msg)
-                text = "none" if eo is None else format_op(eo).replace(" ", "_")
-                self.trace.append(f"tick={self.now} site={dst} kind=deliver op={text} key={origin}:{seq}")
-                progress = True
-            self.requeued[dst] = still
 
     def _drain_causal(self, dst: int) -> None:
         progress = True
@@ -270,7 +237,6 @@ class Simulator:
         return (
             not self.events
             and all(not q for q in self.pending.values())
-            and all(not q for q in self.requeued.values())
             and all(not h for h in self.seq_hold.values())
             and all(not f for f in self.seq_fifo.values())
         )

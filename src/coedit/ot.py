@@ -80,6 +80,11 @@ class OtMetrics:
         if isinstance(a, Insert) and isinstance(b, Insert) and a.position == b.position:
             self.insert_tie_seen = True
 
+    def fold_into(self, bundle) -> None:
+        bundle.c_samples.extend(self.concurrent_set_sizes)
+        bundle.transform_total += self.transform_count
+        bundle.insert_tie_seen |= self.insert_tie_seen
+
 
 @dataclass
 class OtSite:
@@ -118,6 +123,8 @@ class OtSite:
         Returns the position-based form that the caller replays on the
         visible text; the buffer saves that transformed form.
         """
+        if remote_op.origin == self.site:
+            raise ValueError("a site never delivers its own message")
         op = remote_op.op
         n_concurrent = 0
         for buffered in self.buffer:
@@ -151,21 +158,28 @@ class OtSite:
         `stability` maps every site id to a lower bound on that site's
         delivered clock. Returns the number of ops collected.
         """
-        keep = []
-        collected = 0
-        for buffered in self.buffer:
-            stable = all(clk.get(buffered.origin) >= buffered.seq for clk in stability.values())
-            if stable:
-                collected += 1
-                self.frontier.pop(buffered.key(), None)
-            else:
-                keep.append(buffered)
+        keep = [b for b in self.buffer if not all(clk.get(b.origin) >= b.seq for clk in stability.values())]
+        collected = len(self.buffer) - len(keep)
         self.buffer = keep
+        self.frontier = {b.key(): self.frontier[b.key()] for b in keep}
         return collected
+
+    def fold_metrics(self, bundle, first: bool) -> None:
+        self.metrics.fold_into(bundle)
+        bundle.buffer_final = max(bundle.buffer_final, len(self.buffer))
+
+
+class _Carrier:
+    """Reads the carried op's fields through, as TimestampedOp has them."""
+
+    op = property(lambda self: self.stamped.op)
+    origin = property(lambda self: self.stamped.origin)
+    seq = property(lambda self: self.stamped.seq)
+    clock = property(lambda self: self.stamped.clock)
 
 
 @dataclass(frozen=True)
-class ClientOpMsg:
+class ClientOpMsg(_Carrier):
     """Client -> sequencer: an op plus how much of the server stream it saw."""
 
     stamped: TimestampedOp
@@ -173,7 +187,7 @@ class ClientOpMsg:
 
 
 @dataclass(frozen=True)
-class ServerOpMsg:
+class ServerOpMsg(_Carrier):
     """Sequencer -> all clients: the op rebased into the server's linear history."""
 
     stamped: TimestampedOp
@@ -220,6 +234,9 @@ class SequencerServer:
             if c != sender:
                 self.bridges[c].append([index, op, msg.stamped.origin])
         return ServerOpMsg(server_form, index)
+
+    def fold_metrics(self, bundle, first: bool) -> None:
+        self.metrics.fold_into(bundle)
 
 
 @dataclass
@@ -287,3 +304,5 @@ class SequencerClient:
         collected = len(self.buffer) - len(keep)
         self.buffer = keep
         return collected
+
+    fold_metrics = OtSite.fold_metrics

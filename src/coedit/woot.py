@@ -12,11 +12,12 @@ lengths are recorded as the engine's cost metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Union
 
 from .model import (
     BoundsError,
     Delete,
+    EngineInvariantError,
     ExternalOp,
     Insert,
     NoOp,
@@ -104,7 +105,7 @@ class IdOp:
 
 
 class NotExecutableError(RuntimeError):
-    """The op's anchors are not present yet; the delivery layer must requeue."""
+    """The op's anchors are not present yet; causal delivery never lets this happen."""
 
 
 class UnknownTargetError(RuntimeError):
@@ -309,6 +310,19 @@ class WootSite:
         self.metrics.visible_counts.append(self.istate.visible_count())
         self.metrics.total_counts.append(self.istate.total_count())
 
+    def _check_value(self) -> None:
+        if self.istate.value() != self.state:
+            raise EngineInvariantError(f"site {self.site}: value(IS) {self.istate.value()!r} != text {self.state!r}")
+
+    def fold_metrics(self, bundle, first: bool) -> None:
+        m = self.metrics
+        if first:
+            bundle.visible_series = list(m.visible_counts)
+            bundle.total_series = list(m.total_counts)
+        bundle.search_steps_per_op.extend(m.search_steps_per_op)
+        bundle.init_cost = max(bundle.init_cost, m.init_cost)
+        bundle.init_ns = max(bundle.init_ns, m.init_ns)
+
     def local(self, eo: ExternalOp) -> IdOp:
         """Convert a local position-based op, integrate it, and hand it back
         for propagation. The conversion runs against the pre-op sequence."""
@@ -324,16 +338,23 @@ class WootSite:
             self.istate.integrate_delete(id_form)
         self.state = apply_external(self.state, eo)
         self._sample(steps0)
+        self._check_value()
         return IdOp(id_form, self.site, seq, self.clock)
 
-    def remote(self, idop: IdOp, skip_conversion: bool = False) -> Optional[ExternalOp]:
-        """Integrate a remote identifier-based op and return the position-based
-        form for the visible text.
+    def remote(self, idop: IdOp) -> ExternalOp:
+        """Integrate a remote identifier-based op; return its position-based form for the visible text."""
+        steps0, already_gone = self._integrate(idop)
+        eo = NoOp() if already_gone else self.istate.id_to_pos(idop.op)
+        self.state = apply_external(self.state, eo)
+        self._sample(steps0)
+        self._check_value()
+        return eo
 
-        `skip_conversion` stops after integration (the internal sequence is
-        updated but the visible text is not), for demonstrating that the
-        conversion step is load-bearing.
-        """
+    def _integrate(self, idop: IdOp) -> tuple:
+        """Integrate into the internal sequence only; returns the search-step
+        count before it and whether a delete's target was already tombstoned."""
+        if idop.origin == self.site:
+            raise ValueError("a site never delivers its own message")
         if not self.istate.executable(idop.op):
             raise NotExecutableError(f"op {idop.key()} anchors not present yet")
         steps0 = self.istate.search_steps
@@ -341,16 +362,19 @@ class WootSite:
         if isinstance(idop.op, InsertId):
             self.istate.integrate_insert(idop.op)
         else:
-            # a concurrent delete may have hit the same object first; then
-            # this op has no external effect
             target = self.istate.objects[self.istate.index_of(idop.op.target)]
             already_gone = not target.visible
             self.istate.integrate_delete(idop.op)
         self.clock = self.clock.merge(idop.clock)
-        if skip_conversion:
-            self._sample(steps0)
-            return None
-        eo = NoOp() if already_gone else self.istate.id_to_pos(idop.op)
-        self.state = apply_external(self.state, eo)
+        return steps0, already_gone
+
+
+class SkipConversionSite(WootSite):
+    """The `skip34` ablation: remote ops are integrated into the internal
+    sequence but never converted to positions or applied to the text, which
+    shows that the conversion step is load-bearing."""
+
+    def remote(self, idop: IdOp) -> None:
+        steps0, _ = self._integrate(idop)
         self._sample(steps0)
-        return eo
+        return None

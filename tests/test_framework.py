@@ -1,5 +1,8 @@
-"""Site container and wire formats: envelope/payload roundtrips, call order,
-mirror invariant."""
+"""Site container and wire formats: envelope/payload roundtrips, strict
+decoding, call order, mirror invariant."""
+
+import random
+import struct
 
 import pytest
 
@@ -7,6 +10,7 @@ from coedit.model import Delete, Insert, NoOp, TimestampedOp, VectorClock
 from coedit.framework import (
     EngineInvariantError,
     Site,
+    WireFormatError,
     decode_message,
     encode_envelope,
     decode_envelope,
@@ -32,6 +36,7 @@ class TestWireFormats:
 
     def test_server_op(self):
         self.roundtrip(ServerOpMsg(stamp(Delete(2), 1, 3, {0: 5}), index=12))
+        self.roundtrip(ServerOpMsg(stamp(NoOp(), 1, 4), index=13))
 
     def test_woot_insert(self):
         op = IdOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2}))
@@ -42,7 +47,10 @@ class TestWireFormats:
         self.roundtrip(op)
 
     def test_unicode_character(self):
-        self.roundtrip(stamp(Insert(0, "é"), 0, 1))
+        for ch in ("é", " ", "\n", "\t", "\U0001f600"):
+            self.roundtrip(stamp(Insert(0, ch), 0, 1))
+            self.roundtrip(ClientOpMsg(stamp(Insert(1, ch), 1, 1), seen=2))
+            self.roundtrip(ServerOpMsg(stamp(Insert(2, ch), 1, 1), index=3))
         self.roundtrip(IdOp(InsertId("世", ObjectId(0, 1), START, END), 0, 1, VectorClock({0: 1})))
 
     def test_envelope_fields(self):
@@ -54,6 +62,77 @@ class TestWireFormats:
     def test_message_meta(self):
         msg = ClientOpMsg(stamp(Insert(0, "x"), 2, 5, {0: 1}), seen=3)
         assert message_meta(msg) == (2, 5, VectorClock({0: 1, 2: 5}))
+
+
+SAMPLES = [
+    stamp(Insert(3, "c"), 0, 1, {1: 2}),
+    ClientOpMsg(stamp(Delete(4), 1, 2), seen=7),
+    ServerOpMsg(stamp(NoOp(), 2, 1, {0: 3}), index=9),
+    IdOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2})),
+    IdOp(DeleteId(ObjectId(0, 9)), 0, 9, VectorClock({0: 9, 1: 1})),
+]
+
+
+def _envelope(payload: bytes) -> bytes:
+    return encode_envelope(0, 1, VectorClock({0: 1}), payload)
+
+
+class TestStrictDecoding:
+    def test_error_is_a_value_error(self):
+        assert issubclass(WireFormatError, ValueError)
+
+    @pytest.mark.parametrize("msg", SAMPLES, ids=list("TCSWX"))
+    def test_trailing_bytes_rejected(self, msg):
+        with pytest.raises(WireFormatError):
+            decode_message(encode_message(msg) + b"junk")
+
+    @pytest.mark.parametrize("msg", SAMPLES, ids=list("TCSWX"))
+    def test_every_truncation_rejected(self, msg):
+        data = encode_message(msg)
+        for n in range(len(data)):
+            with pytest.raises(WireFormatError):
+                decode_message(data[:n])
+
+    @pytest.mark.parametrize("payload", [
+        b"Z",  # unknown payload kind
+        b"TQ",  # unknown op kind
+        b"TI" + struct.pack(">II", 0, 1) + b"\xff",  # bad UTF-8
+        b"TI" + struct.pack(">II", 0, 2) + b"ab",  # an insert carries one character
+    ], ids=["payload-kind", "op-kind", "utf8", "two-chars"])
+    def test_bad_payload_rejected(self, payload):
+        with pytest.raises(WireFormatError):
+            decode_message(_envelope(payload))
+
+    def test_seq_outside_clock_rejected(self):
+        data = encode_envelope(0, 2, VectorClock({0: 1}), b"TN")
+        with pytest.raises(WireFormatError):
+            decode_message(data)
+
+    def test_mutated_envelopes_decode_or_raise_wire_error(self):
+        rng = random.Random(2026)
+        encoded = [encode_message(m) for m in SAMPLES]
+        outcomes = {"decoded": 0, "rejected": 0}
+        for _ in range(500):
+            data = bytearray(rng.choice(encoded))
+            for _ in range(rng.randint(1, 3)):
+                if not data:
+                    break
+                pos = rng.randrange(len(data))
+                action = rng.randrange(4)
+                if action == 0:
+                    data[pos] = rng.randrange(256)
+                elif action == 1:
+                    del data[pos]
+                elif action == 2:
+                    data.insert(pos, rng.randrange(256))
+                else:
+                    del data[pos:]
+            try:
+                decode_message(bytes(data))
+                outcomes["decoded"] += 1
+            except WireFormatError:
+                outcomes["rejected"] += 1
+        assert outcomes["decoded"] > 0 and outcomes["rejected"] > 0
 
 
 class TestSiteContainer:

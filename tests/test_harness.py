@@ -85,6 +85,15 @@ class TestRunScenario:
         with pytest.raises(ScenarioError):
             run_scenario(s, "ot")
 
+    def test_sequencer_whitespace_inserts(self):
+        s = Scenario("ab", 3, "sequencer", FixedLatency(1), 0, script=(
+            ScriptEntry(1, 0, Insert(1, " ")),
+            ScriptEntry(1, 1, Insert(2, "\n")),
+        ))
+        report = run_scenario(s, "ot")
+        assert report.ok
+        assert set(report.final_states.values()) == {"a b\n"}
+
     def test_ot_gc_drains_buffers(self):
         report = run_scenario(fig1_scenario(), "ot")
         assert report.gc_total == 4  # 2 ops buffered at each of 2 sites

@@ -13,6 +13,7 @@ from coedit.netsim import (
     UniformLatency,
     causally_ready,
 )
+from coedit.woot import NotExecutableError
 from coedit.harness import (
     FuzzSpec,
     Scenario,
@@ -41,7 +42,7 @@ class TestCausallyReady:
 
 class TestLatencyModels:
     def _sim(self, latency, sites=2, mode="causal", seed=0):
-        cfg = SimConfig(mode, latency, seed, sites)
+        cfg = SimConfig(mode, latency, seed)
         return Simulator(cfg, list(range(sites)), lambda s, t: None, lambda s, m, t: None, lambda s: VectorClock())
 
     def test_fixed_latency_schedule(self):
@@ -80,7 +81,7 @@ class TestLatencyModels:
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
-            SimConfig("gossip", FixedLatency(1), 0, 2)
+            SimConfig("gossip", FixedLatency(1), 0)
 
 
 def _script_scenario(entries, sites=2, mode="causal", latency=FixedLatency(1), doc="abe", seed=0):
@@ -122,7 +123,21 @@ class TestDeliveryOrder:
     def test_quiescence_liveness(self):
         report = run_scenario(fig1_scenario(), "woot")
         assert report.quiescent
-        assert report.requeue_events == 0
+
+    def test_delivery_failure_escapes_run(self):
+        """A message a site cannot execute under causal delivery is an
+        invariant failure: nothing holds it back for a retry."""
+        from conftest import stamp
+
+        def deliver(site, msg, tick):
+            raise NotExecutableError("anchors missing")
+
+        sim = Simulator(SimConfig("causal", FixedLatency(1), 0), [0, 1],
+                        lambda s, t: stamp(Delete(0), 0, 1) if s == 0 else None,
+                        deliver, lambda s: VectorClock())
+        sim.schedule_generation(1, 0)
+        with pytest.raises(NotExecutableError):
+            sim.run()
 
     def test_trace_line_shape(self):
         report = run_scenario(fig1_scenario(), "ot")

@@ -17,6 +17,7 @@ from coedit.woot import (
     ObjectId,
     ObjectSequence,
     START,
+    SkipConversionSite,
     WootSite,
 )
 
@@ -236,9 +237,10 @@ class TestWootSite:
         assert a.state == "ae" and a.istate.value() == "ae"
 
     def test_ablation_skips_external_update(self):
-        a, b = self._fig_sites()
+        _, b = self._fig_sites()
+        a = SkipConversionSite.create(0, "abe")
         o2 = b.local(Insert(2, "c"))
-        assert a.remote(o2, skip_conversion=True) is None
+        assert a.remote(o2) is None
         assert a.state == "abe"  # visible text left stale
         assert a.istate.value() == "abce"  # internal sequence did integrate
 
