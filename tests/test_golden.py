@@ -14,10 +14,26 @@ import random
 
 import pytest
 
-from coedit.harness import _random_scenario, fig1_scenario, run_scenario
+from coedit.harness import FuzzSpec, Scenario, _random_scenario, fig1_scenario, run_scenario
+from coedit.netsim import UniformLatency
 
 FUZZ_SEEDS = range(20)
 MODES = {"ot": "sequencer", "woot": "causal"}
+
+
+def _symmetric_scenario(seed: int) -> Scenario:
+    """Two symmetric OT sites in windows of 4 ops whose gap is shorter than
+    the largest delay, so neighbouring windows overlap (the benchmark's
+    long-session shape at a small size)."""
+    rng = random.Random(f"sym-{seed}")
+    return Scenario(
+        initial="".join(rng.choice("abcdef") for _ in range(rng.randint(0, 12))),
+        sites=2,
+        mode="causal",
+        latency=UniformLatency(1, 10),
+        seed=seed,
+        fuzz=FuzzSpec(n_ops=rng.randint(20, 80), insert_ratio=rng.uniform(0.5, 0.85), window=4, gap=8),
+    )
 
 
 def _cases():
@@ -25,6 +41,8 @@ def _cases():
         for seed in FUZZ_SEEDS:
             # the scenario `harness.fuzz` builds for this seed and engine
             yield f"fuzz-{engine}-{seed}", _random_scenario(random.Random(f"scn-{seed}"), seed, mode), engine, False
+    for seed in FUZZ_SEEDS:
+        yield f"sym-ot-{seed}", _symmetric_scenario(seed), "ot", False
     for engine in MODES:
         yield f"fig1-{engine}", fig1_scenario(), engine, False
     yield "fig1-woot-skip34", fig1_scenario(), "woot", True
@@ -92,6 +110,26 @@ GOLDEN = {
     "fuzz-woot-7": "d4c31dea2a263fbade94f36bbcd19d79144521daaf3a71d55591b2545b86c9ad",
     "fuzz-woot-8": "9e9d824c8e13af4de9ca0aadb8d9b62f42aaf47c4ae48e6b929fb79263844c38",
     "fuzz-woot-9": "d6141921640fba3dfd41f7995984942330a218f46bb6fe852aa975e6e8a3d02f",
+    "sym-ot-0": "a3e5490a2be280af475a34466cbea8b002c95dff1ac076058d7a8d84427676fd",
+    "sym-ot-1": "c8c2bf8d5284f7d52507376eec38dc4429dabcac14c3cef7e8c2ce244170a1c2",
+    "sym-ot-10": "2404fb10d2782142cfb79591d3c95fb3cd4dc3ea9fe294972e71595515e08d2f",
+    "sym-ot-11": "0f84680dca6c817837a26c4c42287ca013130d816eb54313acebc2cde1a3e04d",
+    "sym-ot-12": "c6b2995b75edc5a7e654c9154667a145aef69dec89863528274ab678adb87a89",
+    "sym-ot-13": "b5b65ef8ea5280d4ccea2416ed34bba0bbbbdffb5c4b6da38165a0021a942cfa",
+    "sym-ot-14": "caac1e3abb1e7b8c35c01e61173b6b7edde472bdec4563379e0247d7d8a6e71f",
+    "sym-ot-15": "255125ff29714b9d91e4fe18c9db848b747f5fcd1f108173c726cbf7ff2979e7",
+    "sym-ot-16": "e2b97d081d639a12a6baebe018b1fd8e2c59e32a34a2495807befdf92ff213fe",
+    "sym-ot-17": "e3efdbb75c10f561b5e24c381cd1c51e7aa392838bceb6ef5419c4b132ddaa06",
+    "sym-ot-18": "b9a66a3c9cefaa30191d68fe9bb8545e4ac4f5cebbe08798252867e0196d5327",
+    "sym-ot-19": "6277bc36960015179485794d6756f5ca1bf1ac919a42d4f6f6fcb6e72c5d68f7",
+    "sym-ot-2": "d6f5402ad55c5556263e062d7990e29a40409be5b29c9ee687f11dcad340ad2b",
+    "sym-ot-3": "79fafff454b9f9e508d40885d732a860b9402880d3a2b59eb3ae788270a43554",
+    "sym-ot-4": "52291a3db53240e0506de7e1690e6635a9eaee20550215bd0a0324b7fe1b13bf",
+    "sym-ot-5": "57e852694a218029bdc82357567f8df73d34e03db75a8db39c9cb08f518b1b40",
+    "sym-ot-6": "38e0f37b337b4fa70be65da0827813e693210310573a947c7a97ac1e97c02959",
+    "sym-ot-7": "81a0e317d8745137f31fc0a198c15d9cf8336ed25c1acf1ba2445447b01fcf5e",
+    "sym-ot-8": "300b8e09cdeeaccde1eb61fdba4515cdf186963507a12f43f2b02c23c0aaf868",
+    "sym-ot-9": "c3ec2512a914797eba4ceaec68623da87453f64a43a78aee445506241153a8cd",
 }
 
 
