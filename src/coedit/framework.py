@@ -48,11 +48,16 @@ def message_meta(msg: WireMessage) -> tuple:
     return msg.origin, msg.seq, msg.clock
 
 
+def op_token(op: ExternalOp) -> str:
+    """A position-based op as one trace-log token."""
+    return format_op(op).replace(" ", "_")
+
+
 def message_text(msg: WireMessage) -> str:
     """The op a message carries, as one trace-log token."""
     if isinstance(msg, IdOp):
         return str(msg.op).replace(" ", "")
-    return format_op(msg.op).replace(" ", "_")
+    return op_token(msg.op)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from .framework import Site, WireMessage
 from .netsim import (
     FixedLatency,
     LatencyModel,
-    MatrixLatency,
     SimConfig,
     Simulator,
     UniformLatency,
@@ -141,18 +140,35 @@ class RunReport:
 # scenario files
 
 
+def _escape(text: str) -> str:
+    """A text field (the doc, an inserted character) as one ASCII token with
+    no whitespace: Python string escapes, and \\x20 for a space."""
+    return text.encode("unicode_escape").decode("ascii").replace(" ", "\\x20")
+
+
+def _unescape(token: str) -> str:
+    try:
+        return token.encode("ascii", "backslashreplace").decode("unicode_escape")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"bad escape in {token!r}: {exc}") from exc
+
+
+def _entry_to_text(e: ScriptEntry) -> str:
+    op = f"I {e.op.position} {_escape(e.op.character)}" if isinstance(e.op, Insert) else format_op(e.op)
+    return f"@{e.tick} s{e.site} {op}"
+
+
 def scenario_to_text(s: Scenario) -> str:
     if s.script is None:
         raise ScenarioError("only scripted scenarios have a file form")
-    lines = [f"sites {s.sites}", f"doc {s.initial}", f"mode {s.mode}", f"seed {s.seed}"]
+    lines = [f"sites {s.sites}", f"doc {_escape(s.initial)}", f"mode {s.mode}", f"seed {s.seed}"]
     if isinstance(s.latency, FixedLatency):
         lines.append(f"latency fixed {s.latency.ticks}")
     elif isinstance(s.latency, UniformLatency):
         lines.append(f"latency uniform {s.latency.lo} {s.latency.hi}")
     else:
         raise ScenarioError("matrix latencies have no file form")
-    for e in s.script:
-        lines.append(f"@{e.tick} s{e.site} {format_op(e.op)}")
+    lines.extend(_entry_to_text(e) for e in s.script)
     return "\n".join(lines) + "\n"
 
 
@@ -165,16 +181,17 @@ def scenario_from_text(text: str) -> Scenario:
         if not line or line.startswith("#"):
             continue
         if line.startswith("@"):
-            head, rest = line.split(None, 2)[0], line.split(None, 2)
-            if len(rest) < 3 or not rest[1].startswith("s"):
+            parts = line.split()
+            if len(parts) < 3 or not parts[1].startswith("s"):
                 raise ScenarioError(f"bad script line: {line!r}")
-            script.append(ScriptEntry(int(head[1:]), int(rest[1][1:]), parse_op(rest[2])))
+            op = Insert(int(parts[3]), _unescape(parts[4])) if parts[2] == "I" and len(parts) == 5 else parse_op(" ".join(parts[2:]))
+            script.append(ScriptEntry(int(parts[0][1:]), int(parts[1][1:]), op))
             continue
         key, _, val = line.partition(" ")
         if key == "sites":
             sites = int(val)
         elif key == "doc":
-            doc = val
+            doc = _unescape(val)
         elif key == "mode":
             mode = val
         elif key == "seed":
@@ -512,7 +529,7 @@ def fuzz(n_runs: int, base_seed: int = 0, engines: Tuple[str, ...] = ("ot", "woo
                 artifact = {"seed": seed, "engine": engine, "reason": reason}
                 if report is not None and shrink:
                     shrunk = shrink_script(scenario, report.script, engine)
-                    artifact["script"] = [f"@{e.tick} s{e.site} {format_op(e.op)}" for e in shrunk]
+                    artifact["script"] = [_entry_to_text(e) for e in shrunk]
                 failures.append(artifact)
     return {"runs": n_runs * len(engines), "failures": failures, "ok": not failures}
 

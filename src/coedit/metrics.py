@@ -12,7 +12,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 CSV_COLUMNS = [
     "run_id",

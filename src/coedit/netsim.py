@@ -25,13 +25,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Union
 
-from .model import SiteId, VectorClock, format_op
+from .model import SiteId, VectorClock
 from .framework import (
     WireMessage,
     decode_message,
     encode_message,
     message_meta,
     message_text,
+    op_token,
 )
 
 
@@ -206,7 +207,7 @@ class Simulator:
     def _deliver(self, dst: int, msg: WireMessage) -> None:
         origin, seq, _ = message_meta(msg)
         eo = self.deliver_cb(dst, msg, self.now)
-        text = "none" if eo is None else format_op(eo).replace(" ", "_")
+        text = "none" if eo is None else op_token(eo)
         self.trace.append(f"tick={self.now} site={dst} kind=deliver op={text} key={origin}:{seq}")
 
     def _drain_causal(self, dst: int) -> None:

@@ -1,5 +1,9 @@
-"""Operational-transformation engine: buffer of timestamped ops plus the four
-pairwise transformation functions over position-based insert/delete.
+"""Operational-transformation engine: the four pairwise transformation
+functions over position-based insert/delete, one :func:`fold` of an op past
+concurrent ones, and the replicas built on it. An :class:`OtSite` (one of two
+symmetric peers) or a :class:`SequencerClient` folds each remote op past its
+`pending` unacknowledged local ops; the :class:`SequencerServer` folds each
+client op past that client's bridge.
 
 Tie-break for two inserts at the same position: the insert from the lower
 site id keeps the smaller position. Transforming a delete against a delete
@@ -19,13 +23,13 @@ from .model import (
     TimestampedOp,
     VectorClock,
     apply_external,
-    concurrent,
     happened_before,
 )
 
 
 class ContextMismatchError(RuntimeError):
-    """A buffered op is neither concurrent with nor causally before a remote op."""
+    """A remote op does not fit the replica's context: an op it folds against
+    is causally after it, or a message arrives out of its expected order."""
 
 
 def transform_insert_insert(a: Insert, b: Insert, a_site: SiteId, b_site: SiteId) -> Insert:
@@ -86,74 +90,57 @@ class OtMetrics:
         bundle.insert_tie_seen |= self.insert_tie_seen
 
 
-@dataclass
-class OtSite:
-    """One symmetric OT replica: mirror of the visible text, clock, op buffer.
+def fold(metrics: OtMetrics, op: ExternalOp, origin: SiteId, entries: list) -> ExternalOp:
+    """Fold `op` from `origin` past `entries`, concurrent ops in the same
+    context held as lists `[op, origin, ...]`, and rebase each entry past
+    `op` in place. Returns `op` in the context that includes them all."""
+    for entry in entries:
+        other, other_origin = entry[0], entry[1]
+        metrics.note_pair(op, other)
+        entry[0] = transform(other, op, other_origin, origin)
+        op = transform(op, other, origin, other_origin)
+        metrics.transform_count += 1
+    metrics.concurrent_set_sizes.append(len(entries))
+    return op
 
-    The buffer keeps every op in the form it was executed locally. A parallel
-    frontier map keeps each buffered op rebased to the current document
-    context, so a new remote op can be folded against the concurrent ones
-    pairwise. The symmetric fold is convergent for two replicas; larger
-    sessions go through the sequencer classes below.
-    """
+
+@dataclass
+class _Replica:
+    """What both OT replicas hold: a mirror of the visible text, a clock,
+    the `buffer` log of every op in the form it was executed here, and the
+    `pending` local ops no remote has acknowledged yet, as entries
+    `[op rebased to the current text, site, stamped op]`."""
 
     site: SiteId
     state: str = ""
     clock: VectorClock = field(default_factory=VectorClock)
     buffer: list = field(default_factory=list)
-    frontier: dict = field(default_factory=dict)  # (origin, seq) -> rebased ExternalOp
+    pending: list = field(default_factory=list)
     metrics: OtMetrics = field(default_factory=OtMetrics)
 
-    def local(self, eo: ExternalOp) -> TimestampedOp:
-        """Timestamp and buffer a locally generated op; no transformation runs.
-
-        The visible text already shows the edit; the mirror follows here.
-        """
+    def _stamp(self, eo: ExternalOp) -> TimestampedOp:
+        """Execute, timestamp, log and hold a local op; no transformation runs.
+        The visible text already shows the edit; the mirror follows here."""
         self.state = apply_external(self.state, eo)
         self.clock = self.clock.tick(self.site)
         stamped = TimestampedOp(eo, self.site, self.clock.get(self.site), self.clock)
         self.buffer.append(stamped)
-        self.frontier[stamped.key()] = eo
+        self.pending.append([eo, self.site, stamped])
         self.metrics.buffer_length_samples.append(len(self.buffer))
         return stamped
 
-    def remote(self, remote_op: TimestampedOp) -> ExternalOp:
-        """Transform a causally-ready remote op against concurrent buffered ops.
-
-        Returns the position-based form that the caller replays on the
-        visible text; the buffer saves that transformed form.
-        """
-        if remote_op.origin == self.site:
-            raise ValueError("a site never delivers its own message")
-        op = remote_op.op
-        n_concurrent = 0
-        for buffered in self.buffer:
-            if happened_before(buffered, remote_op):
-                continue
-            if not concurrent(buffered, remote_op):
-                raise ContextMismatchError(
-                    f"buffered op {buffered.key()} is causally after remote {remote_op.key()}"
-                )
-            # Fold both ways: the remote picks up this op's effect, and the
-            # frontier form of this op is rebased past the remote so later
-            # remotes see a matching context.
-            current = self.frontier[buffered.key()]
-            self.metrics.note_pair(op, current)
-            self.frontier[buffered.key()] = transform(current, op, buffered.origin, remote_op.origin)
-            op = transform(op, current, remote_op.origin, buffered.origin)
-            self.metrics.transform_count += 1
-            n_concurrent += 1
-        self.metrics.concurrent_set_sizes.append(n_concurrent)
+    def _execute(self, remote_op: TimestampedOp) -> ExternalOp:
+        """Fold a remote op past the pending ops, execute and log it; returns
+        the position-based form the caller replays on the visible text."""
+        op = fold(self.metrics, remote_op.op, remote_op.origin, self.pending)
         self.state = apply_external(self.state, op)
         self.clock = self.clock.merge(remote_op.clock)
-        executed = TimestampedOp(op, remote_op.origin, remote_op.seq, remote_op.clock)
-        self.buffer.append(executed)
-        self.frontier[executed.key()] = op
+        self.buffer.append(TimestampedOp(op, remote_op.origin, remote_op.seq, remote_op.clock))
         self.metrics.buffer_length_samples.append(len(self.buffer))
         return op
 
     def gc(self, stability: dict) -> int:
-        """Drop buffered ops already delivered everywhere per gossiped clocks.
+        """Drop logged ops already delivered everywhere per gossiped clocks.
 
         `stability` maps every site id to a lower bound on that site's
         delivered clock. Returns the number of ops collected.
@@ -161,12 +148,38 @@ class OtSite:
         keep = [b for b in self.buffer if not all(clk.get(b.origin) >= b.seq for clk in stability.values())]
         collected = len(self.buffer) - len(keep)
         self.buffer = keep
-        self.frontier = {b.key(): self.frontier[b.key()] for b in keep}
         return collected
 
     def fold_metrics(self, bundle, first: bool) -> None:
         self.metrics.fold_into(bundle)
         bundle.buffer_final = max(bundle.buffer_final, len(self.buffer))
+
+
+@dataclass
+class OtSite(_Replica):
+    """One of two symmetric OT replicas (the two-site Jupiter protocol).
+
+    With one peer, the ops concurrent with a remote op are exactly the local
+    ops the peer had not seen when it sent it: a remote op acknowledges the
+    pending ops its clock covers, and is folded past the rest. Larger
+    sessions go through the sequencer classes below.
+    """
+
+    def local(self, eo: ExternalOp) -> TimestampedOp:
+        return self._stamp(eo)
+
+    def remote(self, remote_op: TimestampedOp) -> ExternalOp:
+        """Fold a causally-ready op from the peer past the local ops it had
+        not seen; returns the form to replay on the visible text."""
+        if remote_op.origin == self.site:
+            raise ValueError("a site never delivers its own message")
+        if any(s != self.site and s != remote_op.origin for s in remote_op.clock.entries):
+            raise ContextMismatchError(f"remote {remote_op.key()} names a third site: {remote_op.clock}")
+        seen = remote_op.clock.get(self.site)
+        self.pending = [e for e in self.pending if e[2].seq > seen]
+        if any(happened_before(remote_op, e[2]) for e in self.pending):
+            raise ContextMismatchError(f"a pending op at site {self.site} is causally after remote {remote_op.key()}")
+        return self._execute(remote_op)
 
 
 class _Carrier:
@@ -208,7 +221,7 @@ class SequencerServer:
     client_ids: list
     state: str = ""
     history_len: int = 0
-    bridges: dict = None  # SiteId -> list of [index, ExternalOp, origin SiteId]
+    bridges: dict = None  # SiteId -> list of [ExternalOp, origin SiteId, index]
     metrics: OtMetrics = field(default_factory=OtMetrics)
 
     def __post_init__(self):
@@ -216,55 +229,35 @@ class SequencerServer:
             self.bridges = {c: [] for c in self.client_ids}
 
     def process(self, sender: SiteId, msg: ClientOpMsg) -> ServerOpMsg:
-        bridge = [e for e in self.bridges[sender] if e[0] >= msg.seen]
-        op = msg.stamped.op
-        self.metrics.concurrent_set_sizes.append(len(bridge))
-        for entry in bridge:
-            self.metrics.note_pair(op, entry[1])
-            rebased = transform(entry[1], op, entry[2], msg.stamped.origin)
-            op = transform(op, entry[1], msg.stamped.origin, entry[2])
-            entry[1] = rebased
-            self.metrics.transform_count += 1
+        stamped = msg.stamped
+        bridge = [e for e in self.bridges[sender] if e[2] >= msg.seen]
+        op = fold(self.metrics, stamped.op, stamped.origin, bridge)
         self.bridges[sender] = bridge
         self.state = apply_external(self.state, op)
         index = self.history_len
         self.history_len += 1
-        server_form = TimestampedOp(op, msg.stamped.origin, msg.stamped.seq, msg.stamped.clock)
         for c in self.client_ids:
             if c != sender:
-                self.bridges[c].append([index, op, msg.stamped.origin])
-        return ServerOpMsg(server_form, index)
+                self.bridges[c].append([op, stamped.origin, index])
+        return ServerOpMsg(TimestampedOp(op, stamped.origin, stamped.seq, stamped.clock), index)
 
     def fold_metrics(self, bundle, first: bool) -> None:
         self.metrics.fold_into(bundle)
 
 
 @dataclass
-class SequencerClient:
+class SequencerClient(_Replica):
     """OT replica speaking to a :class:`SequencerServer`.
 
-    Local ops apply immediately and wait in `pending` until their echo comes
-    back in the server stream; each remote server op is folded through the
-    pending list (rebasing it), which is the classic client half of
-    server-based OT.
+    Local ops apply immediately and stay pending until their echo comes back
+    in the server stream; every other server op is folded past the pending
+    ops (rebasing them), which is the classic client half of server-based OT.
     """
 
-    site: SiteId
-    state: str = ""
-    clock: VectorClock = field(default_factory=VectorClock)
-    buffer: list = field(default_factory=list)
-    pending: list = field(default_factory=list)
     delivered: int = 0
-    metrics: OtMetrics = field(default_factory=OtMetrics)
 
     def local(self, eo: ExternalOp) -> ClientOpMsg:
-        self.state = apply_external(self.state, eo)
-        self.clock = self.clock.tick(self.site)
-        stamped = TimestampedOp(eo, self.site, self.clock.get(self.site), self.clock)
-        self.buffer.append(stamped)
-        self.pending.append(stamped)
-        self.metrics.buffer_length_samples.append(len(self.buffer))
-        return ClientOpMsg(stamped, self.delivered)
+        return ClientOpMsg(self._stamp(eo), self.delivered)
 
     def remote(self, msg: ServerOpMsg):
         """Handle the next server-stream message; returns the EO_out to replay
@@ -276,33 +269,10 @@ class SequencerClient:
         self.delivered += 1
         stamped = msg.stamped
         if stamped.origin == self.site:
-            acked = self.pending.pop(0)
+            acked = self.pending.pop(0)[2]
             if acked.key() != stamped.key():
                 raise ContextMismatchError(
                     f"echo mismatch at site {self.site}: {acked.key()} vs {stamped.key()}"
                 )
             return None
-        op = stamped.op
-        n_concurrent = 0
-        for i, mine in enumerate(self.pending):
-            self.metrics.note_pair(op, mine.op)
-            rebased = transform(mine.op, op, mine.origin, stamped.origin)
-            op = transform(op, mine.op, stamped.origin, mine.origin)
-            self.pending[i] = TimestampedOp(rebased, mine.origin, mine.seq, mine.clock)
-            self.metrics.transform_count += 1
-            n_concurrent += 1
-        self.metrics.concurrent_set_sizes.append(n_concurrent)
-        self.state = apply_external(self.state, op)
-        self.clock = self.clock.merge(stamped.clock)
-        self.buffer.append(TimestampedOp(op, stamped.origin, stamped.seq, stamped.clock))
-        self.metrics.buffer_length_samples.append(len(self.buffer))
-        return op
-
-    def gc(self, stability: dict) -> int:
-        """Same stability rule as :meth:`OtSite.gc`."""
-        keep = [b for b in self.buffer if not all(clk.get(b.origin) >= b.seq for clk in stability.values())]
-        collected = len(self.buffer) - len(keep)
-        self.buffer = keep
-        return collected
-
-    fold_metrics = OtSite.fold_metrics
+        return self._execute(stamped)

@@ -31,6 +31,22 @@ class TestScenarioFiles:
         ))
         assert scenario_from_text(scenario_to_text(s)) == s
 
+    @pytest.mark.parametrize("char", [" ", "\n", "\t", "\\", "\U0001F600"], ids=["space", "newline", "tab", "backslash", "non-bmp"])
+    def test_roundtrip_escapes_text(self, char):
+        s = Scenario(f"{char}a{char}b{char}", 2, "causal", FixedLatency(1), 0, script=(
+            ScriptEntry(1, 0, Insert(1, char)),
+            ScriptEntry(2, 1, Insert(0, "z")),
+        ))
+        text = scenario_to_text(s)
+        assert len(text.splitlines()) == 7  # 5 headers, 2 ops
+        assert scenario_from_text(text) == s
+        assert run_scenario(scenario_from_text(text), "ot").ok
+
+    def test_bad_escape_rejected(self):
+        for doc in ("a\\", "a\\u00", "a\\x2"):
+            with pytest.raises(ScenarioError):
+                scenario_from_text(f"sites 2\ndoc {doc}\n")
+
     def test_text_form(self):
         text = scenario_to_text(fig1_scenario())
         assert "sites 2" in text and "doc abe" in text

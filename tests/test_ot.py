@@ -144,14 +144,32 @@ class TestOtSite:
         assert a.metrics.transform_count == 0
 
     def test_context_mismatch_detected(self):
-        """A buffered op causally *after* the remote op breaks the engine's
-        precondition (causally-ready delivery) and must be reported."""
+        """A pending local op causally *after* the remote op breaks the
+        engine's precondition (causally-ready, exactly-once delivery) and
+        must be reported."""
         a = OtSite(site=0, state="ab")
-        buffered = stamp(Delete(0), 1, 2, {2: 1})
-        a.buffer.append(buffered)
-        a.frontier[buffered.key()] = buffered.op
+        o1 = OtSite(site=1, state="ab").local(Insert(0, "q"))
+        a.remote(o1)
+        a.local(Delete(0))  # pending, and causally after o1
         with pytest.raises(ContextMismatchError):
-            a.remote(stamp(Insert(0, "q"), 2, 1))
+            a.remote(o1)
+
+    def test_peer_op_acknowledges_pending(self):
+        a = OtSite(site=0, state="ab")
+        b = OtSite(site=1, state="ab")
+        o1, o2 = a.local(Insert(0, "x")), a.local(Delete(2))
+        b.remote(o1)
+        assert len(a.pending) == 2
+        a.remote(b.local(Insert(0, "y")))  # b had seen o1 only
+        assert [e[2] for e in a.pending] == [o2]
+        b.remote(o2)
+        a.remote(b.local(Delete(0)))
+        assert a.pending == [] and a.state == b.state
+
+    def test_third_site_rejected(self):
+        a = OtSite(site=0, state="ab")
+        with pytest.raises(ContextMismatchError):
+            a.remote(stamp(Insert(0, "q"), 1, 1, {2: 1}))
 
 
 class TestGc:
@@ -168,7 +186,7 @@ class TestGc:
         a, b = self._two_site_session()
         stability = {0: a.clock, 1: b.clock}
         assert a.gc(stability) == 2
-        assert a.buffer == [] and a.frontier == {}
+        assert a.buffer == []
 
     def test_partial_coverage_retains(self):
         a, b = self._two_site_session()
