@@ -47,15 +47,18 @@ def cmd_fig1(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.scenario == "fig1":
-        scenario = harness.fig1_scenario()
-    else:
-        with open(args.scenario) as fh:
-            scenario = harness.scenario_from_text(fh.read())
-    seed = _seed_override(args.seed if args.seed is not None else scenario.seed)
-    scenario = replace(scenario, seed=seed)
     ablation = args.ablation == "skip34"
-    report = harness.run_scenario(scenario, args.engine, ablation=ablation)
+    try:
+        if args.scenario == "fig1":
+            scenario = harness.fig1_scenario()
+        else:
+            with open(args.scenario) as fh:
+                scenario = harness.scenario_from_text(fh.read())
+        seed = _seed_override(args.seed if args.seed is not None else scenario.seed)
+        report = harness.run_scenario(replace(scenario, seed=seed), args.engine, ablation=ablation)
+    except (OSError, harness.ScenarioError) as exc:
+        print(f"bad scenario: {exc}", file=sys.stderr)
+        return 2
     row = metrics.csv_row("run-0", report)
     if args.format == "csv":
         _emit(metrics.rows_to_csv([row]), args.output)

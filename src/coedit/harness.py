@@ -12,7 +12,11 @@ the network simulator. The run is checked for:
   liveness          - no message left in a hold-back queue at quiescence.
 
 Character instances are tracked by tagging every document position with the
-(origin, seq) of the op that created it, replicated alongside the text.
+(origin, seq) of the op that created it, replicated alongside the text. A tag
+list only gains and loses entries, so a site's own inserts stay, in its own
+list, in the order its user typed them. Proxy (c) ranks them there once the
+run is over and walks every site's list for an instance ranked below the one
+of the same origin seen just before it: O(sites x doc) per run.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from .model import (
 )
 from .framework import Site, WireMessage
 from .netsim import (
+    MODES,
     FixedLatency,
     LatencyModel,
     SimConfig,
@@ -172,43 +177,45 @@ def scenario_to_text(s: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_from_text(line: str, fields: dict, script: List[ScriptEntry]) -> None:
+    parts = line.split()
+    if line.startswith("@"):
+        if len(parts) < 3 or not parts[1].startswith("s"):
+            raise ValueError("expected '@tick sN op'")
+        op = Insert(int(parts[3]), _unescape(parts[4])) if parts[2] == "I" and len(parts) == 5 else parse_op(" ".join(parts[2:]))
+        script.append(ScriptEntry(int(parts[0][1:]), int(parts[1][1:]), op))
+    elif parts[0] in ("sites", "seed") and len(parts) == 2:
+        fields[parts[0]] = int(parts[1])
+    elif parts[0] == "doc" and len(parts) <= 2:
+        fields["initial"] = _unescape(parts[1]) if len(parts) == 2 else ""
+    elif parts[0] == "mode" and len(parts) == 2:
+        if parts[1] not in MODES:
+            raise ValueError(f"unknown mode {parts[1]!r}")
+        fields["mode"] = parts[1]
+    elif parts[:2] == ["latency", "fixed"] and len(parts) == 3:
+        fields["latency"] = FixedLatency(int(parts[2]))
+    elif parts[:2] == ["latency", "uniform"] and len(parts) == 4:
+        if int(parts[2]) > int(parts[3]):
+            raise ValueError("uniform latency needs lo <= hi")
+        fields["latency"] = UniformLatency(int(parts[2]), int(parts[3]))
+    else:
+        raise ValueError("unknown header or wrong number of fields")
+
+
 def scenario_from_text(text: str) -> Scenario:
-    sites, doc, mode, seed = None, "", "causal", 0
-    latency: LatencyModel = FixedLatency(1)
+    """Parse a scenario file; any malformed line raises ScenarioError naming it."""
+    fields = {"initial": "", "sites": None, "mode": "causal", "latency": FixedLatency(1), "seed": 0}
     script: List[ScriptEntry] = []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("@"):
-            parts = line.split()
-            if len(parts) < 3 or not parts[1].startswith("s"):
-                raise ScenarioError(f"bad script line: {line!r}")
-            op = Insert(int(parts[3]), _unescape(parts[4])) if parts[2] == "I" and len(parts) == 5 else parse_op(" ".join(parts[2:]))
-            script.append(ScriptEntry(int(parts[0][1:]), int(parts[1][1:]), op))
-            continue
-        key, _, val = line.partition(" ")
-        if key == "sites":
-            sites = int(val)
-        elif key == "doc":
-            doc = _unescape(val)
-        elif key == "mode":
-            mode = val
-        elif key == "seed":
-            seed = int(val)
-        elif key == "latency":
-            parts = val.split()
-            if parts[0] == "fixed":
-                latency = FixedLatency(int(parts[1]))
-            elif parts[0] == "uniform":
-                latency = UniformLatency(int(parts[1]), int(parts[2]))
-            else:
-                raise ScenarioError(f"unknown latency model {parts[0]!r}")
-        else:
-            raise ScenarioError(f"unknown header line: {line!r}")
-    if sites is None:
+        if line and not line.startswith("#"):
+            try:
+                _line_from_text(line, fields, script)
+            except (ValueError, IndexError) as exc:
+                raise ScenarioError(f"line {n} {line!r}: {exc}") from exc
+    if fields["sites"] is None:
         raise ScenarioError("missing 'sites' header")
-    return Scenario(doc, sites, mode, latency, seed, script=tuple(script))
+    return Scenario(**fields, script=tuple(script))
 
 
 def fig1_scenario() -> Scenario:
@@ -263,9 +270,7 @@ class _Run:
         self.init_tags = set(init_tags)
         self.insert_tags: set = set()
         self.delete_targets: Dict[tuple, tuple] = {}  # delete op key -> tag
-        self.order_pairs: List[tuple] = []  # (first tag, second tag)
         self.intention = IntentionVerdict()
-        self.n_inserts = 0
         self.local_ns: List[int] = []
         self.remote_ns: List[int] = []
         self.generated: List[ScriptEntry] = []
@@ -333,15 +338,7 @@ class _Run:
         key = (msg.origin, msg.seq)
         tags = self.tags[site_id]
         if isinstance(eo, Insert):
-            self.n_inserts += 1
             self.insert_tags.add(key)
-            # same-site sequential order expectations (proxy c)
-            for idx, tag in enumerate(tags):
-                if tag in self.insert_tags and tag != key and tag[0] == site_id:
-                    if idx < eo.position:
-                        self.order_pairs.append((tag, key))
-                    else:
-                        self.order_pairs.append((key, tag))
             tags.insert(eo.position, key)
         else:
             self.delete_targets[key] = tags.pop(eo.position)
@@ -387,7 +384,7 @@ class _Run:
         if self.engine_name == "woot":
             dumps = {i: s.engine.istate.dump() for i, s in self.sites.items()}
         converged = len(set(finals.values())) <= 1 and len(set(dumps.values())) <= 1
-        self._check_intention(finals)
+        self._check_intention()
         if converged:
             detail = "all replicas identical"
         else:
@@ -421,28 +418,30 @@ class _Run:
             script=tuple(self.generated),
         )
 
-    def _check_intention(self, finals: Dict[SiteId, str]) -> None:
+    def _check_intention(self) -> None:
         if self.ablation:
             return  # external states are deliberately left stale
         expected = (self.init_tags | self.insert_tags) - set(self.delete_targets.values())
+        # proxy (c): each site's own inserts, ranked by their place in its own list
+        rank = {tag: k for s, tags in self.tags.items() for k, tag in enumerate(tags) if tag[0] == s}
         for i, tags in self.tags.items():
             if set(tags) != expected:
                 self.intention.survivors_ok = False
                 missing = expected - set(tags)
                 extra = set(tags) - expected
                 self.intention.violations.append(f"site {i}: missing {missing}, extra {extra}")
-            index = {tag: k for k, tag in enumerate(tags)}
-            for first, second in self.order_pairs:
-                if first in index and second in index and index[first] > index[second]:
+            last: Dict[SiteId, tuple] = {}  # origin -> its last ranked tag seen here
+            for tag in filter(rank.__contains__, tags):
+                prev = last.get(tag[0])
+                if prev is not None and rank[tag] < rank[prev]:
                     self.intention.order_ok = False
-                    self.intention.violations.append(
-                        f"site {i}: instances {first} and {second} in reversed order"
-                    )
+                    self.intention.violations.append(f"site {i}: instances {tag} and {prev} in reversed order")
+                last[tag[0]] = tag
 
     def _check_woot_accounting(self) -> None:
         if self.engine_name != "woot" or self.ablation:
             return
-        expected_total = len(self.scenario.initial) + self.n_inserts
+        expected_total = len(self.scenario.initial) + len(self.insert_tags)
         tombstoned = len(set(self.delete_targets.values()))  # distinct instances deleted
         for i, site in self.sites.items():
             seq = site.engine.istate
@@ -454,10 +453,11 @@ class _Run:
                 raise AssertionError(
                     f"site {i}: visible count {seq.visible_count()} != {expected_total} - {tombstoned}"
                 )
-            invisible = [m.total_counts[k] - m.visible_counts[k] for m in [site.engine.metrics] for k in range(len(m.total_counts))]
+            totals = site.engine.metrics.total_counts
+            invisible = [t - v for t, v in zip(totals, site.engine.metrics.visible_counts)]
             if any(b < a for a, b in zip(invisible, invisible[1:])):
                 raise AssertionError(f"site {i}: tombstone count decreased")
-            if any(b < a for a, b in zip(site.engine.metrics.total_counts, site.engine.metrics.total_counts[1:])):
+            if any(b < a for a, b in zip(totals, totals[1:])):
                 raise AssertionError(f"site {i}: object count decreased")
 
 

@@ -63,6 +63,7 @@ class MatrixLatency:
 LatencyModel = Union[FixedLatency, UniformLatency, MatrixLatency]
 
 SEQUENCER_NODE = -1
+MODES = ("causal", "sequencer")
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("causal", "sequencer"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 

@@ -2,6 +2,7 @@
 ablation, shrinking, cross-engine comparison."""
 
 import random
+import re
 
 import pytest
 
@@ -61,6 +62,14 @@ class TestScenarioFiles:
             scenario_from_text("sites 2\nwhat 3\n")
         with pytest.raises(ScenarioError):
             scenario_from_text("doc ab\n")  # missing sites
+
+    @pytest.mark.parametrize("line", [
+        "latency fixed", "latency", "latency uniform 1", "latency uniform 5 1", "sites x", "seed", "mode bogus",
+        "doc a b", "@x s0 D 1", "@1 s0 I 1", "@1 sx D 1",
+    ])
+    def test_malformed_line_names_itself(self, line):
+        with pytest.raises(ScenarioError, match=re.escape(f"line 1 {line!r}")):
+            scenario_from_text(f"{line}\nsites 2\n")
 
     def test_exactly_one_of_script_or_fuzz(self):
         with pytest.raises(ScenarioError):
@@ -143,7 +152,7 @@ class TestIntentionProxies:
         trace = run.sim.run()
         assert run.delete_targets == {(0, 1): ("init", 1)}
         run.delete_targets[(0, 1)] = ("init", 2)
-        run._check_intention({i: s.external for i, s in run.sites.items()})
+        run._check_intention()
         assert not run.intention.survivors_ok
 
     def test_order_violation_detected(self):
@@ -156,11 +165,34 @@ class TestIntentionProxies:
         ))
         run = harness._Run(scenario, "ot", ablation=False)
         run.sim.run()
-        assert run.order_pairs == [((0, 1), (0, 2))]
-        # swap the recorded expectation: the checker must now flag the run
-        run.order_pairs = [((0, 2), (0, 1))]
-        run._check_intention({i: s.external for i, s in run.sites.items()})
-        assert not run.intention.order_ok
+        assert run.tags[1] == [(0, 1), (0, 2)]
+        # swap the two instances at the receiving site: the checker must flag it
+        run.tags[1].reverse()
+        run._check_intention()
+        assert run.intention.survivors_ok and not run.intention.order_ok
+        assert run.intention.violations == ["site 1: instances (0, 1) and (0, 2) in reversed order"]
+
+    @pytest.mark.parametrize("site, origins, flagged", [
+        (2, (0, 0), True),
+        (0, (0, 0), True),
+        (2, (1, 0), False),
+    ], ids=["same-origin-at-reader", "same-origin-at-origin", "different-origins"])
+    def test_sabotaged_order(self, site, origins, flagged):
+        """Swap two adjacent instances in one site's final tag list of a
+        3-site sequencer run; only a swap of one origin's inserts is flagged."""
+        from coedit import harness
+
+        typed = [ScriptEntry(1 + k, 0, Insert(k, c)) for k, c in enumerate("xyz")]
+        typed += [ScriptEntry(10 + k, 1, Insert(k, c)) for k, c in enumerate("pq")]
+        run = harness._Run(Scenario("ab", 3, "sequencer", FixedLatency(1), 0, script=tuple(typed)), "ot", ablation=False)
+        run.sim.run()
+        assert {s.external for s in run.sites.values()} == {"pqxyzab"}
+        tags = run.tags[site]
+        k = next(k for k in range(len(tags) - 1) if (tags[k][0], tags[k + 1][0]) == origins)
+        tags[k], tags[k + 1] = tags[k + 1], tags[k]
+        run._check_intention()
+        assert run.intention.survivors_ok and run.intention.deletions_ok
+        assert run.intention.order_ok is not flagged
 
 
 class TestFuzz:

@@ -119,6 +119,13 @@ class TestCli:
             main(["run", "--engine", "nope", "--scenario", "fig1"])
         assert exc.value.code == 2
 
+    def test_bad_scenario_exits_two(self, tmp_path, capsys):
+        scn = tmp_path / "bad.scn"
+        scn.write_text("sites 2\nlatency fixed\n")
+        assert main(["run", "--engine", "ot", "--scenario", str(scn)]) == 2
+        assert "line 2 'latency fixed'" in capsys.readouterr().err
+        assert main(["run", "--engine", "ot", "--scenario", str(tmp_path / "missing.scn")]) == 2
+
     def test_gt_seed_overrides(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
