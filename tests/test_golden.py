@@ -18,6 +18,7 @@ from coedit.harness import FuzzSpec, Scenario, _random_scenario, fig1_scenario, 
 from coedit.netsim import UniformLatency
 
 FUZZ_SEEDS = range(20)
+TIE_SEEDS = range(10)
 MODES = {"ot": "sequencer", "woot": "causal"}
 
 
@@ -36,6 +37,21 @@ def _symmetric_scenario(seed: int) -> Scenario:
     )
 
 
+def _woot_tie_scenario(seed: int) -> Scenario:
+    """Three or four causal WOOT sites on a 40-80-char doc, in windows of
+    8-10 ops whose gap is shorter than the largest delay, so concurrent
+    inserts often share anchors and their placement falls to id order."""
+    rng = random.Random(f"tie-{seed}")
+    return Scenario(
+        initial="".join(rng.choice("abcdef") for _ in range(rng.randint(40, 80))),
+        sites=rng.randint(3, 4),
+        mode="causal",
+        latency=UniformLatency(1, 10),
+        seed=seed,
+        fuzz=FuzzSpec(n_ops=rng.randint(60, 120), insert_ratio=rng.uniform(0.6, 0.9), window=rng.randint(8, 10), gap=6),
+    )
+
+
 def _cases():
     for engine, mode in MODES.items():
         for seed in FUZZ_SEEDS:
@@ -43,6 +59,8 @@ def _cases():
             yield f"fuzz-{engine}-{seed}", _random_scenario(random.Random(f"scn-{seed}"), seed, mode), engine, False
     for seed in FUZZ_SEEDS:
         yield f"sym-ot-{seed}", _symmetric_scenario(seed), "ot", False
+    for seed in TIE_SEEDS:
+        yield f"tie-woot-{seed}", _woot_tie_scenario(seed), "woot", False
     for engine in MODES:
         yield f"fig1-{engine}", fig1_scenario(), engine, False
     yield "fig1-woot-skip34", fig1_scenario(), "woot", True
@@ -130,6 +148,16 @@ GOLDEN = {
     "sym-ot-7": "81a0e317d8745137f31fc0a198c15d9cf8336ed25c1acf1ba2445447b01fcf5e",
     "sym-ot-8": "300b8e09cdeeaccde1eb61fdba4515cdf186963507a12f43f2b02c23c0aaf868",
     "sym-ot-9": "c3ec2512a914797eba4ceaec68623da87453f64a43a78aee445506241153a8cd",
+    "tie-woot-0": "db027cc364125c2960ab17f42cd92ff58c43cddda6f078d2fb124fb044b96c20",
+    "tie-woot-1": "8f6675cc86ebdc03c5a17fca5f82b6c569150dc1c974cf85fba108af79046d56",
+    "tie-woot-2": "85245e8a9c25915b72e36bba783e7620c5799c93dad8868f1d7de0ce38bf7fb1",
+    "tie-woot-3": "ea61e83152399100497366786a6a0b982e83c1ec4bc8fd4a9cad49e2ae360632",
+    "tie-woot-4": "0958833dd4a35ed2a5c2d71d27f43982df47f3b88bf4d76fd5fb4042541f7fc4",
+    "tie-woot-5": "d5c45d82c42d23443127016f6959e85a021965c508346accaaa99432acad4d21",
+    "tie-woot-6": "2932cf959ba3185a4f1b0662bf00e94aa292617008d0befdcf21f022b547f9d0",
+    "tie-woot-7": "0ada783d0bc89e33bd99362de4506d79711d1782c7500bdfbc9237aa1f0d3f0a",
+    "tie-woot-8": "951fb993af510dbbc31db2f850386f8205f5368a30b37a367a777c3598e08cdd",
+    "tie-woot-9": "4c8e38299ffc1c1a213577e9a68ce319c046535ca8f3b3375a3b58582f94077d",
 }
 
 

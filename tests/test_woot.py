@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from coedit.model import BoundsError, Delete, Insert, NoOp, VectorClock
 from coedit.woot import (
@@ -36,6 +37,22 @@ def del_op(site, seq, target, **clock):
     return IdOp(DeleteId(target), site, seq, VectorClock(clock))
 
 
+def sentinel_first_key(o):
+    """The id order the engine was first written against: START below and
+    END above every other id, which are ordered by (sid, seq)."""
+    if o == START:
+        return (0, 0, 0)
+    if o == END:
+        return (2, 0, 0)
+    return (1, o.sid, o.seq)
+
+
+# the wire's ranges: sid is a signed, seq an unsigned 64-bit integer
+wire_sids = st.one_of(st.integers(-2, 4), st.integers(-(2**63), 2**63 - 1))
+wire_seqs = st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1))
+wire_ids = st.builds(ObjectId, wire_sids, wire_seqs)
+
+
 class TestObjectId:
     def test_total_order(self):
         assert START < oid(0, 1) < oid(0, 2) < oid(1, 1) < END
@@ -44,6 +61,25 @@ class TestObjectId:
     def test_rendering(self):
         assert str(START) == "@s" and str(END) == "@e"
         assert str(oid(1, 3)) == "1.3"
+
+    @given(wire_ids, wire_ids)
+    def test_order_matches_sentinel_first_order(self, a, b):
+        assume(a not in (START, END) and b not in (START, END))
+        assert (a < b) == (sentinel_first_key(a) < sentinel_first_key(b))
+        assert (a == b) == (sentinel_first_key(a) == sentinel_first_key(b))
+
+    @given(st.integers(INIT_SID, 2**31 - 1), st.integers(0, 2**64 - 1))
+    def test_sentinels_bracket_session_ids(self, sid, seq):
+        assert START < oid(sid, seq) < END
+
+    @given(wire_sids, wire_seqs)
+    def test_text_forms(self, sid, seq):
+        o = oid(sid, seq)
+        assume(o not in (START, END))
+        assert str(o) == f"{sid}.{seq}"
+        assert repr(o) == f"ObjectId(sid={sid}, seq={seq})"
+        assert repr(START) == "ObjectId(sid=-2147483648, seq=0)"
+        assert repr(END) == "ObjectId(sid=2147483648, seq=0)"
 
 
 class TestInitSequence:
