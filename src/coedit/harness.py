@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .model import (
+    BoundsError,
     Delete,
     ExternalOp,
     Insert,
@@ -85,6 +86,8 @@ class Scenario:
     def __post_init__(self):
         if (self.script is None) == (self.fuzz is None):
             raise ScenarioError("exactly one of script / fuzz must be given")
+        if self.sites < 1:
+            raise ScenarioError(f"a scenario needs at least 1 site, got {self.sites}")
 
 
 @dataclass
@@ -169,10 +172,8 @@ def scenario_to_text(s: Scenario) -> str:
     lines = [f"sites {s.sites}", f"doc {_escape(s.initial)}", f"mode {s.mode}", f"seed {s.seed}"]
     if isinstance(s.latency, FixedLatency):
         lines.append(f"latency fixed {s.latency.ticks}")
-    elif isinstance(s.latency, UniformLatency):
-        lines.append(f"latency uniform {s.latency.lo} {s.latency.hi}")
     else:
-        raise ScenarioError("matrix latencies have no file form")
+        lines.append(f"latency uniform {s.latency.lo} {s.latency.hi}")
     lines.extend(_entry_to_text(e) for e in s.script)
     return "\n".join(lines) + "\n"
 
@@ -318,7 +319,8 @@ class _Run:
 
     def _generate(self, site_id: SiteId, tick: int) -> Optional[WireMessage]:
         site = self.sites[site_id]
-        if self.scenario.script is not None:
+        scripted = self.scenario.script is not None
+        if scripted:
             queue = self.script_queue.get((tick, site_id), [])
             if not queue:
                 return None
@@ -328,7 +330,12 @@ class _Run:
         if isinstance(eo, NoOp):
             return None
         t0 = time.perf_counter_ns()
-        msg = site.generate(eo)
+        try:
+            msg = site.generate(eo)
+        except BoundsError as exc:
+            if not scripted:
+                raise
+            raise ScenarioError(f"script entry {_entry_to_text(ScriptEntry(tick, site_id, eo))!r}: {exc}") from exc
         self.local_ns.append(time.perf_counter_ns() - t0)
         self.generated.append(ScriptEntry(tick, site_id, eo))
         self._track_local(site_id, eo, msg)

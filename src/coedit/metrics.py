@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import time
 from dataclasses import dataclass, field
 from typing import List
@@ -42,7 +41,6 @@ class MetricsBundle:
     local_ns: List[int] = field(default_factory=list)
     remote_ns: List[int] = field(default_factory=list)
     init_cost: int = 0
-    init_ns: int = 0
     gc_total: int = 0
     transform_total: int = 0
     buffer_final: int = 0
@@ -74,7 +72,6 @@ class MetricsBundle:
             "local_ns_mean": _mean(self.local_ns),
             "remote_ns_mean": _mean(self.remote_ns),
             "init_cost": self.init_cost,
-            "init_ns": self.init_ns,
             "gc_total": self.gc_total,
             "transform_total": self.transform_total,
             "search_steps_total": sum(self.search_steps_per_op),
@@ -121,10 +118,6 @@ def rows_to_csv(rows: List[dict]) -> str:
     return out.getvalue()
 
 
-def rows_to_json(rows: List[dict]) -> str:
-    return json.dumps(rows, indent=2, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # benchmark workloads
 
@@ -148,13 +141,15 @@ def measure_init(doc_len: int) -> dict:
     t0 = time.perf_counter_ns()
     ot = OtSite(site=0, state=doc)
     ot_ns = time.perf_counter_ns() - t0
+    t0 = time.perf_counter_ns()
     woot = WootSite.create(0, doc)
+    woot_ns = time.perf_counter_ns() - t0
     return {
         "doc_len": doc_len,
         "ot_init_entries": len(ot.buffer),
         "ot_init_ns": ot_ns,
         "woot_init_objects": woot.metrics.init_cost,
-        "woot_init_ns": woot.metrics.init_ns,
+        "woot_init_ns": woot_ns,
     }
 
 

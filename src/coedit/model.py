@@ -112,11 +112,6 @@ class VectorClock:
         bumped[site] = bumped.get(site, 0) + 1
         return VectorClock(bumped)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VectorClock):
-            return NotImplemented
-        return dict(self.entries) == dict(other.entries)
-
     def __hash__(self):
         return hash(frozenset(self.entries.items()))
 

@@ -47,20 +47,7 @@ class UniformLatency:
     hi: int = 10
 
 
-@dataclass(frozen=True)
-class MatrixLatency:
-    """Per-link delays; keys are (src, dst) pairs, sequencer node is -1."""
-
-    table: tuple  # of ((src, dst), ticks)
-
-    def lookup(self, src: int, dst: int) -> int:
-        for (s, d), t in self.table:
-            if (s, d) == (src, dst):
-                return t
-        raise KeyError(f"no latency entry for link {src}->{dst}")
-
-
-LatencyModel = Union[FixedLatency, UniformLatency, MatrixLatency]
+LatencyModel = Union[FixedLatency, UniformLatency]
 
 SEQUENCER_NODE = -1
 MODES = ("causal", "sequencer")
@@ -142,21 +129,19 @@ class Simulator:
     def schedule_generation(self, tick: int, site: SiteId) -> None:
         self._push(tick, "gen", site)
 
-    def _draw_latency(self, src: int, dst: int) -> int:
+    def _draw_latency(self) -> int:
         lat = self.config.latency
         if isinstance(lat, FixedLatency):
             d = lat.ticks
-        elif isinstance(lat, UniformLatency):
-            d = self.rng.randint(lat.lo, lat.hi)
         else:
-            d = lat.lookup(src, dst)
+            d = self.rng.randint(lat.lo, lat.hi)
         return max(1, d)
 
-    def broadcast(self, msg: WireMessage, src: int, dests: List[int]) -> Envelope:
+    def broadcast(self, msg: WireMessage, dests: List[int]) -> Envelope:
         origin, _, clock = message_meta(msg)
         env = Envelope(origin, clock, encode_message(msg))
         for dst in sorted(dests):
-            delay = self._draw_latency(src, dst)
+            delay = self._draw_latency()
             env.arrivals[dst] = self.now + delay
             self._push(self.now + delay, "net", (dst, env))
         return env
@@ -170,9 +155,9 @@ class Simulator:
         origin, seq, clock = message_meta(msg)
         self.trace.append(f"tick={self.now} site={site} kind=gen op={message_text(msg)} key={origin}:{seq}")
         if self.config.mode == "sequencer":
-            self.broadcast(msg, site, [SEQUENCER_NODE])
+            self.broadcast(msg, [SEQUENCER_NODE])
         else:
-            self.broadcast(msg, site, [s for s in self.site_ids if s != site])
+            self.broadcast(msg, [s for s in self.site_ids if s != site])
 
     def _handle_sequencer(self, env: Envelope) -> None:
         msg = decode_message(env.payload)
@@ -183,7 +168,7 @@ class Simulator:
             ready = self.seq_fifo[origin].pop(self.seq_expected[origin])
             self.seq_expected[origin] += 1
             out = self.sequencer_server.process(origin, ready)
-            self.broadcast(out, SEQUENCER_NODE, self.site_ids)
+            self.broadcast(out, self.site_ids)
 
     def _handle_arrival(self, dst: int, env: Envelope) -> None:
         if dst == SEQUENCER_NODE:

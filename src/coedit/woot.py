@@ -12,7 +12,7 @@ lengths are recorded as the engine's cost metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
 from .model import (
     BoundsError,
@@ -31,22 +31,12 @@ from .model import (
 INIT_SID = -1
 
 
-@dataclass(frozen=True)
-class ObjectId:
-    """Totally ordered object identifier, with Start/End sentinels."""
+class ObjectId(NamedTuple):
+    """Object identifier, totally ordered as the tuple (sid, seq). The
+    Start/End sentinels' sids lie below and above every sid a session mints."""
 
     sid: int
     seq: int
-
-    def sort_key(self) -> tuple:
-        if self == START:
-            return (0, 0, 0)
-        if self == END:
-            return (2, 0, 0)
-        return (1, self.sid, self.seq)
-
-    def __lt__(self, other: "ObjectId") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         if self == START:
@@ -192,10 +182,11 @@ class ObjectSequence:
             target = self.objects[self.nth_visible_index(eo.position)]
             return DeleteId(target.id)
         if isinstance(eo, Insert):
-            if not 0 <= eo.position <= self.visible_count():
-                raise BoundsError(f"insert position {eo.position} out of range for {self.visible_count()} visible objects")
+            visible = self.visible_count()
+            if not 0 <= eo.position <= visible:
+                raise BoundsError(f"insert position {eo.position} out of range for {visible} visible objects")
             prev = START if eo.position == 0 else self.objects[self.nth_visible_index(eo.position - 1)].id
-            nxt = END if eo.position == self.visible_count() else self.objects[self.nth_visible_index(eo.position)].id
+            nxt = END if eo.position == visible else self.objects[self.nth_visible_index(eo.position)].id
             return InsertId(eo.character, ObjectId(site, next_seq), prev, nxt)
         raise ValueError(f"cannot convert {eo!r} to identifier form")
 
@@ -280,7 +271,6 @@ class WootMetrics:
     visible_counts: list = field(default_factory=list)
     total_counts: list = field(default_factory=list)
     init_cost: int = 0
-    init_ns: int = 0
 
 
 @dataclass
@@ -295,14 +285,9 @@ class WootSite:
 
     @classmethod
     def create(cls, site: SiteId, doc: str) -> "WootSite":
-        import time
-
-        t0 = time.perf_counter_ns()
         istate = ObjectSequence.from_text(doc)
-        init_ns = time.perf_counter_ns() - t0
         ws = cls(site=site, istate=istate, state=doc)
         ws.metrics.init_cost = istate.total_count()
-        ws.metrics.init_ns = init_ns
         return ws
 
     def _sample(self, steps_before: int) -> None:
@@ -321,7 +306,6 @@ class WootSite:
             bundle.total_series = list(m.total_counts)
         bundle.search_steps_per_op.extend(m.search_steps_per_op)
         bundle.init_cost = max(bundle.init_cost, m.init_cost)
-        bundle.init_ns = max(bundle.init_ns, m.init_ns)
 
     def local(self, eo: ExternalOp) -> IdOp:
         """Convert a local position-based op, integrate it, and hand it back

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from coedit.model import Delete, Insert
+from coedit.model import BoundsError, Delete, Insert
 from coedit.netsim import FixedLatency, UniformLatency
 from coedit.harness import (
     FuzzSpec,
@@ -21,6 +21,7 @@ from coedit.harness import (
     scenario_to_text,
     shrink_script,
     _failure_reason,
+    _Run,
 )
 
 
@@ -103,6 +104,13 @@ class TestRunScenario:
     def test_sequencer_requires_ot(self):
         s = Scenario("ab", 2, "sequencer", FixedLatency(1), 0, fuzz=FuzzSpec(n_ops=4))
         with pytest.raises(ScenarioError):
+            run_scenario(s, "woot")
+
+    def test_out_of_range_fuzz_op_is_a_fault(self, monkeypatch):
+        # an out-of-range scripted op is the scenario's fault, a generated one the harness's
+        monkeypatch.setattr(_Run, "_pick_fuzz_op", lambda self, text: Delete(len(text)))
+        s = Scenario("ab", 2, "causal", FixedLatency(1), 0, fuzz=FuzzSpec(n_ops=4))
+        with pytest.raises(BoundsError):
             run_scenario(s, "woot")
 
     def test_symmetric_ot_limited_to_two_sites(self):

@@ -8,7 +8,7 @@ import pytest
 from coedit import metrics
 from coedit.cli import main
 from coedit.harness import fig1_scenario, run_scenario
-from coedit.metrics import CSV_COLUMNS, Workload, csv_row, measure_init, rows_to_csv, rows_to_json
+from coedit.metrics import CSV_COLUMNS, Workload, csv_row, measure_init, rows_to_csv
 
 
 class TestCollect:
@@ -38,11 +38,6 @@ class TestRows:
         header, line = text.strip().split("\n")
         assert header == ",".join(CSV_COLUMNS)
         assert line.startswith("run-7,ot,2,3,2,")
-
-    def test_json_mirrors_csv(self):
-        report = run_scenario(fig1_scenario(), "woot")
-        row = csv_row("run-0", report)
-        assert json.loads(rows_to_json([row])) == [json.loads(json.dumps(row))]
 
 
 class TestInitCost:
@@ -125,6 +120,14 @@ class TestCli:
         assert main(["run", "--engine", "ot", "--scenario", str(scn)]) == 2
         assert "line 2 'latency fixed'" in capsys.readouterr().err
         assert main(["run", "--engine", "ot", "--scenario", str(tmp_path / "missing.scn")]) == 2
+        capsys.readouterr()
+        scn.write_text("sites 2\ndoc ab\n@1 s0 D 5\n")  # the scripted op is out of range
+        for engine in ("ot", "woot"):
+            assert main(["run", "--engine", engine, "--scenario", str(scn)]) == 2
+            assert "bad scenario: script entry '@1 s0 D 5'" in capsys.readouterr().err
+        scn.write_text("sites 0\ndoc ab\n")
+        assert main(["run", "--engine", "woot", "--scenario", str(scn)]) == 2
+        assert "at least 1 site" in capsys.readouterr().err
 
     def test_gt_seed_overrides(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"

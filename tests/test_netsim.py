@@ -6,7 +6,6 @@ import pytest
 from coedit.model import Delete, Insert, VectorClock
 from coedit.netsim import (
     FixedLatency,
-    MatrixLatency,
     SEQUENCER_NODE,
     SimConfig,
     Simulator,
@@ -49,13 +48,13 @@ class TestLatencyModels:
         sim = self._sim(FixedLatency(3))
         from conftest import stamp
         sim.now = 5
-        env = sim.broadcast(stamp(Delete(0), 0, 1), 0, [1])
+        env = sim.broadcast(stamp(Delete(0), 0, 1), [1])
         assert env.arrivals == {1: 8}
 
     def test_broadcast_reaches_all_other_sites(self):
         sim = self._sim(FixedLatency(1), sites=5)
         from conftest import stamp
-        env = sim.broadcast(stamp(Delete(0), 0, 1), 0, [1, 2, 3, 4])
+        env = sim.broadcast(stamp(Delete(0), 0, 1), [1, 2, 3, 4])
         assert sorted(env.arrivals) == [1, 2, 3, 4]
 
     def test_uniform_latency_deterministic_per_seed(self):
@@ -63,20 +62,14 @@ class TestLatencyModels:
         draws = []
         for _ in range(2):
             sim = self._sim(UniformLatency(1, 10), sites=3, seed=42)
-            env = sim.broadcast(stamp(Delete(0), 0, 1), 0, [1, 2])
+            env = sim.broadcast(stamp(Delete(0), 0, 1), [1, 2])
             draws.append(dict(env.arrivals))
         assert draws[0] == draws[1]
-
-    def test_matrix_latency_lookup(self):
-        lat = MatrixLatency(table=(((0, 1), 4), ((1, 0), 2)))
-        assert lat.lookup(0, 1) == 4 and lat.lookup(1, 0) == 2
-        with pytest.raises(KeyError):
-            lat.lookup(0, 2)
 
     def test_minimum_one_tick(self):
         from conftest import stamp
         sim = self._sim(FixedLatency(0))
-        env = sim.broadcast(stamp(Delete(0), 0, 1), 0, [1])
+        env = sim.broadcast(stamp(Delete(0), 0, 1), [1])
         assert env.arrivals[1] >= 1
 
     def test_unknown_mode_rejected(self):
