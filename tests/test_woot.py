@@ -38,8 +38,8 @@ def del_op(site, seq, target, **clock):
 
 
 def sentinel_first_key(o):
-    """The id order the engine was first written against: START below and
-    END above every other id, which are ordered by (sid, seq)."""
+    """Reference id order: START below and END above every other id, which
+    are ordered by (sid, seq)."""
     if o == START:
         return (0, 0, 0)
     if o == END:
@@ -61,6 +61,8 @@ class TestObjectId:
     def test_rendering(self):
         assert str(START) == "@s" and str(END) == "@e"
         assert str(oid(1, 3)) == "1.3"
+        assert repr(START) == "ObjectId(sid=-2147483648, seq=0)"
+        assert repr(END) == "ObjectId(sid=2147483648, seq=0)"
 
     @given(wire_ids, wire_ids)
     def test_order_matches_sentinel_first_order(self, a, b):
@@ -78,8 +80,6 @@ class TestObjectId:
         assume(o not in (START, END))
         assert str(o) == f"{sid}.{seq}"
         assert repr(o) == f"ObjectId(sid={sid}, seq={seq})"
-        assert repr(START) == "ObjectId(sid=-2147483648, seq=0)"
-        assert repr(END) == "ObjectId(sid=2147483648, seq=0)"
 
 
 class TestInitSequence:
