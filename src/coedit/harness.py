@@ -460,6 +460,11 @@ class _Run:
                 raise AssertionError(
                     f"site {i}: visible count {seq.visible_count()} != {expected_total} - {tombstoned}"
                 )
+            # the recorded visible series comes from the running count
+            if seq.n_visible != seq.visible_count():
+                raise AssertionError(f"site {i}: running visible count {seq.n_visible} != {seq.visible_count()}")
+            if len(seq.by_id) != len(seq.objects):
+                raise AssertionError(f"site {i}: id index holds {len(seq.by_id)} of {len(seq.objects)} objects")
             totals = site.engine.metrics.total_counts
             invisible = [t - v for t, v in zip(totals, site.engine.metrics.visible_counts)]
             if any(b < a for a, b in zip(invisible, invisible[1:])):

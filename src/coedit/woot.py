@@ -4,15 +4,22 @@ object sequence with tombstones.
 Every character lives in an object carrying an immutable id and the ids of
 the two objects that were its visible neighbours at creation time. Deletion
 only hides an object; nothing is ever removed, so concurrent operations can
-always resolve their anchors. Position <-> identifier conversions walk the
-sequence and count visible objects (the search-count method), and the walk
-lengths are recorded as the engine's cost metric.
+always resolve their anchors. Position <-> identifier conversions are
+costed as the paper's search-count method: a walk from the start of the
+sequence, counting visible objects, whose length is recorded as the
+engine's cost metric (`search_steps`). The walks themselves do not run
+object by object in Python: an id -> object dict plus `list.index` by
+identity finds an object, `itertools` finds the n-th visible one, and a
+running count answers how many are visible. Each is charged exactly the
+objects the linear walk would visit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Union
+from itertools import compress, count, islice
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Union
 
 from .model import (
     BoundsError,
@@ -49,9 +56,14 @@ class ObjectId(NamedTuple):
 START = ObjectId(-(2**31), 0)
 END = ObjectId(2**31, 0)
 
+_VISIBLE = attrgetter("visible")
 
-@dataclass
+
+@dataclass(eq=False)
 class WObject:
+    """One character slot. Compared by identity, so `list.index` finds an
+    object without comparing fields."""
+
     character: str
     id: ObjectId
     prev: ObjectId
@@ -110,7 +122,9 @@ class ObjectSequence:
             WObject("", START, START, END, False),
             WObject("", END, START, END, False),
         ]
-        self.search_steps = 0  # object visits across all scans
+        self.by_id: Dict[ObjectId, WObject] = {o.id: o for o in self.objects}
+        self.n_visible = 0  # running count of visible objects
+        self.search_steps = 0  # object visits a linear scan would make
 
     @classmethod
     def from_text(cls, doc: str, creator: SiteId = INIT_SID) -> "ObjectSequence":
@@ -121,51 +135,49 @@ class ObjectSequence:
             for i, ch in enumerate(doc)
         ]
         seq.objects[1:1] = body
+        seq.by_id.update((o.id, o) for o in body)
+        seq.n_visible = len(body)
         return seq
 
-    # -- scans (all counted as search steps) --------------------------------
+    # -- scans (each charged what a linear scan from the start would visit) --
 
     def index_of(self, oid: ObjectId) -> int:
-        for i, obj in enumerate(self.objects):
-            self.search_steps += 1
-            if obj.id == oid:
-                return i
-        raise UnknownTargetError(f"object id {oid} not in sequence")
+        obj = self.by_id.get(oid)
+        if obj is None:
+            self.search_steps += len(self.objects)
+            raise UnknownTargetError(f"object id {oid} not in sequence")
+        i = self.objects.index(obj)
+        self.search_steps += i + 1
+        return i
 
     def contains(self, oid: ObjectId) -> bool:
-        for obj in self.objects:
-            self.search_steps += 1
-            if obj.id == oid:
-                return True
-        return False
+        obj = self.by_id.get(oid)
+        self.search_steps += len(self.objects) if obj is None else self.objects.index(obj) + 1
+        return obj is not None
 
     def nth_visible_index(self, n: int) -> int:
         """Index of the n-th (0-based) visible object."""
-        count = 0
-        for i, obj in enumerate(self.objects):
-            self.search_steps += 1
-            if obj.visible:
-                if count == n:
-                    return i
-                count += 1
-        raise BoundsError(f"visible index {n} out of range (only {count} visible)")
+        i = None
+        if n >= 0:
+            i = next(islice(compress(count(), map(_VISIBLE, self.objects)), n, None), None)
+        if i is None:
+            self.search_steps += len(self.objects)
+            raise BoundsError(f"visible index {n} out of range (only {self.n_visible} visible)")
+        self.search_steps += i + 1
+        return i
 
     def visible_rank(self, index: int) -> int:
         """Number of visible objects strictly before `index`."""
-        rank = 0
-        for obj in self.objects[:index]:
-            self.search_steps += 1
-            if obj.visible:
-                rank += 1
-        return rank
+        self.search_steps += index
+        return [o.visible for o in islice(self.objects, index)].count(True)
 
-    # -- derived views ------------------------------------------------------
+    # -- derived views (full scans, not charged) ----------------------------
 
     def value(self) -> str:
-        return "".join(o.character for o in self.objects if o.visible)
+        return "".join([o.character for o in self.objects if o.visible])
 
     def visible_count(self) -> int:
-        return sum(1 for o in self.objects if o.visible)
+        return [o.visible for o in self.objects].count(True)
 
     def total_count(self) -> int:
         """Non-sentinel objects, tombstones included."""
@@ -182,7 +194,7 @@ class ObjectSequence:
             target = self.objects[self.nth_visible_index(eo.position)]
             return DeleteId(target.id)
         if isinstance(eo, Insert):
-            visible = self.visible_count()
+            visible = self.n_visible
             if not 0 <= eo.position <= visible:
                 raise BoundsError(f"insert position {eo.position} out of range for {visible} visible objects")
             prev = START if eo.position == 0 else self.objects[self.nth_visible_index(eo.position - 1)].id
@@ -205,7 +217,9 @@ class ObjectSequence:
     def integrate_delete(self, op: DeleteId) -> None:
         """Tombstone the target; idempotent."""
         obj = self.objects[self.index_of(op.target)]
-        obj.visible = False
+        if obj.visible:
+            obj.visible = False
+            self.n_visible -= 1
 
     def executable(self, op: Union[InsertId, DeleteId]) -> bool:
         if isinstance(op, DeleteId):
@@ -231,6 +245,8 @@ class ObjectSequence:
                 raise NotExecutableError(f"anchor order violated for {op.id}: {prev} !< {nxt}")
             if n == p + 1:
                 self.objects.insert(n, new)
+                self.by_id[new.id] = new
+                self.n_visible += 1
                 return
             candidates = [self.objects[p]]
             for obj in self.objects[p + 1 : n]:
@@ -292,7 +308,7 @@ class WootSite:
 
     def _sample(self, steps_before: int) -> None:
         self.metrics.search_steps_per_op.append(self.istate.search_steps - steps_before)
-        self.metrics.visible_counts.append(self.istate.visible_count())
+        self.metrics.visible_counts.append(self.istate.n_visible)
         self.metrics.total_counts.append(self.istate.total_count())
 
     def _check_value(self) -> None:

@@ -12,16 +12,17 @@ import coedit.harness
 import coedit.ot
 from coedit.harness import fig1_scenario, run_scenario
 from coedit.ot import OtSite, SequencerClient, SequencerServer
-from coedit.woot import WootSite
+from coedit.woot import ObjectSequence, WootSite
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from tracing import EventClock, Probe, Tracer, installed  # noqa: E402
+from tracing import OBJECT_SEQUENCE_METHODS, EventClock, Probe, Tracer, installed  # noqa: E402
 
 HOOKED = (
     [(cls, attr) for cls in (OtSite, SequencerClient, WootSite) for attr in ("local", "remote")]
     + [(SequencerServer, "process")]
     + [(coedit.harness, name) for name in ("OtSite", "SequencerClient", "SequencerServer", "Simulator")]
     + [(coedit.ot, name) for name in ("transform", "happened_before", "apply_external")]
+    + [(ObjectSequence, name) for name in OBJECT_SEQUENCE_METHODS]
 )
 
 
@@ -45,6 +46,8 @@ def test_hooks_observe_every_engine_and_undo():
         "ot.site_local", "ot.site_remote", "ot.client_local", "ot.client_remote",
         "ot.server_process", "woot.local", "woot.remote",
     } <= set(spans)
-    for counter in ("ot.transform", "model.happened_before", "model.apply_external"):
+    for counter in (
+        "ot.transform", "model.happened_before", "model.apply_external", "woot.index_of", "woot.nth_visible_index",
+    ):
         assert tracer.counters[counter][0] > 0, counter
     assert {(owner, attr): vars(owner)[attr] for owner, attr in HOOKED} == before

@@ -8,6 +8,7 @@ import pytest
 
 from coedit.model import BoundsError, Delete, Insert
 from coedit.netsim import FixedLatency, UniformLatency
+from coedit.woot import WootSite
 from coedit.harness import (
     FuzzSpec,
     Scenario,
@@ -112,6 +113,20 @@ class TestRunScenario:
         s = Scenario("ab", 2, "causal", FixedLatency(1), 0, fuzz=FuzzSpec(n_ops=4))
         with pytest.raises(BoundsError):
             run_scenario(s, "woot")
+
+    def test_drifted_visible_count_is_a_fault(self, monkeypatch):
+        # the visible series that the tombstone check reads is the running
+        # count; a drift that keeps that series monotone must still fail
+        local = WootSite.local
+
+        def drifting(self, eo):
+            idop = local(self, eo)
+            self.istate.n_visible -= 1
+            return idop
+
+        monkeypatch.setattr(WootSite, "local", drifting)
+        with pytest.raises(AssertionError, match="running visible count"):
+            run_scenario(fig1_scenario(), "woot")
 
     def test_symmetric_ot_limited_to_two_sites(self):
         s = Scenario("ab", 3, "causal", FixedLatency(1), 0, fuzz=FuzzSpec(n_ops=4))

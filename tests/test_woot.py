@@ -19,6 +19,7 @@ from coedit.woot import (
     ObjectSequence,
     START,
     SkipConversionSite,
+    UnknownTargetError,
     WootSite,
 )
 
@@ -353,3 +354,122 @@ class TestMetricsCounters:
         site.local(Delete(3))
         totals = site.metrics.total_counts
         assert all(b >= a for a, b in zip(totals, totals[1:]))
+
+
+class LinearSequence(ObjectSequence):
+    """Oracle: the engine with its scans replaced by the linear walks they
+    are charged as. Each walks `objects` from the start, counts every object
+    it visits and compares ids field by field; integration and the
+    conversions are inherited, so they run on these walks."""
+
+    def index_of(self, oid):
+        for i, obj in enumerate(self.objects):
+            self.search_steps += 1
+            if obj.id == oid:
+                return i
+        raise UnknownTargetError(f"object id {oid} not in sequence")
+
+    def contains(self, oid):
+        for obj in self.objects:
+            self.search_steps += 1
+            if obj.id == oid:
+                return True
+        return False
+
+    def nth_visible_index(self, n):
+        count = 0
+        for i, obj in enumerate(self.objects):
+            self.search_steps += 1
+            if obj.visible:
+                if count == n:
+                    return i
+                count += 1
+        raise BoundsError(f"visible index {n} out of range (only {count} visible)")
+
+    def visible_rank(self, index):
+        rank = 0
+        for obj in self.objects[:index]:
+            self.search_steps += 1
+            if obj.visible:
+                rank += 1
+        return rank
+
+    def value(self):
+        return "".join(o.character for o in self.objects if o.visible)
+
+    def visible_count(self):
+        return sum(1 for o in self.objects if o.visible)
+
+
+ABSENT = oid(7, 99)  # no action below mints site 7's ids
+
+# (action, a, b): a and b pick positions, objects and ids
+reference_actions = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "local_insert", "local_delete", "remote_insert", "duplicate_insert", "remote_delete",
+            "index_of", "contains", "nth_visible_index", "visible_rank", "id_to_pos", "value",
+        ]),
+        st.integers(-3, 30),
+        st.integers(0, 30),
+    ),
+    max_size=40,
+)
+
+
+class TestReferenceScans:
+    @staticmethod
+    def _call(seq, action, a, b, minted):
+        """Run one action on `seq`; ids are picked from its own objects, so
+        the engine and the oracle, kept in lockstep, pick the same ones."""
+        objs = seq.objects
+        some_id = objs[a % len(objs)].id if a >= 0 else ABSENT
+        if action == "local_insert":
+            op = seq.pos_to_id(Insert(a, "x"), site=0, next_seq=minted + 1)
+            return seq.integrate_insert(op)
+        if action == "local_delete":
+            return seq.integrate_delete(seq.pos_to_id(Delete(a), site=0, next_seq=minted + 1))
+        if action == "remote_insert":
+            i, j = sorted((a % len(objs), b % len(objs)))
+            return seq.integrate_insert(InsertId("y", oid(1 + b % 2, minted + 1), objs[i].id, objs[j].id))
+        if action == "duplicate_insert":
+            o = objs[b % len(objs)]
+            return seq.integrate_insert(InsertId(o.character, o.id, o.prev, o.next))
+        if action == "remote_delete":
+            return seq.integrate_delete(DeleteId(some_id))
+        if action == "index_of":
+            return seq.index_of(some_id)
+        if action == "contains":
+            return seq.contains(some_id)
+        if action == "nth_visible_index":
+            return seq.nth_visible_index(a)
+        if action == "visible_rank":
+            return seq.visible_rank(b % (len(objs) + 1))
+        if action == "id_to_pos":
+            o = objs[b % len(objs)]
+            return seq.id_to_pos(DeleteId(o.id) if a % 2 else InsertId("z", o.id, o.prev, o.next))
+        return seq.value()
+
+    @staticmethod
+    def _outcome(seq, action, a, b, minted):
+        before = seq.search_steps
+        try:
+            result = TestReferenceScans._call(seq, action, a, b, minted)
+        except (BoundsError, UnknownTargetError, NotExecutableError, RuntimeError) as e:
+            result = type(e)
+        return result, seq.search_steps - before
+
+    @given(st.text(alphabet="abc", max_size=6), reference_actions)
+    def test_engine_matches_linear_scans(self, doc, actions):
+        """Each scan returns what the linear walk returns, or raises the same
+        error, and is charged the same number of visits; the running visible
+        count and the id index follow the sequence."""
+        engine, oracle = ObjectSequence.from_text(doc), LinearSequence.from_text(doc)
+        for minted, (action, a, b) in enumerate(actions):
+            got = self._outcome(engine, action, a, b, minted)
+            assert got == self._outcome(oracle, action, a, b, minted), (action, a, b)
+            assert engine.dump() == oracle.dump()
+            assert engine.visible_count() == oracle.visible_count() == engine.n_visible
+            assert engine.value() == oracle.value()
+            assert len(engine.by_id) == len(engine.objects)
+            assert all(engine.by_id[o.id] is o for o in engine.objects)
