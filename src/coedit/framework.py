@@ -15,8 +15,10 @@ Wire layout (big-endian, length-prefixed; nothing may follow the payload):
               'X' target id                    WOOT delete
   op        = 'I' position u32, text  |  'D' position u32  |  'N'
   text      = len u32 | UTF-8 bytes
-The decoders raise WireFormatError (a ValueError) on a short field, trailing
-bytes, an unknown kind, bad UTF-8, or a value the message types reject.
+Clock entries are sorted by site with no zero count, so each clock has one
+encoding. The decoders raise WireFormatError (a ValueError) on a short field,
+trailing bytes, an unknown kind, bad UTF-8, a clock entry that is zero or out
+of order, or a value the message types reject.
 """
 
 from __future__ import annotations
@@ -173,9 +175,13 @@ def decode_envelope(data: bytes) -> tuple:
         origin, seq, nclock = struct.unpack_from(">IQI", data, 0)
         off = 16
         entries = {}
+        last = -1
         for _ in range(nclock):
             s, n = struct.unpack_from(">IQ", data, off)
+            if n == 0 or s <= last:
+                raise WireFormatError(f"clock entry ({s}, {n}) is zero or out of order")
             entries[s] = n
+            last = s
             off += 12
         (plen,) = struct.unpack_from(">I", data, off)
     except struct.error as exc:
@@ -183,7 +189,7 @@ def decode_envelope(data: bytes) -> tuple:
     off += 4
     if off + plen != len(data):
         raise WireFormatError(f"payload length {plen}, but {len(data) - off} bytes follow")
-    return origin, seq, VectorClock(entries), data[off:]
+    return origin, seq, VectorClock._zero_free(entries), data[off:]
 
 
 def encode_message(msg: WireMessage) -> bytes:

@@ -95,6 +95,15 @@ class VectorClock:
     def __post_init__(self):
         object.__setattr__(self, "entries", _strip_zeros(self.entries))
 
+    @classmethod
+    def _zero_free(cls, entries: dict) -> "VectorClock":
+        """A clock over `entries` as they are, without the strip, for callers
+        that guarantee no zero count: merge and tick (zero-free inputs, only
+        raised) and the wire decoder (which rejects a zero count)."""
+        clock = object.__new__(cls)
+        object.__setattr__(clock, "entries", entries)
+        return clock
+
     def get(self, site: SiteId) -> int:
         return self.entries.get(site, 0)
 
@@ -104,13 +113,14 @@ class VectorClock:
     def merge(self, other: "VectorClock") -> "VectorClock":
         merged = dict(self.entries)
         for s, n in other.entries.items():
-            merged[s] = max(merged.get(s, 0), n)
-        return VectorClock(merged)
+            if n > merged.get(s, 0):
+                merged[s] = n
+        return VectorClock._zero_free(merged)
 
     def tick(self, site: SiteId) -> "VectorClock":
         bumped = dict(self.entries)
         bumped[site] = bumped.get(site, 0) + 1
-        return VectorClock(bumped)
+        return VectorClock._zero_free(bumped)
 
     def __hash__(self):
         return hash(frozenset(self.entries.items()))

@@ -3,7 +3,10 @@
 Virtual integer ticks, a seeded RNG for latency draws, and a strict event
 ordering (tick, insertion order) make every run a pure function of
 (scenario, config, seed). Messages cross the wire as encoded envelopes so
-the byte formats are exercised on every run.
+the byte formats are exercised on every run: each envelope is encoded once
+when it is sent and decoded once, on its first arrival, and every
+destination (and the sequencer) shares that decoded message. Messages are
+frozen values, so no destination can change what another receives.
 
 Two modes:
   causal    - every message is broadcast to all other sites and held at each
@@ -23,7 +26,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from .model import SiteId, VectorClock
 from .framework import (
@@ -66,10 +69,9 @@ class SimConfig:
 
 @dataclass
 class Envelope:
-    origin: SiteId
-    clock: VectorClock
     payload: bytes  # full encoded message
     arrivals: Dict[int, int] = field(default_factory=dict)
+    msg: Optional[WireMessage] = None  # decoded from `payload` on the first arrival
 
 
 def causally_ready(origin: SiteId, clock: VectorClock, local: VectorClock) -> bool:
@@ -112,10 +114,10 @@ class Simulator:
         self.trace: List[str] = []
         self.now = 0
         # causal mode hold-back
-        self.pending: Dict[SiteId, List[Envelope]] = {s: [] for s in site_ids}
+        self.pending: Dict[SiteId, List[WireMessage]] = {s: [] for s in site_ids}
         # sequencer state
         self.sequencer_server = sequencer_server
-        self.seq_hold: Dict[SiteId, dict] = {s: {} for s in site_ids}  # index -> Envelope
+        self.seq_hold: Dict[SiteId, dict] = {s: {} for s in site_ids}  # index -> message
         self.seq_next: Dict[SiteId, int] = {s: 0 for s in site_ids}
         self.seq_fifo: Dict[SiteId, dict] = {s: {} for s in site_ids}  # per-origin seq hold-back
         self.seq_expected: Dict[SiteId, int] = {s: 1 for s in site_ids}
@@ -138,8 +140,7 @@ class Simulator:
         return max(1, d)
 
     def broadcast(self, msg: WireMessage, dests: List[int]) -> Envelope:
-        origin, _, clock = message_meta(msg)
-        env = Envelope(origin, clock, encode_message(msg))
+        env = Envelope(encode_message(msg))
         for dst in sorted(dests):
             delay = self._draw_latency()
             env.arrivals[dst] = self.now + delay
@@ -159,8 +160,7 @@ class Simulator:
         else:
             self.broadcast(msg, [s for s in self.site_ids if s != site])
 
-    def _handle_sequencer(self, env: Envelope) -> None:
-        msg = decode_message(env.payload)
+    def _handle_sequencer(self, msg: WireMessage) -> None:
         origin, seq, _ = message_meta(msg)
         # client -> server links are logically FIFO: process in per-origin seq order
         self.seq_fifo[origin][seq] = msg
@@ -171,19 +171,20 @@ class Simulator:
             self.broadcast(out, self.site_ids)
 
     def _handle_arrival(self, dst: int, env: Envelope) -> None:
+        msg = env.msg
+        if msg is None:
+            msg = env.msg = decode_message(env.payload)
         if dst == SEQUENCER_NODE:
-            self._handle_sequencer(env)
-            return
-        if self.config.mode == "sequencer":
-            self._arrive_sequenced(dst, env)
+            self._handle_sequencer(msg)
+        elif self.config.mode == "sequencer":
+            self._arrive_sequenced(dst, msg)
         else:
-            self.pending[dst].append(env)
+            self.pending[dst].append(msg)
             self._drain_causal(dst)
 
-    def _arrive_sequenced(self, dst: int, env: Envelope) -> None:
+    def _arrive_sequenced(self, dst: int, msg: WireMessage) -> None:
         # messages leave the sequencer in index order; per-destination links
         # may reorder them, so hold back until the stream index matches
-        msg = decode_message(env.payload)
         self.seq_hold[dst][msg.index] = msg
         while self.seq_next[dst] in self.seq_hold[dst]:
             ready = self.seq_hold[dst].pop(self.seq_next[dst])
@@ -197,13 +198,14 @@ class Simulator:
         self.trace.append(f"tick={self.now} site={dst} kind=deliver op={text} key={origin}:{seq}")
 
     def _drain_causal(self, dst: int) -> None:
+        pending = self.pending[dst]
         progress = True
         while progress:
             progress = False
-            for i, env in enumerate(self.pending[dst]):
-                if causally_ready(env.origin, env.clock, self.clock_of(dst)):
-                    self.pending[dst].pop(i)
-                    self._deliver(dst, decode_message(env.payload))
+            for i, msg in enumerate(pending):
+                if causally_ready(msg.origin, msg.clock, self.clock_of(dst)):
+                    del pending[i]
+                    self._deliver(dst, msg)
                     progress = True
                     break
 

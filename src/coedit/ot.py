@@ -60,16 +60,19 @@ def transform_delete_delete(a: Delete, b: Delete) -> ExternalOp:
 
 def transform(a: ExternalOp, b: ExternalOp, a_site: SiteId, b_site: SiteId) -> ExternalOp:
     """Transform `a` to include the effect of concurrent `b` (same context)."""
-    if isinstance(a, NoOp) or isinstance(b, NoOp):
+    ta, tb = type(a), type(b)
+    if ta is Insert:
+        if tb is Insert:
+            return transform_insert_insert(a, b, a_site, b_site)
+        if tb is Delete:
+            return transform_insert_delete(a, b)
+    elif ta is Delete:
+        if tb is Insert:
+            return transform_delete_insert(a, b)
+        if tb is Delete:
+            return transform_delete_delete(a, b)
+    if ta is NoOp or tb is NoOp:
         return a
-    if isinstance(a, Insert) and isinstance(b, Insert):
-        return transform_insert_insert(a, b, a_site, b_site)
-    if isinstance(a, Insert) and isinstance(b, Delete):
-        return transform_insert_delete(a, b)
-    if isinstance(a, Delete) and isinstance(b, Insert):
-        return transform_delete_insert(a, b)
-    if isinstance(a, Delete) and isinstance(b, Delete):
-        return transform_delete_delete(a, b)
     raise TypeError(f"cannot transform {a!r} against {b!r}")
 
 
@@ -78,11 +81,7 @@ class OtMetrics:
     transform_count: int = 0
     concurrent_set_sizes: list = field(default_factory=list)
     buffer_length_samples: list = field(default_factory=list)
-    insert_tie_seen: bool = False
-
-    def note_pair(self, a: ExternalOp, b: ExternalOp) -> None:
-        if isinstance(a, Insert) and isinstance(b, Insert) and a.position == b.position:
-            self.insert_tie_seen = True
+    insert_tie_seen: bool = False  # two inserts at one position were folded
 
     def fold_into(self, bundle) -> None:
         bundle.c_samples.extend(self.concurrent_set_sizes)
@@ -94,12 +93,14 @@ def fold(metrics: OtMetrics, op: ExternalOp, origin: SiteId, entries: list) -> E
     """Fold `op` from `origin` past `entries`, concurrent ops in the same
     context held as lists `[op, origin, ...]`, and rebase each entry past
     `op` in place. Returns `op` in the context that includes them all."""
+    tie_seen = metrics.insert_tie_seen
     for entry in entries:
         other, other_origin = entry[0], entry[1]
-        metrics.note_pair(op, other)
+        if not tie_seen and type(op) is Insert and type(other) is Insert and op.position == other.position:
+            tie_seen = metrics.insert_tie_seen = True
         entry[0] = transform(other, op, other_origin, origin)
         op = transform(op, other, origin, other_origin)
-        metrics.transform_count += 1
+    metrics.transform_count += len(entries)
     metrics.concurrent_set_sizes.append(len(entries))
     return op
 
@@ -145,7 +146,8 @@ class _Replica:
         `stability` maps every site id to a lower bound on that site's
         delivered clock. Returns the number of ops collected.
         """
-        keep = [b for b in self.buffer if not all(clk.get(b.origin) >= b.seq for clk in stability.values())]
+        floor = {o: min(clk.get(o) for clk in stability.values()) for o in {b.origin for b in self.buffer}}
+        keep = [b for b in self.buffer if b.seq > floor[b.origin]]
         collected = len(self.buffer) - len(keep)
         self.buffer = keep
         return collected

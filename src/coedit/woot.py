@@ -197,9 +197,20 @@ class ObjectSequence:
             visible = self.n_visible
             if not 0 <= eo.position <= visible:
                 raise BoundsError(f"insert position {eo.position} out of range for {visible} visible objects")
-            prev = START if eo.position == 0 else self.objects[self.nth_visible_index(eo.position - 1)].id
-            nxt = END if eo.position == visible else self.objects[self.nth_visible_index(eo.position)].id
-            return InsertId(eo.character, ObjectId(site, next_seq), prev, nxt)
+            objects = self.objects
+            i = 0 if eo.position == 0 else self.nth_visible_index(eo.position - 1)  # objects[0] is START
+            if eo.position == visible:
+                nxt = END
+            else:
+                # Step over the tombstones after the left neighbour to the next
+                # visible object, but charge the walk from the start that the
+                # reference conversion makes.
+                j = i + 1
+                while not objects[j].visible:
+                    j += 1
+                self.search_steps += j + 1
+                nxt = objects[j].id
+            return InsertId(eo.character, ObjectId(site, next_seq), objects[i].id, nxt)
         raise ValueError(f"cannot convert {eo!r} to identifier form")
 
     def id_to_pos(self, op: Union[InsertId, DeleteId]) -> ExternalOp:

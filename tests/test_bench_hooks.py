@@ -9,8 +9,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import coedit.harness
+import coedit.netsim
 import coedit.ot
 from coedit.harness import fig1_scenario, run_scenario
+from coedit.netsim import Simulator
 from coedit.ot import OtSite, SequencerClient, SequencerServer
 from coedit.woot import ObjectSequence, WootSite
 
@@ -22,6 +24,8 @@ HOOKED = (
     + [(SequencerServer, "process")]
     + [(coedit.harness, name) for name in ("OtSite", "SequencerClient", "SequencerServer", "Simulator")]
     + [(coedit.ot, name) for name in ("transform", "happened_before", "apply_external")]
+    + [(coedit.netsim, name) for name in ("encode_message", "decode_message", "causally_ready")]
+    + [(Simulator, name) for name in ("_handle_generation", "_handle_arrival")]
     + [(ObjectSequence, name) for name in OBJECT_SEQUENCE_METHODS]
 )
 
@@ -46,6 +50,7 @@ def test_hooks_observe_every_engine_and_undo():
         "ot.site_local", "ot.site_remote", "ot.client_local", "ot.client_remote",
         "ot.server_process", "woot.local", "woot.remote",
     } <= set(spans)
+    assert spans["framework.decode"]["n"] == spans["framework.encode"]["n"] > 0
     for counter in (
         "ot.transform", "model.happened_before", "model.apply_external", "woot.index_of", "woot.nth_visible_index",
     ):

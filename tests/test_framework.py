@@ -58,6 +58,7 @@ class TestWireFormats:
         data = encode_envelope(3, 7, VectorClock({3: 7, 1: 2}), payload)
         origin, seq, clock, got = decode_envelope(data)
         assert (origin, seq, clock, got) == (3, 7, VectorClock({1: 2, 3: 7}), payload)
+        assert hash(clock) == hash(VectorClock({1: 2, 3: 7}))
 
     def test_message_meta(self):
         msg = ClientOpMsg(stamp(Insert(0, "x"), 2, 5, {0: 1}), seen=3)
@@ -105,6 +106,22 @@ class TestStrictDecoding:
 
     def test_seq_outside_clock_rejected(self):
         data = encode_envelope(0, 2, VectorClock({0: 1}), b"TN")
+        with pytest.raises(WireFormatError):
+            decode_message(data)
+
+    @pytest.mark.parametrize("entries", [
+        [(0, 0), (1, 1)],
+        [(0, 0), (1, 1), (1, 1)],
+        [(1, 1), (1, 1)],
+        [(2, 1), (1, 1)],
+    ], ids=["zero-count", "zero-and-repeat", "repeated-site", "descending-sites"])
+    def test_non_canonical_clock_rejected(self, entries):
+        """Each clock has one encoding: sites strictly ascending, no zero count."""
+        data = (
+            struct.pack(">IQI", 1, 1, len(entries))
+            + b"".join(struct.pack(">IQ", s, n) for s, n in entries)
+            + struct.pack(">I", 2) + b"TN"
+        )
         with pytest.raises(WireFormatError):
             decode_message(data)
 

@@ -90,6 +90,22 @@ class TestVectorClock:
     def test_equality_ignores_zero_padding(self):
         assert VectorClock({0: 1, 1: 0}) == VectorClock({0: 1})
 
+    @given(
+        st.dictionaries(st.integers(0, 6), st.integers(0, 5), max_size=5),
+        st.dictionaries(st.integers(0, 6), st.integers(0, 5), max_size=5),
+        st.integers(0, 7),
+    )
+    def test_merge_and_tick_build_plain_clocks(self, a, b, site):
+        """merge and tick skip the zero strip; their results must still be
+        the clocks the public constructor builds, equal and hashing alike."""
+        merged, ticked = VectorClock(a).merge(VectorClock(b)), VectorClock(a).tick(site)
+        assert merged.entries == {s: max(a.get(s, 0), b.get(s, 0)) for s in {*a, *b} if max(a.get(s, 0), b.get(s, 0))}
+        assert ticked.get(site) == a.get(site, 0) + 1
+        for result in (merged, ticked):
+            plain = VectorClock(dict(result.entries))
+            assert result == plain and hash(result) == hash(plain)
+            assert 0 not in result.entries.values()
+
     def test_timestamped_op_requires_origin_entry(self):
         with pytest.raises(ValueError):
             TimestampedOp(Delete(0), origin=0, seq=2, clock=VectorClock({0: 1}))

@@ -1,8 +1,12 @@
 """Discrete-event network: latency models, causal gating, sequencer order,
 determinism, liveness."""
 
+from dataclasses import replace
+
 import pytest
 
+import coedit.netsim
+from coedit.framework import Site, encode_message
 from coedit.model import Delete, Insert, VectorClock
 from coedit.netsim import (
     FixedLatency,
@@ -137,3 +141,51 @@ class TestDeliveryOrder:
         for line in report.trace:
             assert line.startswith("tick=")
             assert " kind=" in line and " key=" in line
+
+
+SHARED_PATH_RUNS = [
+    pytest.param(replace(fig1_scenario(), mode="sequencer"), "ot", id="fig1-sequencer"),
+    pytest.param(Scenario("abcd", 3, "sequencer", UniformLatency(1, 6), 5, fuzz=FuzzSpec(n_ops=40)), "ot",
+                 id="sequencer-3-sites"),
+    pytest.param(Scenario("abcd", 3, "causal", UniformLatency(1, 6), 5, fuzz=FuzzSpec(n_ops=40)), "woot",
+                 id="woot-causal-3-sites"),
+]
+
+
+class TestSharedMessages:
+    """Each envelope is encoded once and decoded once; its destinations share
+    the decoded message."""
+
+    @pytest.mark.parametrize("scenario,engine", SHARED_PATH_RUNS)
+    def test_one_decode_per_encode(self, monkeypatch, scenario, engine):
+        calls = {"encode": 0, "decode": 0}
+
+        def counted(name, fn):
+            def wrapper(arg):
+                calls[name] += 1
+                return fn(arg)
+            return wrapper
+
+        monkeypatch.setattr(coedit.netsim, "encode_message", counted("encode", coedit.netsim.encode_message))
+        monkeypatch.setattr(coedit.netsim, "decode_message", counted("decode", coedit.netsim.decode_message))
+        report = run_scenario(scenario, engine)
+        assert report.ok
+        assert calls["decode"] == calls["encode"] > 0
+
+    @pytest.mark.parametrize("scenario,engine", SHARED_PATH_RUNS)
+    def test_delivery_leaves_the_shared_message_unchanged(self, monkeypatch, scenario, engine):
+        deliver = Site.deliver
+        delivered = []
+
+        def checked(site, msg):
+            before = encode_message(msg)
+            eo = deliver(site, msg)
+            assert encode_message(msg) == before, f"site {site.id} changed the message it was delivered"
+            delivered.append(msg)
+            return eo
+
+        monkeypatch.setattr(Site, "deliver", checked)
+        report = run_scenario(scenario, engine)
+        assert report.ok
+        # the same message object reached more than one site
+        assert len({id(m) for m in delivered}) < len(delivered)

@@ -10,9 +10,11 @@ from coedit.model import Delete, Insert, NoOp, VectorClock, apply_external
 from coedit.ot import (
     ClientOpMsg,
     ContextMismatchError,
+    OtMetrics,
     OtSite,
     SequencerClient,
     SequencerServer,
+    fold,
     transform,
     transform_delete_delete,
     transform_delete_insert,
@@ -71,6 +73,20 @@ class TestTransformFunctions:
 
     def test_dd_same_target_noop(self):
         assert transform_delete_delete(Delete(2), Delete(2)) == NoOp()
+
+    def test_non_op_rejected(self):
+        with pytest.raises(TypeError):
+            transform("I 0 x", Insert(0, "y"), 1, 2)
+        with pytest.raises(TypeError):
+            transform(Delete(0), None, 1, 2)
+
+    def test_fold_notes_insert_ties(self):
+        metrics = OtMetrics()
+        fold(metrics, Insert(1, "x"), 0, [[Delete(1), 1], [Insert(2, "y"), 1]])
+        assert not metrics.insert_tie_seen and metrics.transform_count == 2
+        fold(metrics, Insert(1, "x"), 0, [[Insert(1, "y"), 1]])
+        assert metrics.insert_tie_seen and metrics.transform_count == 3
+        assert metrics.concurrent_set_sizes == [2, 1]
 
     def test_noop_passthrough(self):
         assert transform(NoOp(), Insert(0, "x"), 1, 2) == NoOp()
@@ -197,6 +213,21 @@ class TestGc:
     def test_empty_buffer_returns_zero(self):
         a = OtSite(site=0, state="x")
         assert a.gc({0: VectorClock()}) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_every_clock_oracle(self, data):
+        """gc keeps exactly the ops that some site's clock does not cover."""
+        sites = data.draw(st.integers(1, 5))
+        site_ids = st.integers(0, sites - 1)
+        keys = data.draw(st.lists(st.tuples(site_ids, st.integers(1, 6)), max_size=30))
+        clocks = data.draw(st.lists(st.dictionaries(site_ids, st.integers(0, 6)), min_size=sites, max_size=sites))
+        stability = {i: VectorClock(c) for i, c in enumerate(clocks)}
+        a = OtSite(site=0)
+        a.buffer = [stamp(Delete(0), origin, seq) for origin, seq in keys]
+        expected = [b for b in a.buffer if not all(clk.get(b.origin) >= b.seq for clk in stability.values())]
+        assert a.gc(stability) == len(keys) - len(expected)
+        assert a.buffer == expected
 
 
 class TestSequencer:
