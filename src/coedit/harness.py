@@ -465,6 +465,13 @@ class _Run:
                 raise AssertionError(f"site {i}: running visible count {seq.n_visible} != {seq.visible_count()}")
             if len(seq.by_id) != len(seq.objects):
                 raise AssertionError(f"site {i}: id index holds {len(seq.by_id)} of {len(seq.objects)} objects")
+            # `shown` is the only record of visibility, slot for slot with `objects`
+            if len(seq.shown) != len(seq.objects):
+                raise AssertionError(f"site {i}: shown list holds {len(seq.shown)} slots for {len(seq.objects)} objects")
+            if any(ch and ch != o.character for o, ch in zip(seq.objects, seq.shown)):
+                raise AssertionError(f"site {i}: shown list disagrees with the objects' characters")
+            if seq.shown[0] or seq.shown[-1]:
+                raise AssertionError(f"site {i}: a sentinel is shown")
             totals = site.engine.metrics.total_counts
             invisible = [t - v for t, v in zip(totals, site.engine.metrics.visible_counts)]
             if any(b < a for a, b in zip(invisible, invisible[1:])):

@@ -8,17 +8,20 @@ always resolve their anchors. Position <-> identifier conversions are
 costed as the paper's search-count method: a walk from the start of the
 sequence, counting visible objects, whose length is recorded as the
 engine's cost metric (`search_steps`). The walks themselves do not run
-object by object in Python: an id -> object dict plus `list.index` by
-identity finds an object, `itertools` finds the n-th visible one, and a
-running count answers how many are visible. Each is charged exactly the
-objects the linear walk would visit.
+object by object in Python. Visibility lives in one list, `shown`, beside
+`objects`: each slot's character while it is visible and "" otherwise, so
+the visible text is a join, counts and ranks are `list.count`, and
+`itertools` finds the n-th visible slot in C. An id is located once per op:
+an id -> object dict plus `list.index` by identity finds it, and its index
+is remembered until the next insert shifts the list. A running count
+answers how many are visible. Each scan is charged exactly the objects the
+linear walk would visit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress, count, islice
-from operator import attrgetter
 from typing import Dict, List, NamedTuple, Union
 
 from .model import (
@@ -56,27 +59,25 @@ class ObjectId(NamedTuple):
 START = ObjectId(-(2**31), 0)
 END = ObjectId(2**31, 0)
 
-_VISIBLE = attrgetter("visible")
 
-
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class WObject:
-    """One character slot. Compared by identity, so `list.index` finds an
-    object without comparing fields."""
+    """One character slot's immutable part; whether it is visible is kept
+    in `ObjectSequence.shown`. Compared by identity, so `list.index` finds
+    an object without comparing fields."""
 
     character: str
     id: ObjectId
     prev: ObjectId
     next: ObjectId
-    visible: bool
 
     def is_sentinel(self) -> bool:
         return self.id == START or self.id == END
 
-    def dump_line(self) -> str:
+    def dump_line(self, visible: bool) -> str:
         if self.is_sentinel():
             return str(self.id)
-        vis = "v" if self.visible else "iv"
+        vis = "v" if visible else "iv"
         return f"{self.character}|{self.id}|prev={self.prev}|next={self.next}|{vis}"
 
 
@@ -86,6 +87,10 @@ class InsertId:
     id: ObjectId
     prev: ObjectId
     next: ObjectId
+
+    def __post_init__(self):
+        if len(self.character) != 1:
+            raise ValueError(f"InsertId must carry exactly one character, got {self.character!r}")
 
 
 @dataclass(frozen=True)
@@ -115,14 +120,17 @@ class UnknownTargetError(RuntimeError):
 
 
 class ObjectSequence:
-    """The internal state: sentinel-bounded object list with tombstones."""
+    """The internal state: sentinel-bounded object list with tombstones.
+
+    `shown[i]` is `objects[i]`'s character while it is visible and "" for a
+    tombstone or a sentinel; it is the only record of visibility."""
 
     def __init__(self):
-        self.objects: List[WObject] = [
-            WObject("", START, START, END, False),
-            WObject("", END, START, END, False),
-        ]
+        self.objects: List[WObject] = [WObject("", START, START, END), WObject("", END, START, END)]
+        self.shown: List[str] = ["", ""]
         self.by_id: Dict[ObjectId, WObject] = {o.id: o for o in self.objects}
+        # ids located since the last insert -> their index; deletes move no index
+        self.located: Dict[ObjectId, int] = {}
         self.n_visible = 0  # running count of visible objects
         self.search_steps = 0  # object visits a linear scan would make
 
@@ -130,36 +138,41 @@ class ObjectSequence:
     def from_text(cls, doc: str, creator: SiteId = INIT_SID) -> "ObjectSequence":
         seq = cls()
         ids = [START] + [ObjectId(creator, i + 1) for i in range(len(doc))] + [END]
-        body = [
-            WObject(ch, ids[i + 1], ids[i], ids[i + 2], True)
-            for i, ch in enumerate(doc)
-        ]
+        body = [WObject(ch, ids[i + 1], ids[i], ids[i + 2]) for i, ch in enumerate(doc)]
         seq.objects[1:1] = body
+        seq.shown[1:1] = doc
         seq.by_id.update((o.id, o) for o in body)
         seq.n_visible = len(body)
         return seq
 
     # -- scans (each charged what a linear scan from the start would visit) --
 
-    def index_of(self, oid: ObjectId) -> int:
-        obj = self.by_id.get(oid)
-        if obj is None:
-            self.search_steps += len(self.objects)
-            raise UnknownTargetError(f"object id {oid} not in sequence")
-        i = self.objects.index(obj)
+    def _locate(self, oid: ObjectId) -> int:
+        """Index of `oid`, or -1 when it is absent."""
+        i = self.located.get(oid)
+        if i is None:
+            obj = self.by_id.get(oid)
+            if obj is None:
+                self.search_steps += len(self.objects)
+                return -1
+            i = self.located[oid] = self.objects.index(obj)
         self.search_steps += i + 1
         return i
 
+    def index_of(self, oid: ObjectId) -> int:
+        i = self._locate(oid)
+        if i < 0:
+            raise UnknownTargetError(f"object id {oid} not in sequence")
+        return i
+
     def contains(self, oid: ObjectId) -> bool:
-        obj = self.by_id.get(oid)
-        self.search_steps += len(self.objects) if obj is None else self.objects.index(obj) + 1
-        return obj is not None
+        return self._locate(oid) >= 0
 
     def nth_visible_index(self, n: int) -> int:
         """Index of the n-th (0-based) visible object."""
         i = None
         if n >= 0:
-            i = next(islice(compress(count(), map(_VISIBLE, self.objects)), n, None), None)
+            i = next(islice(compress(count(), self.shown), n, None), None)
         if i is None:
             self.search_steps += len(self.objects)
             raise BoundsError(f"visible index {n} out of range (only {self.n_visible} visible)")
@@ -169,48 +182,51 @@ class ObjectSequence:
     def visible_rank(self, index: int) -> int:
         """Number of visible objects strictly before `index`."""
         self.search_steps += index
-        return [o.visible for o in islice(self.objects, index)].count(True)
+        return index - self.shown[:index].count("")
 
     # -- derived views (full scans, not charged) ----------------------------
 
     def value(self) -> str:
-        return "".join([o.character for o in self.objects if o.visible])
+        return "".join(self.shown)
 
     def visible_count(self) -> int:
-        return [o.visible for o in self.objects].count(True)
+        return len(self.shown) - self.shown.count("")
 
     def total_count(self) -> int:
         """Non-sentinel objects, tombstones included."""
         return len(self.objects) - 2
 
     def dump(self) -> str:
-        return "\n".join(o.dump_line() for o in self.objects)
+        return "\n".join(map(WObject.dump_line, self.objects, map(bool, self.shown)))
 
     # -- conversions --------------------------------------------------------
 
     def pos_to_id(self, eo: ExternalOp, site: SiteId, next_seq: int) -> Union[InsertId, DeleteId]:
         """Convert a position-based op (not yet applied here) to identifier form."""
         if isinstance(eo, Delete):
-            target = self.objects[self.nth_visible_index(eo.position)]
-            return DeleteId(target.id)
+            i = self.nth_visible_index(eo.position)
+            target = self.objects[i].id
+            self.located[target] = i
+            return DeleteId(target)
         if isinstance(eo, Insert):
             visible = self.n_visible
             if not 0 <= eo.position <= visible:
                 raise BoundsError(f"insert position {eo.position} out of range for {visible} visible objects")
-            objects = self.objects
+            objects, shown = self.objects, self.shown
             i = 0 if eo.position == 0 else self.nth_visible_index(eo.position - 1)  # objects[0] is START
             if eo.position == visible:
-                nxt = END
+                j = len(objects) - 1  # END
             else:
                 # Step over the tombstones after the left neighbour to the next
                 # visible object, but charge the walk from the start that the
                 # reference conversion makes.
                 j = i + 1
-                while not objects[j].visible:
+                while not shown[j]:
                     j += 1
                 self.search_steps += j + 1
-                nxt = objects[j].id
-            return InsertId(eo.character, ObjectId(site, next_seq), objects[i].id, nxt)
+            prev, nxt = objects[i].id, objects[j].id
+            self.located[prev], self.located[nxt] = i, j
+            return InsertId(eo.character, ObjectId(site, next_seq), prev, nxt)
         raise ValueError(f"cannot convert {eo!r} to identifier form")
 
     def id_to_pos(self, op: Union[InsertId, DeleteId]) -> ExternalOp:
@@ -227,9 +243,9 @@ class ObjectSequence:
 
     def integrate_delete(self, op: DeleteId) -> None:
         """Tombstone the target; idempotent."""
-        obj = self.objects[self.index_of(op.target)]
-        if obj.visible:
-            obj.visible = False
+        i = self.index_of(op.target)
+        if self.shown[i]:
+            self.shown[i] = ""
             self.n_visible -= 1
 
     def executable(self, op: Union[InsertId, DeleteId]) -> bool:
@@ -247,7 +263,7 @@ class ObjectSequence:
         """
         if self.contains(op.id):  # duplicate delivery
             return
-        new = WObject(op.character, op.id, op.prev, op.next, True)
+        new = WObject(op.character, op.id, op.prev, op.next)
         prev, nxt = op.prev, op.next
         while True:
             p = self.index_of(prev)
@@ -256,7 +272,9 @@ class ObjectSequence:
                 raise NotExecutableError(f"anchor order violated for {op.id}: {prev} !< {nxt}")
             if n == p + 1:
                 self.objects.insert(n, new)
+                self.shown.insert(n, new.character)
                 self.by_id[new.id] = new
+                self.located = {new.id: n}  # every index from n on has moved
                 self.n_visible += 1
                 return
             candidates = [self.objects[p]]
@@ -373,8 +391,7 @@ class WootSite:
         if isinstance(idop.op, InsertId):
             self.istate.integrate_insert(idop.op)
         else:
-            target = self.istate.objects[self.istate.index_of(idop.op.target)]
-            already_gone = not target.visible
+            already_gone = not self.istate.shown[self.istate.index_of(idop.op.target)]
             self.istate.integrate_delete(idop.op)
         self.clock = self.clock.merge(idop.clock)
         return steps0, already_gone

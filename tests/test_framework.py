@@ -99,7 +99,9 @@ class TestStrictDecoding:
         b"TQ",  # unknown op kind
         b"TI" + struct.pack(">II", 0, 1) + b"\xff",  # bad UTF-8
         b"TI" + struct.pack(">II", 0, 2) + b"ab",  # an insert carries one character
-    ], ids=["payload-kind", "op-kind", "utf8", "two-chars"])
+        b"W" + struct.pack(">I", 0) + struct.pack(">qQqQqQ", 0, 1, -(2**31), 0, 2**31, 0),  # so does a WOOT insert
+        b"W" + struct.pack(">I", 2) + b"ab" + struct.pack(">qQqQqQ", 0, 1, -(2**31), 0, 2**31, 0),
+    ], ids=["payload-kind", "op-kind", "utf8", "two-chars", "woot-no-char", "woot-two-chars"])
     def test_bad_payload_rejected(self, payload):
         with pytest.raises(WireFormatError):
             decode_message(_envelope(payload))
@@ -207,6 +209,6 @@ class TestSiteContainer:
         b = Site(id=1, engine=WootSite.create(1, "ab"), external="ab")
         msg = b.generate(Insert(1, "x"))
         # sabotage the internal sequence so value(IS) disagrees with the text
-        a.engine.istate.objects[1].visible = False
+        a.engine.istate.shown[1] = ""
         with pytest.raises(EngineInvariantError):
             a.deliver(msg)

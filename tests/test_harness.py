@@ -128,6 +128,21 @@ class TestRunScenario:
         with pytest.raises(AssertionError, match="running visible count"):
             run_scenario(fig1_scenario(), "woot")
 
+    def test_stray_shown_slot_is_a_fault(self, monkeypatch):
+        # a trailing "" leaves value() and the visible count as they were,
+        # so only the slot-for-slot accounting of `shown` can catch it
+        local = WootSite.local
+
+        def straying(self, eo):
+            idop = local(self, eo)
+            if self.site == 0 and idop.seq == 1:
+                self.istate.shown.append("")
+            return idop
+
+        monkeypatch.setattr(WootSite, "local", straying)
+        with pytest.raises(AssertionError, match="shown list holds"):
+            run_scenario(fig1_scenario(), "woot")
+
     def test_symmetric_ot_limited_to_two_sites(self):
         s = Scenario("ab", 3, "causal", FixedLatency(1), 0, fuzz=FuzzSpec(n_ops=4))
         with pytest.raises(ScenarioError):

@@ -356,11 +356,59 @@ class TestMetricsCounters:
         assert all(b >= a for a, b in zip(totals, totals[1:]))
 
 
+class CountingList(list):
+    """A list that counts its `index` calls."""
+
+    calls = 0
+
+    def index(self, *args):
+        self.calls += 1
+        return super().index(*args)
+
+
+class TestLocateOnce:
+    """`index_of`/`contains` remember an id's index until the next insert
+    moves it, at the same charge as a fresh walk."""
+
+    def test_memo_follows_inserts_and_survives_deletes(self):
+        seq = ObjectSequence.from_text("abc")  # @s a b c @e
+        seq.objects = CountingList(seq.objects)
+        a, b, c = oid(INIT_SID, 1), oid(INIT_SID, 2), oid(INIT_SID, 3)
+        assert seq.index_of(c) == 3 and seq.objects.calls == 1
+        seq.integrate_insert(InsertId("x", oid(1, 1), a, b))  # lands in front of c
+        assert c not in seq.located
+        steps = seq.search_steps
+        assert seq.index_of(c) == 4
+        assert seq.search_steps - steps == 3 + 2  # the old index + 2
+        seq.integrate_delete(DeleteId(a))
+        assert seq.located[c] == 4
+        calls, steps = seq.objects.calls, seq.search_steps
+        assert seq.index_of(c) == 4
+        assert seq.search_steps - steps == 5 and seq.objects.calls == calls
+
+    def test_one_list_walk_per_remote_op(self):
+        a, b = WootSite.create(0, "abcd"), WootSite.create(1, "abcd")
+        for site in (a, b):
+            site.istate.objects = CountingList(site.istate.objects)
+        ops = [a.local(Insert(2, "x")), a.local(Delete(0))]
+        assert a.istate.objects.calls == 0  # pos_to_id already knows the indices
+        b.remote(ops[0])
+        assert b.istate.objects.calls == 2  # the two anchors; the new id's index is recorded
+        b.remote(ops[1])
+        assert b.istate.objects.calls == 3
+
+    def test_objects_take_no_new_attributes(self):
+        seq = ObjectSequence.from_text("ab")
+        with pytest.raises(AttributeError):
+            seq.objects[1].visible = False
+
+
 class LinearSequence(ObjectSequence):
     """Oracle: the engine with its scans replaced by the linear walks they
-    are charged as. Each walks `objects` from the start, counts every object
-    it visits and compares ids field by field; integration and the
-    conversions are inherited, so they run on these walks."""
+    are charged as. Each walks from the start (`objects` for an id, `shown`
+    for visibility), counts every slot it visits and compares ids field by
+    field; integration and the conversions are inherited, so they run on
+    these walks."""
 
     def index_of(self, oid):
         for i, obj in enumerate(self.objects):
@@ -378,9 +426,9 @@ class LinearSequence(ObjectSequence):
 
     def nth_visible_index(self, n):
         count = 0
-        for i, obj in enumerate(self.objects):
+        for i, ch in enumerate(self.shown):
             self.search_steps += 1
-            if obj.visible:
+            if ch:
                 if count == n:
                     return i
                 count += 1
@@ -388,17 +436,17 @@ class LinearSequence(ObjectSequence):
 
     def visible_rank(self, index):
         rank = 0
-        for obj in self.objects[:index]:
+        for ch in self.shown[:index]:
             self.search_steps += 1
-            if obj.visible:
+            if ch:
                 rank += 1
         return rank
 
     def value(self):
-        return "".join(o.character for o in self.objects if o.visible)
+        return "".join(o.character for o, ch in zip(self.objects, self.shown) if ch)
 
     def visible_count(self):
-        return sum(1 for o in self.objects if o.visible)
+        return sum(1 for ch in self.shown if ch)
 
 
 ABSENT = oid(7, 99)  # no action below mints site 7's ids
@@ -433,8 +481,8 @@ class TestReferenceScans:
             i, j = sorted((a % len(objs), b % len(objs)))
             return seq.integrate_insert(InsertId("y", oid(1 + b % 2, minted + 1), objs[i].id, objs[j].id))
         if action == "duplicate_insert":
-            o = objs[b % len(objs)]
-            return seq.integrate_insert(InsertId(o.character, o.id, o.prev, o.next))
+            o = objs[b % len(objs)]  # a sentinel has no character; an InsertId needs one
+            return seq.integrate_insert(InsertId(o.character or "s", o.id, o.prev, o.next))
         if action == "remote_delete":
             return seq.integrate_delete(DeleteId(some_id))
         if action == "index_of":
@@ -471,5 +519,6 @@ class TestReferenceScans:
             assert engine.dump() == oracle.dump()
             assert engine.visible_count() == oracle.visible_count() == engine.n_visible
             assert engine.value() == oracle.value()
-            assert len(engine.by_id) == len(engine.objects)
+            assert len(engine.by_id) == len(engine.objects) == len(engine.shown)
             assert all(engine.by_id[o.id] is o for o in engine.objects)
+            assert all(engine.objects[i].id == k for k, i in engine.located.items())
