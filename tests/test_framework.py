@@ -74,6 +74,10 @@ SAMPLES = [
 ]
 
 
+# a WOOT insert's id, prev and next: 0.1 between the sentinels
+_WOOT_IDS = struct.pack(">qQqQqQ", 0, 1, -(2**31), 0, 2**31, 0)
+
+
 def _envelope(payload: bytes) -> bytes:
     return encode_envelope(0, 1, VectorClock({0: 1}), payload)
 
@@ -99,8 +103,8 @@ class TestStrictDecoding:
         b"TQ",  # unknown op kind
         b"TI" + struct.pack(">II", 0, 1) + b"\xff",  # bad UTF-8
         b"TI" + struct.pack(">II", 0, 2) + b"ab",  # an insert carries one character
-        b"W" + struct.pack(">I", 0) + struct.pack(">qQqQqQ", 0, 1, -(2**31), 0, 2**31, 0),  # so does a WOOT insert
-        b"W" + struct.pack(">I", 2) + b"ab" + struct.pack(">qQqQqQ", 0, 1, -(2**31), 0, 2**31, 0),
+        b"W" + struct.pack(">I", 0) + _WOOT_IDS,  # so does a WOOT insert
+        b"W" + struct.pack(">I", 2) + b"ab" + _WOOT_IDS,
     ], ids=["payload-kind", "op-kind", "utf8", "two-chars", "woot-no-char", "woot-two-chars"])
     def test_bad_payload_rejected(self, payload):
         with pytest.raises(WireFormatError):
