@@ -15,9 +15,17 @@ from dataclasses import replace
 from . import harness, metrics
 
 
-def _seed_override(seed: int) -> int:
-    env = os.environ.get("GT_SEED")
-    return int(env) if env else seed
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse's message when int() fails: "invalid int value"
+    return parse
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -54,7 +62,7 @@ def cmd_run(args) -> int:
         else:
             with open(args.scenario) as fh:
                 scenario = harness.scenario_from_text(fh.read())
-        seed = _seed_override(args.seed if args.seed is not None else scenario.seed)
+        seed = args.seed if args.seed is not None else scenario.seed
         report = harness.run_scenario(replace(scenario, seed=seed), args.engine, ablation=ablation)
     except (OSError, harness.ScenarioError) as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
@@ -78,9 +86,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    seed = _seed_override(args.seed)
     engines = ("ot", "woot") if args.engine == "both" else (args.engine,)
-    result = harness.fuzz(args.runs, base_seed=seed, engines=engines, max_ops=args.ops)
+    result = harness.fuzz(args.runs, base_seed=args.seed, engines=engines, max_ops=args.ops)
     _emit(json.dumps(result, indent=2, sort_keys=True), args.output)
     if not result["ok"]:
         first = result["failures"][0]
@@ -90,7 +97,7 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    w = metrics.Workload(doc_len=args.doc_len, sites=args.sites, n_ops=args.ops, window=args.window, seed=_seed_override(args.seed))
+    w = metrics.Workload(doc_len=args.doc_len, sites=args.sites, n_ops=args.ops, window=args.window, seed=args.seed)
     result = metrics.bench(w)
     _emit(json.dumps(result, indent=2, sort_keys=True), args.output)
     return 0 if result["ok"] else 1
@@ -110,18 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     fz = sub.add_parser("fuzz", help="random seeded sessions, all checks enforced")
-    fz.add_argument("--runs", type=int, default=100)
-    fz.add_argument("--ops", type=int, default=200)
+    fz.add_argument("--runs", type=_at_least(1), default=100)
+    fz.add_argument("--ops", type=_at_least(10), default=200, help="most ops per session (at least 10)")
     fz.add_argument("--seed", type=int, default=0)
     fz.add_argument("--engine", choices=["ot", "woot", "both"], default="both")
     fz.add_argument("--output", default=None)
     fz.set_defaults(func=cmd_fuzz)
 
     be = sub.add_parser("bench", help="cost table across workloads")
-    be.add_argument("--doc-len", type=int, default=10_000)
-    be.add_argument("--sites", type=int, default=3)
-    be.add_argument("--ops", type=int, default=100)
-    be.add_argument("--window", type=int, default=10)
+    be.add_argument("--doc-len", type=_at_least(0), default=10_000)
+    be.add_argument("--sites", type=_at_least(1), default=3)
+    be.add_argument("--ops", type=_at_least(0), default=100)
+    be.add_argument("--window", type=_at_least(1), default=10)
     be.add_argument("--seed", type=int, default=0)
     be.add_argument("--output", default=None)
     be.set_defaults(func=cmd_bench)
@@ -132,7 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    env = os.environ.get("GT_SEED")
+    if env:
+        try:
+            args.seed = int(env)
+        except ValueError:
+            parser.error(f"GT_SEED must be an integer, got {env!r}")
     return args.func(args)
 
 

@@ -123,13 +123,7 @@ def encode_payload(msg: WireMessage) -> bytes:
         return b"S" + struct.pack(">Q", msg.index) + _encode_op(msg.op)
     if isinstance(msg, IdOp):
         if isinstance(msg.op, InsertId):
-            return (
-                b"W"
-                + _encode_text(msg.op.character)
-                + _encode_id(msg.op.id)
-                + _encode_id(msg.op.prev)
-                + _encode_id(msg.op.next)
-            )
+            return b"W" + _encode_text(msg.op.character) + struct.pack(">qQqQqQ", *msg.op.id, *msg.op.prev, *msg.op.next)
         return b"X" + _encode_id(msg.op.target)
     raise TypeError(f"not a wire message: {msg!r}")
 
@@ -248,6 +242,4 @@ class Site:
 
     def _check_mirror(self) -> None:
         if self.engine.state != self.external:
-            raise EngineInvariantError(
-                f"site {self.id}: engine mirror {self.engine.state!r} != external {self.external!r}"
-            )
+            raise EngineInvariantError(f"site {self.id}: engine mirror {self.engine.state!r} != external {self.external!r}")

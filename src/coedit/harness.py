@@ -453,13 +453,9 @@ class _Run:
         for i, site in self.sites.items():
             seq = site.engine.istate
             if seq.total_count() != expected_total:
-                raise AssertionError(
-                    f"site {i}: object count {seq.total_count()} != initial+inserts {expected_total}"
-                )
+                raise AssertionError(f"site {i}: object count {seq.total_count()} != initial+inserts {expected_total}")
             if seq.visible_count() != expected_total - tombstoned:
-                raise AssertionError(
-                    f"site {i}: visible count {seq.visible_count()} != {expected_total} - {tombstoned}"
-                )
+                raise AssertionError(f"site {i}: visible count {seq.visible_count()} != {expected_total} - {tombstoned}")
             # the recorded visible series comes from the running count
             if seq.n_visible != seq.visible_count():
                 raise AssertionError(f"site {i}: running visible count {seq.n_visible} != {seq.visible_count()}")

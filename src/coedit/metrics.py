@@ -87,10 +87,7 @@ def _mean(xs) -> int:
 def collect(engine: str, engines: dict, server=None, local_ns=None, remote_ns=None, gc_total: int = 0) -> MetricsBundle:
     """Fold per-site engine counters, then the server's, into one bundle for
     a finished run; each engine adds its own."""
-    bundle = MetricsBundle(engine=engine)
-    bundle.local_ns = list(local_ns or [])
-    bundle.remote_ns = list(remote_ns or [])
-    bundle.gc_total = gc_total
+    bundle = MetricsBundle(engine=engine, local_ns=list(local_ns or []), remote_ns=list(remote_ns or []), gc_total=gc_total)
     parts = list(engines.values()) + ([server] if server is not None else [])
     for k, part in enumerate(parts):
         part.fold_metrics(bundle, first=k == 0)
@@ -113,8 +110,7 @@ def rows_to_csv(rows: List[dict]) -> str:
     out = io.StringIO()
     writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     return out.getvalue()
 
 

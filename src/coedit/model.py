@@ -82,10 +82,6 @@ def parse_op(line: str) -> ExternalOp:
     raise ValueError(f"unparseable operation line: {line!r}")
 
 
-def _strip_zeros(entries: Mapping[SiteId, int]) -> dict:
-    return {s: n for s, n in entries.items() if n != 0}
-
-
 @dataclass(frozen=True)
 class VectorClock:
     """Per-site operation counters; a missing entry means 0."""
@@ -93,7 +89,7 @@ class VectorClock:
     entries: Mapping[SiteId, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _strip_zeros(self.entries))
+        object.__setattr__(self, "entries", {s: n for s, n in self.entries.items() if n != 0})
 
     @classmethod
     def _zero_free(cls, entries: dict) -> "VectorClock":

@@ -21,7 +21,7 @@ linear walk would visit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress, count, islice
+from itertools import compress, count, islice, repeat
 from typing import Dict, List, NamedTuple, Union
 
 from .model import (
@@ -70,15 +70,6 @@ class WObject:
     id: ObjectId
     prev: ObjectId
     next: ObjectId
-
-    def is_sentinel(self) -> bool:
-        return self.id == START or self.id == END
-
-    def dump_line(self, visible: bool) -> str:
-        if self.is_sentinel():
-            return str(self.id)
-        vis = "v" if visible else "iv"
-        return f"{self.character}|{self.id}|prev={self.prev}|next={self.next}|{vis}"
 
 
 @dataclass(frozen=True)
@@ -136,26 +127,32 @@ class ObjectSequence:
 
     @classmethod
     def from_text(cls, doc: str, creator: SiteId = INIT_SID) -> "ObjectSequence":
-        seq = cls()
-        ids = [START] + [ObjectId(creator, i + 1) for i in range(len(doc))] + [END]
-        body = [WObject(ch, ids[i + 1], ids[i], ids[i + 2]) for i, ch in enumerate(doc)]
+        seq, n = cls(), len(doc)
+        ids = list(map(ObjectId, repeat(creator, n), range(1, n + 1)))
+        chain = [START, *ids, END]
+        body = list(map(WObject, doc, ids, chain, chain[2:]))
         seq.objects[1:1] = body
         seq.shown[1:1] = doc
-        seq.by_id.update((o.id, o) for o in body)
-        seq.n_visible = len(body)
+        seq.by_id.update(zip(ids, body))
+        seq.n_visible = n
         return seq
 
     # -- scans (each charged what a linear scan from the start would visit) --
 
-    def _locate(self, oid: ObjectId) -> int:
-        """Index of `oid`, or -1 when it is absent."""
+    def _locate(self, oid: ObjectId, start: int = 0) -> int:
+        """Index of `oid`, or -1 when it is absent; the search may begin at a
+        `start` the id is known to follow, but is charged from the front."""
         i = self.located.get(oid)
         if i is None:
             obj = self.by_id.get(oid)
             if obj is None:
                 self.search_steps += len(self.objects)
                 return -1
-            i = self.located[oid] = self.objects.index(obj)
+            try:
+                i = self.objects.index(obj, start)
+            except ValueError:
+                i = self.objects.index(obj)
+            self.located[oid] = i
         self.search_steps += i + 1
         return i
 
@@ -197,7 +194,12 @@ class ObjectSequence:
         return len(self.objects) - 2
 
     def dump(self) -> str:
-        return "\n".join(map(WObject.dump_line, self.objects, map(bool, self.shown)))
+        text = {oid: f"{oid.sid}.{oid.seq}" for oid in self.by_id}  # each id formatted once
+        text[START], text[END] = "@s", "@e"
+        lines = [f"{o.character}|{text[o.id]}|prev={text[o.prev]}|next={text[o.next]}|{'v' if ch else 'iv'}"
+                 for o, ch in zip(self.objects, self.shown)]
+        lines[0], lines[-1] = "@s", "@e"  # a sentinel's line is its id alone
+        return "\n".join(lines)
 
     # -- conversions --------------------------------------------------------
 
@@ -251,7 +253,8 @@ class ObjectSequence:
     def executable(self, op: Union[InsertId, DeleteId]) -> bool:
         if isinstance(op, DeleteId):
             return self.contains(op.target)
-        return self.contains(op.prev) and self.contains(op.next)
+        p = self._locate(op.prev)  # `next` follows `prev`, so its search starts there
+        return p >= 0 and self._locate(op.next, p) >= 0
 
     def integrate_insert(self, op: InsertId) -> None:
         """Place the new object between its anchors.
@@ -331,9 +334,7 @@ class WootSite:
     @classmethod
     def create(cls, site: SiteId, doc: str) -> "WootSite":
         istate = ObjectSequence.from_text(doc)
-        ws = cls(site=site, istate=istate, state=doc)
-        ws.metrics.init_cost = istate.total_count()
-        return ws
+        return cls(site=site, istate=istate, state=doc, metrics=WootMetrics(init_cost=istate.total_count()))
 
     def _sample(self, steps_before: int) -> None:
         self.metrics.search_steps_per_op.append(self.istate.search_steps - steps_before)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +130,40 @@ class TestCli:
         scn.write_text("sites 0\ndoc ab\n")
         assert main(["run", "--engine", "woot", "--scenario", str(scn)]) == 2
         assert "at least 1 site" in capsys.readouterr().err
+
+    @staticmethod
+    def _exits_two(argv, capsys, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    def test_bad_gt_seed_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("GT_SEED", "abc")
+        self._exits_two(["run", "--engine", "ot", "--scenario", "fig1"], capsys, "GT_SEED must be an integer, got 'abc'")
+
+    def test_fuzz_ops_below_ten_exits_two(self, capsys):
+        # a session draws its op count from 10..--ops
+        self._exits_two(["fuzz", "--ops", "5"], capsys, "argument --ops: must be at least 10, got 5")
+
+    def test_fuzz_negative_runs_exits_two(self, capsys):
+        self._exits_two(["fuzz", "--runs", "-3"], capsys, "argument --runs: must be at least 1, got -3")
+        self._exits_two(["fuzz", "--runs", "x"], capsys, "argument --runs: invalid int value: 'x'")
+
+    def test_bench_zero_sites_exits_two(self, capsys):
+        self._exits_two(["bench", "--sites", "0"], capsys, "argument --sites: must be at least 1, got 0")
+        # a window of 0 would never schedule an op
+        self._exits_two(["bench", "--window", "0"], capsys, "argument --window: must be at least 1, got 0")
+
+    def test_python_dash_m(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("GT_SEED", None)
+        done = subprocess.run([sys.executable, "-m", "coedit", "fig1"], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and "converged=True" in done.stdout
+        done = subprocess.run([sys.executable, "-m", "coedit", "fuzz", "--ops", "5"], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 2 and "Traceback" not in done.stderr
 
     def test_gt_seed_overrides(self, tmp_path, monkeypatch):
         out1 = tmp_path / "a.json"

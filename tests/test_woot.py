@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from coedit.model import BoundsError, Delete, Insert, NoOp, VectorClock
 from coedit.woot import (
@@ -442,11 +442,31 @@ class LinearSequence(ObjectSequence):
                 rank += 1
         return rank
 
+    def executable(self, op):
+        if isinstance(op, DeleteId):
+            return self.contains(op.target)
+        return self.contains(op.prev) and self.contains(op.next)
+
     def value(self):
         return "".join(o.character for o, ch in zip(self.objects, self.shown) if ch)
 
     def visible_count(self):
         return sum(1 for ch in self.shown if ch)
+
+    def dump(self):
+        return per_line_dump(self)
+
+
+def per_line_dump(seq):
+    """The dump as it was once formatted: line by line, every id through
+    `ObjectId.__str__`, and a sentinel's line its id alone."""
+
+    def line(obj, shown):
+        if obj.id == START or obj.id == END:
+            return str(obj.id)
+        return f"{obj.character}|{obj.id}|prev={obj.prev}|next={obj.next}|{'v' if shown else 'iv'}"
+
+    return "\n".join(map(line, seq.objects, seq.shown))
 
 
 ABSENT = oid(7, 99)  # no action below mints site 7's ids
@@ -456,7 +476,7 @@ reference_actions = st.lists(
     st.tuples(
         st.sampled_from([
             "local_insert", "local_delete", "remote_insert", "duplicate_insert", "remote_delete",
-            "index_of", "contains", "nth_visible_index", "visible_rank", "id_to_pos", "value",
+            "index_of", "contains", "executable", "nth_visible_index", "visible_rank", "id_to_pos", "value",
         ]),
         st.integers(-3, 30),
         st.integers(0, 30),
@@ -489,6 +509,9 @@ class TestReferenceScans:
             return seq.index_of(some_id)
         if action == "contains":
             return seq.contains(some_id)
+        if action == "executable":  # anchors in either order, either one possibly absent
+            nxt = objs[b % len(objs)].id
+            return seq.executable(DeleteId(some_id) if b % 3 == 0 else InsertId("z", oid(9, minted + 1), some_id, nxt))
         if action == "nth_visible_index":
             return seq.nth_visible_index(a)
         if action == "visible_rank":
@@ -522,3 +545,71 @@ class TestReferenceScans:
             assert len(engine.by_id) == len(engine.objects) == len(engine.shown)
             assert all(engine.by_id[o.id] is o for o in engine.objects)
             assert all(engine.objects[i].id == k for k, i in engine.located.items())
+
+
+NON_BMP = "\U0001F600"
+dump_chars = st.sampled_from(["a", "b", " ", "\n", NON_BMP])
+dump_histories = st.lists(
+    st.tuples(st.sampled_from(["insert", "delete", "remote_insert"]), st.integers(0, 40), st.integers(0, 40), dump_chars),
+    max_size=30,
+)
+
+
+class TestDump:
+    """`dump()` formats each id once per dump; it must match the line-by-line
+    formatting it replaced, byte for byte."""
+
+    @given(st.text(alphabet=["a", "b", NON_BMP], max_size=6), dump_histories)
+    @example("", [])
+    @example("", [("insert", 0, 0, NON_BMP), ("insert", 0, 0, "a"), ("delete", 1, 0, "a")])
+    @example(NON_BMP, [("delete", 0, 0, "a"), ("remote_insert", 0, 1, NON_BMP)])
+    def test_matches_per_line_formatting(self, doc, history):
+        seq = ObjectSequence.from_text(doc)
+        assert seq.dump() == per_line_dump(seq)
+        for k, (kind, a, b, ch) in enumerate(history, start=1):
+            n, objs = seq.n_visible, seq.objects
+            if kind == "delete" and n:
+                seq.integrate_delete(seq.pos_to_id(Delete(a % n), site=0, next_seq=k))
+            elif kind == "insert":
+                seq.integrate_insert(seq.pos_to_id(Insert(a % (n + 1), ch), site=0, next_seq=k))
+            elif kind == "remote_insert":  # anchors any two objects apart, tombstones included
+                i = a % (len(objs) - 1)
+                j = i + 1 + b % (len(objs) - 1 - i)
+                seq.integrate_insert(InsertId(ch, oid(1 + k % 2, k), objs[i].id, objs[j].id))
+            assert seq.dump() == per_line_dump(seq)
+
+
+class TestAnchorSearch:
+    """`executable` looks for `next` from `prev`'s index on, and from the
+    front when `next` lies before it, charging the walk from the front."""
+
+    def test_next_before_prev(self):
+        ids = [oid(INIT_SID, k) for k in range(1, 5)]  # @s a b c d @e
+        op = InsertId("x", oid(1, 1), ids[3], ids[0])  # prev = d at 4, next = a at 1
+        engine, oracle = ObjectSequence.from_text("abcd"), LinearSequence.from_text("abcd")
+        engine.objects = CountingList(engine.objects)
+        for seq in (engine, oracle):
+            assert seq.executable(op)
+            assert seq.search_steps == (4 + 1) + (1 + 1)
+        assert engine.objects.calls == 3  # prev, next from prev's index on, next from the front
+        assert engine.located == {ids[3]: 4, ids[0]: 1}
+        for seq in (engine, oracle):
+            with pytest.raises(NotExecutableError):
+                seq.integrate_insert(op)
+
+    def test_next_after_prev(self):
+        ids = [oid(INIT_SID, k) for k in range(1, 5)]
+        op = InsertId("x", oid(1, 1), ids[1], ids[3])  # prev = b at 2, next = d at 4
+        engine, oracle = ObjectSequence.from_text("abcd"), LinearSequence.from_text("abcd")
+        engine.objects = CountingList(engine.objects)
+        for seq in (engine, oracle):
+            assert seq.executable(op)
+            assert seq.search_steps == (2 + 1) + (4 + 1)
+        assert engine.objects.calls == 2
+
+    def test_absent_anchor(self):
+        present = oid(INIT_SID, 1)
+        for op in (InsertId("x", oid(1, 1), ABSENT, present), InsertId("x", oid(1, 1), present, ABSENT)):
+            engine, oracle = ObjectSequence.from_text("ab"), LinearSequence.from_text("ab")
+            assert not engine.executable(op) and not oracle.executable(op)
+            assert engine.search_steps == oracle.search_steps
