@@ -11,7 +11,8 @@ DIR/change from the working tree's tracked and untracked, not ignored files.
 For each workload and seed, `perfbench/run.py --trace 0` runs once in each
 checkout, one process at a time; odd seeds run the parent first, even seeds
 the change. Each pair records both runs' end-to-end metrics and whether both
-printed the same exact-count block. Per workload and metric the output holds
+printed the same exact-count block, with each run's reference-routine time
+and its figures before calibration. Per workload and metric the output holds
 both sides' quartiles (inclusive method), the ratio of the medians, the
 parent's IQR over its median and how many pairs each side won; the metrics
 and their directions come from BENCHMARK.json.
@@ -72,15 +73,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.splitlines()
     exact = next((line for line in lines if line.startswith("exact ")), None)
+    ref = next((line for line in lines if line.startswith("reference routine ")), "")
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "metrics": {}}
     return {
-        "exit": done.returncode,
         "correct": result.get("correct", False) and done.returncode == 0,
         "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
         "exact": exact,
+        "reference_ns": float(ref.split()[2]) if ref else None,
+        "uncalibrated": json.loads(ref.split("before calibration: ", 1)[1]) if ref else None,
     }
 
 
@@ -185,7 +188,9 @@ def main(argv=None) -> int:
             same = runs["parent"]["exact"] is not None and runs["parent"]["exact"] == runs["change"]["exact"]
             ok &= same and all(r["correct"] for r in runs.values())
             pairs.append({"seed": seed, "first": order[0], "exact_identical": same, **{s: runs[s]["metrics"] for s in SIDES},
-                          "correct": {s: runs[s]["correct"] for s in SIDES}})
+                          "correct": {s: runs[s]["correct"] for s in SIDES},
+                          "reference_ns": {s: runs[s]["reference_ns"] for s in SIDES},
+                          "uncalibrated": {s: runs[s]["uncalibrated"] for s in SIDES}})
             print(f"{workload} seed {seed}: " + "  ".join(
                 f"{s} {runs[s]['metrics'].get('ops_per_s', 0):.0f} ops/s" for s in SIDES) + f"  exact same: {same}", flush=True)
         timed = [p for p in pairs if all(p["correct"].values())]

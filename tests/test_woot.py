@@ -458,7 +458,7 @@ class LinearSequence(ObjectSequence):
 
 
 def per_line_dump(seq):
-    """The dump as it was once formatted: line by line, every id through
+    """Reference dump, formatted line by line: every id through
     `ObjectId.__str__`, and a sentinel's line its id alone."""
 
     def line(obj, shown):
