@@ -39,13 +39,13 @@ def _emit(text: str, output: str | None) -> None:
 def cmd_fig1(args) -> int:
     scenario = harness.fig1_scenario()
     code = 0
-    for engine in ("ot", "woot"):
+    for engine in harness.ENGINES:
         report = harness.run_scenario(scenario, engine)
         states = ", ".join(f"site{i}={s!r}" for i, s in sorted(report.final_states.items()))
         print(f"[{engine}] final: {states}  converged={report.converged}")
         for line in report.trace:
             print(f"  {line}")
-        if engine == "woot":
+        if report.is_dumps:
             print("  internal sequence (site 0):")
             for line in report.is_dumps[0].splitlines():
                 print(f"    {line}")
@@ -86,7 +86,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    engines = ("ot", "woot") if args.engine == "both" else (args.engine,)
+    engines = None if args.engine == "both" else (args.engine,)
     result = harness.fuzz(args.runs, base_seed=args.seed, engines=engines, max_ops=args.ops)
     _emit(json.dumps(result, indent=2, sort_keys=True), args.output)
     if not result["ok"]:
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run one scenario file (or the built-in fig1)")
-    run.add_argument("--engine", choices=["ot", "woot"], required=True)
+    run.add_argument("--engine", choices=list(harness.ENGINES), required=True)
     run.add_argument("--scenario", required=True, help="scenario file path, or 'fig1'")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--ablation", choices=["none", "skip34"], default="none")
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--runs", type=_at_least(1), default=100)
     fz.add_argument("--ops", type=_at_least(10), default=200, help="most ops per session (at least 10)")
     fz.add_argument("--seed", type=int, default=0)
-    fz.add_argument("--engine", choices=["ot", "woot", "both"], default="both")
+    fz.add_argument("--engine", choices=[*harness.ENGINES, "both"], default="both")
     fz.add_argument("--output", default=None)
     fz.set_defaults(func=cmd_fuzz)
 

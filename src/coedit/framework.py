@@ -201,8 +201,12 @@ def decode_message(data: bytes) -> WireMessage:
 
 
 class Engine(Protocol):
-    """What a Site needs of an engine. `remote` returns None when there is
-    nothing to replay, and rejects a message from the engine's own site."""
+    """What a Site and the harness need of an engine. `remote` returns None
+    when there is nothing to replay, and rejects a message from the engine's
+    own site. `quiesce` ends a run: given each site's delivered clock and the
+    counts of character instances created and (distinct) deleted, it checks
+    its own state and returns (ops collected or None, dump or None); dumps
+    must match across replicas."""
 
     state: str  # the engine's mirror of the visible text
     clock: VectorClock  # what it has delivered, for causal gating
@@ -210,6 +214,7 @@ class Engine(Protocol):
     def local(self, eo: ExternalOp) -> WireMessage: ...
     def remote(self, msg: WireMessage) -> Optional[ExternalOp]: ...
     def fold_metrics(self, bundle, first: bool) -> None: ...
+    def quiesce(self, stability: dict, created: int, deleted: int) -> tuple: ...
 
 
 @dataclass

@@ -84,16 +84,6 @@ def _mean(xs) -> int:
     return int(sum(xs) / len(xs)) if xs else 0
 
 
-def collect(engine: str, engines: dict, server=None, local_ns=None, remote_ns=None, gc_total: int = 0) -> MetricsBundle:
-    """Fold per-site engine counters, then the server's, into one bundle for
-    a finished run; each engine adds its own."""
-    bundle = MetricsBundle(engine=engine, local_ns=list(local_ns or []), remote_ns=list(remote_ns or []), gc_total=gc_total)
-    parts = list(engines.values()) + ([server] if server is not None else [])
-    for k, part in enumerate(parts):
-        part.fold_metrics(bundle, first=k == 0)
-    return bundle
-
-
 def csv_row(run_id: str, report) -> dict:
     row = dict(
         report.metrics.summary(),

@@ -152,6 +152,9 @@ class _Replica:
         self.buffer = keep
         return collected
 
+    def quiesce(self, stability: dict, created: int, deleted: int) -> tuple:
+        return self.gc(stability), None
+
     def fold_metrics(self, bundle, first: bool) -> None:
         self.metrics.fold_into(bundle)
         bundle.buffer_final = max(bundle.buffer_final, len(self.buffer))

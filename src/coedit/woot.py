@@ -353,6 +353,34 @@ class WootSite:
         bundle.search_steps_per_op.extend(m.search_steps_per_op)
         bundle.init_cost = max(bundle.init_cost, m.init_cost)
 
+    def quiesce(self, stability: dict, created: int, deleted: int) -> tuple:
+        """End of run: check the sequence's accounting against the session's
+        instance counts; returns (no gc, the dump of the sequence)."""
+        i, seq = self.site, self.istate
+        if seq.total_count() != created:
+            raise AssertionError(f"site {i}: object count {seq.total_count()} != initial+inserts {created}")
+        if seq.visible_count() != created - deleted:
+            raise AssertionError(f"site {i}: visible count {seq.visible_count()} != {created} - {deleted}")
+        # the recorded visible series comes from the running count
+        if seq.n_visible != seq.visible_count():
+            raise AssertionError(f"site {i}: running visible count {seq.n_visible} != {seq.visible_count()}")
+        if len(seq.by_id) != len(seq.objects):
+            raise AssertionError(f"site {i}: id index holds {len(seq.by_id)} of {len(seq.objects)} objects")
+        # `shown` is the only record of visibility, slot for slot with `objects`
+        if len(seq.shown) != len(seq.objects):
+            raise AssertionError(f"site {i}: shown list holds {len(seq.shown)} slots for {len(seq.objects)} objects")
+        if any(ch and ch != o.character for o, ch in zip(seq.objects, seq.shown)):
+            raise AssertionError(f"site {i}: shown list disagrees with the objects' characters")
+        if seq.shown[0] or seq.shown[-1]:
+            raise AssertionError(f"site {i}: a sentinel is shown")
+        totals = self.metrics.total_counts
+        invisible = [t - v for t, v in zip(totals, self.metrics.visible_counts)]
+        if any(b < a for a, b in zip(invisible, invisible[1:])):
+            raise AssertionError(f"site {i}: tombstone count decreased")
+        if any(b < a for a, b in zip(totals, totals[1:])):
+            raise AssertionError(f"site {i}: object count decreased")
+        return None, seq.dump()
+
     def local(self, eo: ExternalOp) -> IdOp:
         """Convert a local position-based op, integrate it, and hand it back
         for propagation. The conversion runs against the pre-op sequence."""

@@ -1,11 +1,14 @@
 """Scenario files, scripted/fuzzed runs, convergence + intention checking,
 ablation, shrinking, cross-engine comparison."""
 
+import ast
 import random
 import re
+from pathlib import Path
 
 import pytest
 
+from coedit import cli, harness
 from coedit.model import BoundsError, Delete, Insert
 from coedit.netsim import FixedLatency, UniformLatency
 from coedit.woot import WootSite
@@ -79,6 +82,16 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError):
             Scenario("ab", 2, script=(), fuzz=FuzzSpec())
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_empty_fuzz_window_rejected(self, window):
+        # a window below 1 would schedule no op per round, forever
+        with pytest.raises(ScenarioError, match="fuzz window"):
+            Scenario("ab", 2, fuzz=FuzzSpec(n_ops=4, window=window))
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ScenarioError, match="unknown mode 'bogus'"):
+            Scenario("ab", 2, mode="bogus", fuzz=FuzzSpec(n_ops=4))
+
 
 class TestRunScenario:
     def test_fig1_ot(self):
@@ -114,9 +127,11 @@ class TestRunScenario:
         with pytest.raises(BoundsError):
             run_scenario(s, "woot")
 
-    def test_drifted_visible_count_is_a_fault(self, monkeypatch):
+    @pytest.mark.parametrize("ablation", [False, True])
+    def test_drifted_visible_count_is_a_fault(self, monkeypatch, ablation):
         # the visible series that the tombstone check reads is the running
-        # count; a drift that keeps that series monotone must still fail
+        # count; a drift that keeps that series monotone must still fail, on
+        # the ablated engine too, which integrates its sequence normally
         local = WootSite.local
 
         def drifting(self, eo):
@@ -126,7 +141,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(WootSite, "local", drifting)
         with pytest.raises(AssertionError, match="running visible count"):
-            run_scenario(fig1_scenario(), "woot")
+            run_scenario(fig1_scenario(), "woot", ablation=ablation)
 
     def test_stray_shown_slot_is_a_fault(self, monkeypatch):
         # a trailing "" leaves value() and the visible count as they were,
@@ -289,3 +304,39 @@ class TestCrossEngine:
                 total += 1
                 agree += result["equal"]
         assert total > 0 and agree == total
+
+
+class TestEngineTable:
+    def test_third_engine_is_one_table_entry(self, monkeypatch, capsys):
+        monkeypatch.setitem(harness.ENGINES, "woot2", harness.ENGINES["woot"])
+        report = run_scenario(fig1_scenario(), "woot2")
+        assert report.ok and report.engine == "woot2" and report.is_dumps
+        result = fuzz(3, engines=("woot2",))
+        assert result["runs"] == 3 and result["ok"], result["failures"][:2]
+        assert fuzz(1)["runs"] == 3  # the default engine list is read from the table
+        compared = cross_engine_compare(fig1_scenario())
+        assert compared["woot2"] == compared["woot"] == compared["ot"] == "ace" and compared["equal"]
+        assert cli.main(["run", "--engine", "woot2", "--scenario", "fig1"]) == 0
+        assert '"engine": "woot2"' in capsys.readouterr().out
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ScenarioError, match="unknown engine"):
+            run_scenario(fig1_scenario(), "rga")
+
+    @pytest.mark.parametrize("module", ["harness.py", "cli.py", "metrics.py"])
+    def test_no_line_compares_an_engine_name(self, module):
+        # engines are told apart by the ENGINES table, never by name
+        path = Path(harness.__file__).with_name(module)
+        names = {"ot", "woot"}
+
+        def named(node):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                return any(named(e) for e in node.elts)
+            return isinstance(node, ast.Constant) and node.value in names
+
+        found = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Compare) and any(named(o) for o in [node.left, *node.comparators])
+        ]
+        assert not found, f"{module} compares an engine name on lines {found}"

@@ -9,7 +9,7 @@ import pytest
 
 from coedit import metrics
 from coedit.cli import main
-from coedit.harness import fig1_scenario, run_scenario
+from coedit.harness import ScenarioError, fig1_scenario, run_scenario
 from coedit.metrics import CSV_COLUMNS, Workload, csv_row, measure_init, rows_to_csv
 
 
@@ -77,6 +77,11 @@ class TestBench:
             return row["search_steps_total"]
 
         assert mean_steps(large) > mean_steps(small)
+
+    def test_empty_window_rejected(self):
+        # rejected when the scenario is built, before any op is scheduled
+        with pytest.raises(ScenarioError, match="fuzz window"):
+            metrics.bench(Workload(doc_len=20, sites=2, n_ops=10, window=0, seed=0))
 
 
 class TestCli:
