@@ -3,7 +3,7 @@
     python3 scripts/bench_pairs.py --parent REV --scratch DIR --out BENCH_x.json \\
         [--workloads fuzz_mixed,woot_bigdoc] [--seeds 101-110] [--seconds 30] \\
         [--title TEXT] [--claim WORKLOAD:METRIC] [--profile WORKLOAD:SEED] \\
-        [--timeit-setup CODE] [--timeit LABEL=STATEMENT ...]
+        [--timeit-setup CODE] [--timeit LABEL=STATEMENT ...] [--sweep N,N,...]
 
 Run from the repository root. Two checkouts are built side by side under
 DIR, replacing any earlier ones there: DIR/parent from `git archive REV`,
@@ -22,7 +22,14 @@ gain exceeds the parent's IQR. --profile adds a cProfile of one pass over
 that workload's batch in each checkout (after one unprofiled pass).
 --timeit adds per-call times of a statement, the best of 5 repeats, in 5
 alternating rounds per checkout, with --timeit-setup run first.
-Exit code 1 if a run fails or a pair's exact blocks differ.
+--sweep runs `python -m coedit bench --doc-len N --sites 3` for each listed
+N in both checkouts, in 3 alternating rounds, and records the WOOT rows of its
+cost table: per side the median over the rounds of each row's mean, p50 and
+p99 local and remote times (None where a side does not report one) and of
+`init.woot_init_ns`, and the rows' `search_steps_total`, which must be the
+same in every round on both sides.
+Exit code 1 if a run fails, a pair's exact blocks differ or a sweep's
+search-step totals differ.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import shutil
 import statistics
@@ -85,6 +93,48 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "reference_ns": float(ref.split()[2]) if ref else None,
         "uncalibrated": json.loads(ref.split("before calibration: ", 1)[1]) if ref else None,
     }
+
+
+SWEEP_ROUNDS = 3
+SWEEP_TIMES = ("local_ns_mean", "remote_ns_mean", "local_ns_p50", "local_ns_p99", "remote_ns_p50", "remote_ns_p99")
+
+
+def bench_once(checkout: Path, doc_len: int) -> dict:
+    """One `coedit bench` run at this document length: its WOOT rows."""
+    cmd = [sys.executable, "-m", "coedit", "bench", "--doc-len", str(doc_len), "--sites", "3"]
+    env = {k: v for k, v in os.environ.items() if k != "GT_SEED"}
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env={**env, "PYTHONPATH": "src"})
+    try:
+        result = json.loads(done.stdout)
+    except json.JSONDecodeError:
+        return {"ok": False, "woot_init_ns": None, "rows": {}}
+    rows = {row["workload"]: row for row in result["table"] if row["workload"].endswith("_woot")}
+    return {"ok": done.returncode == 0 and result["ok"], "woot_init_ns": result["init"]["woot_init_ns"], "rows": rows}
+
+
+def sweep(dirs: dict, doc_len: int) -> dict:
+    """SWEEP_ROUNDS alternating `coedit bench` runs per side at one document length."""
+    runs = {side: [] for side in SIDES}
+    for r in range(SWEEP_ROUNDS):
+        for side in SIDES if r % 2 == 0 else SIDES[::-1]:
+            runs[side].append(bench_once(dirs[side], doc_len))
+            print(f"sweep {doc_len} round {r} {side}: ok {runs[side][-1]['ok']}", flush=True)
+    median = lambda xs: statistics.median(xs) if None not in xs else None
+    steps = {(side, name, run["rows"].get(name, {}).get("search_steps_total")) for side in SIDES for run in runs[side]
+             for name in ("sequential_woot", "concurrent_woot")}
+    out = {
+        "rounds": SWEEP_ROUNDS,
+        "all_ok": all(run["ok"] for side in SIDES for run in runs[side]),
+        "search_steps_identical": len({(name, total) for _, name, total in steps}) == 2 and None not in {t for *_, t in steps},
+    }
+    for side in SIDES:
+        ok_runs = [run for run in runs[side] if run["ok"]]
+        out[side] = {"woot_init_ns": median([run["woot_init_ns"] for run in ok_runs]) if ok_runs else None}
+        for name in ("sequential_woot", "concurrent_woot"):
+            out[side][name] = {key: median([run["rows"][name].get(key) for run in ok_runs]) if ok_runs else None
+                               for key in SWEEP_TIMES}
+            out[side][name]["search_steps_total"] = ok_runs[0]["rows"][name]["search_steps_total"] if ok_runs else None
+    return out
 
 
 def summarize(pairs: list, name: str, higher_better: bool) -> dict:
@@ -162,11 +212,12 @@ def main(argv=None) -> int:
     p.add_argument("--profile", default=None, help="WORKLOAD:SEED")
     p.add_argument("--timeit-setup", default="pass")
     p.add_argument("--timeit", action="append", default=[], help="LABEL=STATEMENT; repeatable")
+    p.add_argument("--sweep", default="", help="N,N,...: document lengths for `coedit bench --sites 3`")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
-    workloads, seeds = args.workloads.split(","), parse_seeds(args.seeds)
+    workloads, seeds = [w for w in args.workloads.split(",") if w], parse_seeds(args.seeds)
     dirs = build_checkouts(args.parent, args.scratch.resolve())
     parent_rev = git("rev-parse", "--short", args.parent).decode().strip()
     out = {
@@ -229,6 +280,9 @@ def main(argv=None) -> int:
             },
             "rounds": rounds,
         }
+    if args.sweep:
+        out["sweep_coedit_bench_sites3"] = {n: sweep(dirs, int(n)) for n in args.sweep.split(",")}
+        ok &= all(s["all_ok"] and s["search_steps_identical"] for s in out["sweep_coedit_bench_sites3"].values())
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0 if ok else 1
 

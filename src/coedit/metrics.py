@@ -71,6 +71,8 @@ class MetricsBundle:
             "C_t": self.final_total,
             "local_ns_mean": _mean(self.local_ns),
             "remote_ns_mean": _mean(self.remote_ns),
+            **_percentiles("local_ns", self.local_ns),
+            **_percentiles("remote_ns", self.remote_ns),
             "init_cost": self.init_cost,
             "gc_total": self.gc_total,
             "transform_total": self.transform_total,
@@ -82,6 +84,12 @@ class MetricsBundle:
 
 def _mean(xs) -> int:
     return int(sum(xs) / len(xs)) if xs else 0
+
+
+def _percentiles(name: str, xs) -> dict:
+    """`name`_p50 and `name`_p99 by the nearest-rank method; 0 with no samples."""
+    ranked = sorted(xs)
+    return {f"{name}_p{p}": ranked[-(-p * len(ranked) // 100) - 1] if ranked else 0 for p in (50, 99)}
 
 
 def csv_row(run_id: str, report) -> dict:

@@ -7,22 +7,27 @@ only hides an object; nothing is ever removed, so concurrent operations can
 always resolve their anchors. Position <-> identifier conversions are
 costed as the paper's search-count method: a walk from the start of the
 sequence, counting visible objects, whose length is recorded as the
-engine's cost metric (`search_steps`). The walks themselves do not run
-object by object in Python. Visibility lives in one list, `shown`, beside
-`objects`: each slot's character while it is visible and "" otherwise, so
-the visible text is a join, counts and ranks are `list.count`, and
-`itertools` finds the n-th visible slot in C. An id is located once per op:
-an id -> object dict plus `list.index` by identity finds it, and its index
-is remembered until the next insert shifts the list. A running count
-answers how many are visible. Each scan is charged exactly the objects the
-linear walk would visit.
+engine's cost metric (`search_steps`). The walks themselves neither run
+object by object in Python nor cover the whole document. The sequence is
+laid out in blocks of slots, each with its objects and a `shown` list that
+holds each slot's character while it is visible and "" otherwise. In one
+block, the visible text is a join, counts and ranks are `list.count`, and
+`itertools` finds the n-th visible slot in C. Past one block, the sequence
+keeps each block's slot and visible counts, so a scan sums them in C to
+find its block and makes one such call inside it. An id is located once
+per op: an id -> object dict plus `list.index` by identity in the id's
+block finds it, and its index is remembered until the next insert shifts
+the sequence. A running count answers how many are visible. Each scan is
+charged exactly the objects the linear walk would visit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import compress, count, islice, repeat
-from typing import Dict, List, NamedTuple, Union
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Union
 
 from .model import (
     BoundsError,
@@ -39,6 +44,10 @@ from .model import (
 # Pseudo site id for objects created from the initial document; sorts below
 # all real (non-negative) site ids so initial objects order deterministically.
 INIT_SID = -1
+
+# Slots per block as a sequence is built; a block that passes 2 * BLOCK slots
+# splits in two.
+BLOCK = 128
 
 
 class ObjectId(NamedTuple):
@@ -63,8 +72,8 @@ END = ObjectId(2**31, 0)
 @dataclass(eq=False, slots=True)
 class WObject:
     """One character slot's immutable part; whether it is visible is kept
-    in `ObjectSequence.shown`. Compared by identity, so `list.index` finds
-    an object without comparing fields."""
+    in its block's `shown`. Compared by identity, so `list.index` finds an
+    object without comparing fields."""
 
     character: str
     id: ObjectId
@@ -110,19 +119,43 @@ class UnknownTargetError(RuntimeError):
     """A delete names an id that does not exist in the sequence."""
 
 
-class ObjectSequence:
-    """The internal state: sentinel-bounded object list with tombstones.
+class Block:
+    """A run of consecutive slots: their objects, their `shown` characters,
+    how many of those are visible, and the block's position in
+    `ObjectSequence.blocks`."""
 
-    `shown[i]` is `objects[i]`'s character while it is visible and "" for a
-    tombstone or a sentinel; it is the only record of visibility."""
+    __slots__ = ("objects", "shown", "visible", "pos")
+
+    def __init__(self, objects: List[WObject], shown: List[str], pos: int):
+        self.objects = objects
+        self.shown = shown
+        self.visible: Optional[int] = len(shown) - shown.count("")
+        self.pos = pos
+
+
+VISIBLE = attrgetter("visible")
+
+
+class ObjectSequence:
+    """The internal state: sentinel-bounded object sequence with tombstones,
+    laid out in blocks.
+
+    A slot's index is its place in the whole sequence: the slots of the
+    blocks in front of its own, plus its offset in its block. In each block,
+    `shown[k]` is `objects[k]`'s character while it is visible and "" for a
+    tombstone or a sentinel; it is the only record of visibility.
+
+    A sequence of one block keeps no block counts: its scans are one C-level
+    call each on that block's lists, `lens` and `block_of` are empty and the
+    block's `visible` is None. The first split starts the counts: `lens[b]`
+    is block b's slot count, `block_of` maps each id to its block and each
+    block keeps its visible count. A scan then sums block counts in C to find
+    its block and makes one call inside it."""
 
     def __init__(self):
-        self.objects: List[WObject] = [WObject("", START, START, END), WObject("", END, START, END)]
-        self.shown: List[str] = ["", ""]
-        self.by_id: Dict[ObjectId, WObject] = {o.id: o for o in self.objects}
+        self._build(["", ""], [START, END], [START, START], [END, END])
         # ids located since the last insert -> their index; deletes move no index
         self.located: Dict[ObjectId, int] = {}
-        self.n_visible = 0  # running count of visible objects
         self.search_steps = 0  # object visits a linear scan would make
 
     @classmethod
@@ -130,48 +163,96 @@ class ObjectSequence:
         seq, n = cls(), len(doc)
         ids = list(map(ObjectId, repeat(creator, n), range(1, n + 1)))
         chain = [START, *ids, END]
-        body = list(map(WObject, doc, ids, chain, chain[2:]))
-        seq.objects[1:1] = body
-        seq.shown[1:1] = doc
-        seq.by_id.update(zip(ids, body))
-        seq.n_visible = n
+        seq._build(["", *doc, ""], chain, [START, *chain[:n], START], [END, *chain[2:], END])
         return seq
+
+    def _build(self, chars: List[str], ids: List[ObjectId], prevs: List[ObjectId], nexts: List[ObjectId]) -> None:
+        """Lay the slots out in blocks of BLOCK, every slot but a sentinel visible."""
+        objects = list(map(WObject, chars, ids, prevs, nexts))
+        self.blocks = [Block(objects[lo : lo + BLOCK], chars[lo : lo + BLOCK], pos)
+                       for pos, lo in enumerate(range(0, len(ids), BLOCK))]
+        self.by_id: Dict[ObjectId, WObject] = dict(zip(ids, objects))
+        self.lens: List[int] = []
+        self.block_of: Dict[ObjectId, Block] = {}
+        if len(self.blocks) == 1:
+            self.blocks[0].visible = None
+        else:
+            self.lens = [len(b.objects) for b in self.blocks]
+            for b in self.blocks:
+                self.block_of.update(zip(ids[b.pos * BLOCK : (b.pos + 1) * BLOCK], repeat(b)))
+        self.n_visible = len(ids) - 2  # running count of visible objects
+
+    # -- flat views (copies, for reading) -------------------------------------
+
+    @property
+    def objects(self) -> List[WObject]:
+        return list(chain.from_iterable(b.objects for b in self.blocks))
+
+    @property
+    def shown(self) -> List[str]:
+        return list(chain.from_iterable(b.shown for b in self.blocks))
 
     # -- scans (each charged what a linear scan from the start would visit) --
 
-    def _locate(self, oid: ObjectId, start: int = 0) -> int:
-        """Index of `oid`, or -1 when it is absent; the search may begin at a
-        `start` the id is known to follow, but is charged from the front."""
-        i = self.located.get(oid)
-        if i is None:
-            obj = self.by_id.get(oid)
-            if obj is None:
-                self.search_steps += len(self.objects)
-                return -1
-            try:
-                i = self.objects.index(obj, start)
-            except ValueError:
-                i = self.objects.index(obj)
-            self.located[oid] = i
+    def _at(self, i: int) -> tuple:
+        """The block holding slot `i` and the slot's offset in it (not charged);
+        for a sequence of more than one block."""
+        ends = list(accumulate(self.lens))
+        p = bisect_right(ends, i)
+        return self.blocks[p], i - ends[p] + self.lens[p]
+
+    def _locate(self, oid: ObjectId) -> int:
+        """Index of `oid`, or -1 when it is absent; charged from the front.
+        The index is remembered until the next insert."""
+        obj = self.by_id.get(oid)
+        if obj is None:
+            self.search_steps += len(self.by_id)
+            return -1
+        if self.lens:
+            b = self.block_of[oid]
+            i = sum(self.lens[: b.pos]) + b.objects.index(obj)
+        else:
+            i = self.blocks[0].objects.index(obj)
+        self.located[oid] = i
         self.search_steps += i + 1
         return i
 
     def index_of(self, oid: ObjectId) -> int:
-        i = self._locate(oid)
-        if i < 0:
-            raise UnknownTargetError(f"object id {oid} not in sequence")
+        i = self.located.get(oid)
+        if i is None:
+            i = self._locate(oid)
+            if i < 0:
+                raise UnknownTargetError(f"object id {oid} not in sequence")
+        else:
+            self.search_steps += i + 1
         return i
 
     def contains(self, oid: ObjectId) -> bool:
-        return self._locate(oid) >= 0
+        i = self.located.get(oid)
+        if i is None:
+            return self._locate(oid) >= 0
+        self.search_steps += i + 1
+        return True
+
+    def is_visible(self, oid: ObjectId) -> bool:
+        """Whether `oid` is visible, charged as `index_of`."""
+        i = self.index_of(oid)
+        b, k = self._at(i) if self.lens else (self.blocks[0], i)
+        return b.shown[k] != ""
 
     def nth_visible_index(self, n: int) -> int:
         """Index of the n-th (0-based) visible object."""
         i = None
-        if n >= 0:
-            i = next(islice(compress(count(), self.shown), n, None), None)
+        if n >= 0 and not self.lens:
+            i = next(islice(compress(count(), self.blocks[0].shown), n, None), None)
+        elif n >= 0:
+            ends = list(accumulate(map(VISIBLE, self.blocks)))
+            p = bisect_right(ends, n)
+            if p < len(ends):
+                b = self.blocks[p]
+                i = sum(self.lens[:p]) + next(islice(compress(count(), b.shown), n - ends[p] + b.visible, None))
         if i is None:
-            self.search_steps += len(self.objects)
+            self.search_steps += len(self.by_id)
             raise BoundsError(f"visible index {n} out of range (only {self.n_visible} visible)")
         self.search_steps += i + 1
         return i
@@ -179,19 +260,29 @@ class ObjectSequence:
     def visible_rank(self, index: int) -> int:
         """Number of visible objects strictly before `index`."""
         self.search_steps += index
-        return index - self.shown[:index].count("")
+        if not self.lens:
+            return index - self.blocks[0].shown[:index].count("")
+        ends = list(accumulate(self.lens))
+        p = bisect_right(ends, index)
+        rank = sum(map(VISIBLE, self.blocks[:p]))
+        if p < len(ends):
+            k = index - ends[p] + self.lens[p]
+            rank += k - self.blocks[p].shown[:k].count("")
+        return rank
 
     # -- derived views (full scans, not charged) ----------------------------
 
     def value(self) -> str:
-        return "".join(self.shown)
+        if not self.lens:
+            return "".join(self.blocks[0].shown)
+        return "".join(["".join(b.shown) for b in self.blocks])
 
     def visible_count(self) -> int:
-        return len(self.shown) - self.shown.count("")
+        return sum(len(b.shown) - b.shown.count("") for b in self.blocks)
 
     def total_count(self) -> int:
         """Non-sentinel objects, tombstones included."""
-        return len(self.objects) - 2
+        return len(self.by_id) - 2
 
     def dump(self) -> str:
         text = {oid: f"{oid.sid}.{oid.seq}" for oid in self.by_id}  # each id formatted once
@@ -207,26 +298,36 @@ class ObjectSequence:
         """Convert a position-based op (not yet applied here) to identifier form."""
         if isinstance(eo, Delete):
             i = self.nth_visible_index(eo.position)
-            target = self.objects[i].id
+            b, k = self._at(i) if self.lens else (self.blocks[0], i)
+            target = b.objects[k].id
             self.located[target] = i
             return DeleteId(target)
         if isinstance(eo, Insert):
             visible = self.n_visible
             if not 0 <= eo.position <= visible:
                 raise BoundsError(f"insert position {eo.position} out of range for {visible} visible objects")
-            objects, shown = self.objects, self.shown
-            i = 0 if eo.position == 0 else self.nth_visible_index(eo.position - 1)  # objects[0] is START
+            i = 0 if eo.position == 0 else self.nth_visible_index(eo.position - 1)  # slot 0 is START
+            b, k = self._at(i) if self.lens else (self.blocks[0], i)
+            prev = b.objects[k].id
             if eo.position == visible:
-                j = len(objects) - 1  # END
+                j, nxt = len(self.by_id) - 1, END
             else:
                 # Step over the tombstones after the left neighbour to the next
                 # visible object, but charge the walk from the start that the
-                # reference conversion makes.
-                j = i + 1
-                while not shown[j]:
-                    j += 1
+                # reference conversion makes. Past a tombstone or the block's
+                # end, the next visible slot is found in C, block by block.
+                j, k, shown = i + 1, k + 1, b.shown
+                if k == len(shown) or not shown[k]:
+                    start = j - k  # the block's first slot
+                    k = next(compress(count(k), islice(shown, k, None)), None)
+                    while k is None:
+                        start += len(shown)
+                        b = self.blocks[b.pos + 1]
+                        shown = b.shown
+                        k = next(compress(count(), shown), None)
+                    j = start + k
                 self.search_steps += j + 1
-            prev, nxt = objects[i].id, objects[j].id
+                nxt = b.objects[k].id
             self.located[prev], self.located[nxt] = i, j
             return InsertId(eo.character, ObjectId(site, next_seq), prev, nxt)
         raise ValueError(f"cannot convert {eo!r} to identifier form")
@@ -246,15 +347,17 @@ class ObjectSequence:
     def integrate_delete(self, op: DeleteId) -> None:
         """Tombstone the target; idempotent."""
         i = self.index_of(op.target)
-        if self.shown[i]:
-            self.shown[i] = ""
+        b, k = self._at(i) if self.lens else (self.blocks[0], i)
+        if b.shown[k]:
+            b.shown[k] = ""
             self.n_visible -= 1
+            if self.lens:
+                b.visible -= 1
 
     def executable(self, op: Union[InsertId, DeleteId]) -> bool:
         if isinstance(op, DeleteId):
-            return self.contains(op.target)
-        p = self._locate(op.prev)  # `next` follows `prev`, so its search starts there
-        return p >= 0 and self._locate(op.next, p) >= 0
+            return self._locate(op.target) >= 0
+        return self._locate(op.prev) >= 0 and self._locate(op.next) >= 0
 
     def integrate_insert(self, op: InsertId) -> None:
         """Place the new object between its anchors.
@@ -266,7 +369,6 @@ class ObjectSequence:
         """
         if self.contains(op.id):  # duplicate delivery
             return
-        new = WObject(op.character, op.id, op.prev, op.next)
         prev, nxt = op.prev, op.next
         while True:
             p = self.index_of(prev)
@@ -274,27 +376,58 @@ class ObjectSequence:
             if p >= n:
                 raise NotExecutableError(f"anchor order violated for {op.id}: {prev} !< {nxt}")
             if n == p + 1:
-                self.objects.insert(n, new)
-                self.shown.insert(n, new.character)
-                self.by_id[new.id] = new
-                self.located = {new.id: n}  # every index from n on has moved
+                b, k = self._at(n) if self.lens else (self.blocks[0], n)
+                new = WObject(op.character, op.id, op.prev, op.next)
+                b.objects.insert(k, new)
+                b.shown.insert(k, op.character)
                 self.n_visible += 1
+                self.by_id[op.id] = new
+                self.located = {op.id: n}  # every index from n on has moved
+                if self.lens:
+                    b.visible += 1
+                    self.block_of[op.id] = b
+                    self.lens[b.pos] += 1
+                if len(b.objects) > 2 * BLOCK:
+                    self._split(b)
                 return
-            candidates = [self.objects[p]]
-            for obj in self.objects[p + 1 : n]:
+            b, k = self._at(p) if self.lens else (self.blocks[0], p)
+            candidates = [b.objects[k]]
+            width = n - p - 1
+            span = b.objects[k + 1 : k + 1 + width]
+            while len(span) < width:
+                b = self.blocks[b.pos + 1]
+                span += b.objects[: width - len(span)]
+            for obj in span:
                 self.search_steps += 1
                 o_prev, o_next = self._placement_anchors(obj)
                 if self.index_of(o_prev) <= p and self.index_of(o_next) >= n:
                     candidates.append(obj)
-            candidates.append(self.objects[n])
+            candidates.append(self.by_id[nxt])
             if len(candidates) == 2:
                 raise RuntimeError(
                     f"placement stalled for {op.id}: no candidate strictly between {prev} and {nxt}"
                 )
             i = 1
-            while i < len(candidates) - 1 and candidates[i].id < new.id:
+            while i < len(candidates) - 1 and candidates[i].id < op.id:
                 i += 1
             prev, nxt = candidates[i - 1].id, candidates[i].id
+
+    def _split(self, b: Block) -> None:
+        """Split block b into two halves; no slot's index moves. The first
+        split starts the block counts."""
+        if not self.lens:
+            b.visible = len(b.shown) - b.shown.count("")
+            self.lens = [len(b.objects)]
+            self.block_of = dict.fromkeys(self.by_id, b)
+        half = len(b.objects) // 2
+        right = Block(b.objects[half:], b.shown[half:], b.pos + 1)
+        del b.objects[half:], b.shown[half:]
+        b.visible -= right.visible
+        self.block_of.update(zip((o.id for o in right.objects), repeat(right)))
+        self.blocks.insert(right.pos, right)
+        self.lens[b.pos : right.pos] = [half, len(right.objects)]
+        for q in range(right.pos + 1, len(self.blocks)):
+            self.blocks[q].pos = q
 
     @staticmethod
     def _placement_anchors(obj: WObject) -> tuple:
@@ -357,6 +490,29 @@ class WootSite:
         """End of run: check the sequence's accounting against the session's
         instance counts; returns (no gc, the dump of the sequence)."""
         i, seq = self.site, self.istate
+        slots = sum(len(b.objects) for b in seq.blocks)
+        if len(seq.by_id) != slots:
+            raise AssertionError(f"site {i}: id index holds {len(seq.by_id)} of {slots} objects")
+        # block counts are kept from the first split on, and only then
+        counted = len(seq.blocks) > 1
+        lens = [len(b.objects) for b in seq.blocks] if counted else []
+        if seq.lens != lens:
+            raise AssertionError(f"site {i}: block lengths {seq.lens}, expected {lens}")
+        if len(seq.block_of) != (slots if counted else 0):
+            raise AssertionError(f"site {i}: block index holds {len(seq.block_of)} ids for {slots} objects")
+        for pos, b in enumerate(seq.blocks):
+            # `shown` is the only record of visibility, slot for slot with `objects`
+            if len(b.shown) != len(b.objects):
+                raise AssertionError(f"site {i}: block {pos}'s shown list holds {len(b.shown)} slots for {len(b.objects)} objects")
+            if any(ch and ch != o.character for o, ch in zip(b.objects, b.shown)):
+                raise AssertionError(f"site {i}: block {pos}'s shown list disagrees with its objects' characters")
+            visible = len(b.shown) - b.shown.count("") if counted else None
+            if b.pos != pos or b.visible != visible:
+                raise AssertionError(f"site {i}: block {pos} is numbered {b.pos} and keeps visible count {b.visible}, expected {visible}")
+            if counted and any(seq.block_of.get(o.id) is not b for o in b.objects):
+                raise AssertionError(f"site {i}: the block index does not place every object of block {pos} in it")
+        if seq.blocks[0].shown[0] or seq.blocks[-1].shown[-1]:
+            raise AssertionError(f"site {i}: a sentinel is shown")
         if seq.total_count() != created:
             raise AssertionError(f"site {i}: object count {seq.total_count()} != initial+inserts {created}")
         if seq.visible_count() != created - deleted:
@@ -364,15 +520,6 @@ class WootSite:
         # the recorded visible series comes from the running count
         if seq.n_visible != seq.visible_count():
             raise AssertionError(f"site {i}: running visible count {seq.n_visible} != {seq.visible_count()}")
-        if len(seq.by_id) != len(seq.objects):
-            raise AssertionError(f"site {i}: id index holds {len(seq.by_id)} of {len(seq.objects)} objects")
-        # `shown` is the only record of visibility, slot for slot with `objects`
-        if len(seq.shown) != len(seq.objects):
-            raise AssertionError(f"site {i}: shown list holds {len(seq.shown)} slots for {len(seq.objects)} objects")
-        if any(ch and ch != o.character for o, ch in zip(seq.objects, seq.shown)):
-            raise AssertionError(f"site {i}: shown list disagrees with the objects' characters")
-        if seq.shown[0] or seq.shown[-1]:
-            raise AssertionError(f"site {i}: a sentinel is shown")
         totals = self.metrics.total_counts
         invisible = [t - v for t, v in zip(totals, self.metrics.visible_counts)]
         if any(b < a for a, b in zip(invisible, invisible[1:])):
@@ -420,7 +567,7 @@ class WootSite:
         if isinstance(idop.op, InsertId):
             self.istate.integrate_insert(idop.op)
         else:
-            already_gone = not self.istate.shown[self.istate.index_of(idop.op.target)]
+            already_gone = not self.istate.is_visible(idop.op.target)
             self.istate.integrate_delete(idop.op)
         self.clock = self.clock.merge(idop.clock)
         return steps0, already_gone

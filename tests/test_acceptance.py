@@ -255,7 +255,7 @@ class TestCriterion6DualPathEquivalence:
         a = Site(id=0, engine=WootSite.create(0, "ab"), external="ab")
         b = Site(id=1, engine=WootSite.create(1, "ab"), external="ab")
         msg = b.generate(Insert(1, "x"))
-        a.engine.istate.shown[1] = ""  # desync IS from the text
+        a.engine.istate.blocks[0].shown[1] = ""  # desync IS from the text
         with pytest.raises(EngineInvariantError):
             a.deliver(msg)
 

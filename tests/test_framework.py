@@ -213,6 +213,6 @@ class TestSiteContainer:
         b = Site(id=1, engine=WootSite.create(1, "ab"), external="ab")
         msg = b.generate(Insert(1, "x"))
         # sabotage the internal sequence so value(IS) disagrees with the text
-        a.engine.istate.shown[1] = ""
+        a.engine.istate.blocks[0].shown[1] = ""
         with pytest.raises(EngineInvariantError):
             a.deliver(msg)

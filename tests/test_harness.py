@@ -8,10 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from coedit import cli, harness
+from coedit import cli, harness, woot
 from coedit.model import BoundsError, Delete, Insert
 from coedit.netsim import FixedLatency, UniformLatency
-from coedit.woot import WootSite
+from coedit.woot import Block, WootSite
 from coedit.harness import (
     FuzzSpec,
     Scenario,
@@ -151,12 +151,44 @@ class TestRunScenario:
         def straying(self, eo):
             idop = local(self, eo)
             if self.site == 0 and idop.seq == 1:
-                self.istate.shown.append("")
+                self.istate.blocks[-1].shown.append("")
             return idop
 
         monkeypatch.setattr(WootSite, "local", straying)
         with pytest.raises(AssertionError, match="shown list holds"):
             run_scenario(fig1_scenario(), "woot")
+
+    @pytest.mark.parametrize("ablation", [False, True])
+    @pytest.mark.parametrize("drift, message", [
+        ("visible", r"block 2 is numbered 2 and keeps visible count 1, expected 0"),
+        ("length", r"block lengths \[2, 3, 2\], expected \[2, 3, 1\]"),
+        ("block of", r"the block index does not place every object of block 0 in it"),
+        ("one block", r"block 0 is numbered 0 and keeps visible count 3, expected None"),
+    ])
+    def test_drifted_block_accounting_is_a_fault(self, monkeypatch, ablation, drift, message):
+        # Two slots per block lay fig1's "abe" out as [@s a] [b e] [@e];
+        # eight keep it one block. Each drift leaves fig1's conversions, its
+        # text and its running counts as they were; only the block accounting
+        # at quiescence can catch it. A one-block sequence keeps no counts.
+        monkeypatch.setattr(woot, "BLOCK", 8 if drift == "one block" else 2)
+        local = WootSite.local
+
+        def drifting(self, eo):
+            idop = local(self, eo)
+            seq = self.istate
+            if drift == "visible":
+                seq.blocks[-1].visible += 1
+            elif drift == "length":
+                seq.lens[-1] += 1
+            elif drift == "block of":
+                seq.block_of[seq.blocks[0].objects[1].id] = Block([], [], 0)
+            else:
+                seq.blocks[0].visible = 3
+            return idop
+
+        monkeypatch.setattr(WootSite, "local", drifting)
+        with pytest.raises(AssertionError, match=message):
+            run_scenario(fig1_scenario(), "woot", ablation=ablation)
 
     def test_symmetric_ot_limited_to_two_sites(self):
         s = Scenario("ab", 3, "causal", FixedLatency(1), 0, fuzz=FuzzSpec(n_ops=4))

@@ -31,6 +31,21 @@ class TestCollect:
             assert t >= c
 
 
+class TestPercentiles:
+    def test_summary_has_p50_and_p99(self):
+        summary = run_scenario(fig1_scenario(), "woot").metrics.summary()
+        for side in ("local", "remote"):
+            assert 0 < summary[f"{side}_ns_p50"] <= summary[f"{side}_ns_p99"]
+
+    def test_nearest_rank(self):
+        bundle = metrics.MetricsBundle("woot", local_ns=list(range(100, 0, -1)), remote_ns=[7])
+        summary = bundle.summary()
+        assert (summary["local_ns_p50"], summary["local_ns_p99"]) == (50, 99)
+        assert (summary["remote_ns_p50"], summary["remote_ns_p99"]) == (7, 7)
+        empty = metrics.MetricsBundle("woot").summary()
+        assert (empty["local_ns_p50"], empty["local_ns_p99"]) == (0, 0)
+
+
 class TestRows:
     def test_csv_columns_exact(self):
         report = run_scenario(fig1_scenario(), "ot")

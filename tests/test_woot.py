@@ -3,10 +3,12 @@ order-insensitivity, and the conversion-skip ablation."""
 
 import itertools
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from coedit import woot
 from coedit.model import BoundsError, Delete, Insert, NoOp, VectorClock
 from coedit.woot import (
     DeleteId,
@@ -104,6 +106,20 @@ class TestInitSequence:
         seq = ObjectSequence.from_text("x" * 1000)
         assert len(seq.objects) == 1002
         assert seq.total_count() == 1000
+
+    def test_from_text_across_block_boundaries(self):
+        """One block, a full one, and two or three; every slot's index is its
+        place in the flat view, charged as the walk to it."""
+        for n in range(max(woot.BLOCK - 3, 0), 2 * woot.BLOCK + 2):
+            doc = "".join(random.Random(n).choice(["a", " ", NON_BMP]) for _ in range(n))
+            seq = ObjectSequence.from_text(doc)
+            sizes = [len(b.objects) for b in seq.blocks]
+            assert sizes == [woot.BLOCK] * ((n + 2) // woot.BLOCK) + [(n + 2) % woot.BLOCK] * ((n + 2) % woot.BLOCK > 0)
+            assert seq.lens == (sizes if len(sizes) > 1 else [])  # a lone block keeps no counts
+            assert seq.dump() == per_line_dump(seq)
+            assert seq.value() == "".join(seq.shown) == doc
+            assert [seq.index_of(o.id) for o in seq.objects] == list(range(n + 2))
+            assert seq.search_steps == (n + 2) * (n + 3) // 2
 
 
 class TestConversions:
@@ -366,36 +382,66 @@ class CountingList(list):
         return super().index(*args)
 
 
+def count_index_calls(seq):
+    """Make every block's object list a CountingList."""
+    for b in seq.blocks:
+        b.objects = CountingList(b.objects)
+
+
+def index_calls(seq):
+    """`index` calls on the object lists `count_index_calls` installed."""
+    return sum(getattr(b.objects, "calls", 0) for b in seq.blocks)
+
+
+@contextmanager
+def block_size(size):
+    """`woot.BLOCK` set to `size` inside the block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(woot, "BLOCK", size)
+        yield
+
+
+def block_sizes():
+    """Run the loop body once at the default `BLOCK` and once with two
+    slots per block as built."""
+    for size in (woot.BLOCK, 2):
+        with block_size(size):
+            yield size
+
+
 class TestLocateOnce:
     """`index_of`/`contains` remember an id's index until the next insert
-    moves it, at the same charge as a fresh walk."""
+    moves it, at the same charge as a fresh walk; a fresh one is one
+    `list.index` in the id's own block."""
 
     def test_memo_follows_inserts_and_survives_deletes(self):
-        seq = ObjectSequence.from_text("abc")  # @s a b c @e
-        seq.objects = CountingList(seq.objects)
-        a, b, c = oid(INIT_SID, 1), oid(INIT_SID, 2), oid(INIT_SID, 3)
-        assert seq.index_of(c) == 3 and seq.objects.calls == 1
-        seq.integrate_insert(InsertId("x", oid(1, 1), a, b))  # lands in front of c
-        assert c not in seq.located
-        steps = seq.search_steps
-        assert seq.index_of(c) == 4
-        assert seq.search_steps - steps == 3 + 2  # the old index + 2
-        seq.integrate_delete(DeleteId(a))
-        assert seq.located[c] == 4
-        calls, steps = seq.objects.calls, seq.search_steps
-        assert seq.index_of(c) == 4
-        assert seq.search_steps - steps == 5 and seq.objects.calls == calls
+        for _ in block_sizes():
+            seq = ObjectSequence.from_text("abc")  # @s a b c @e
+            count_index_calls(seq)
+            a, b, c = oid(INIT_SID, 1), oid(INIT_SID, 2), oid(INIT_SID, 3)
+            assert seq.index_of(c) == 3 and index_calls(seq) == 1
+            seq.integrate_insert(InsertId("x", oid(1, 1), a, b))  # lands in front of c
+            assert c not in seq.located
+            steps = seq.search_steps
+            assert seq.index_of(c) == 4
+            assert seq.search_steps - steps == 3 + 2  # the old index + 2
+            seq.integrate_delete(DeleteId(a))
+            assert seq.located[c] == 4
+            calls, steps = index_calls(seq), seq.search_steps
+            assert seq.index_of(c) == 4
+            assert seq.search_steps - steps == 5 and index_calls(seq) == calls
 
     def test_one_list_walk_per_remote_op(self):
-        a, b = WootSite.create(0, "abcd"), WootSite.create(1, "abcd")
-        for site in (a, b):
-            site.istate.objects = CountingList(site.istate.objects)
-        ops = [a.local(Insert(2, "x")), a.local(Delete(0))]
-        assert a.istate.objects.calls == 0  # pos_to_id already knows the indices
-        b.remote(ops[0])
-        assert b.istate.objects.calls == 2  # the two anchors; the new id's index is recorded
-        b.remote(ops[1])
-        assert b.istate.objects.calls == 3
+        for _ in block_sizes():
+            a, b = WootSite.create(0, "abcd"), WootSite.create(1, "abcd")
+            for site in (a, b):
+                count_index_calls(site.istate)
+            ops = [a.local(Insert(2, "x")), a.local(Delete(0))]
+            assert index_calls(a.istate) == 0  # pos_to_id already knows the indices
+            b.remote(ops[0])
+            assert index_calls(b.istate) == 2  # the two anchors; the new id's index is recorded
+            b.remote(ops[1])
+            assert index_calls(b.istate) == 3
 
     def test_objects_take_no_new_attributes(self):
         seq = ObjectSequence.from_text("ab")
@@ -546,6 +592,14 @@ class TestReferenceScans:
             assert all(engine.by_id[o.id] is o for o in engine.objects)
             assert all(engine.objects[i].id == k for k, i in engine.located.items())
 
+    @given(st.text(alphabet="abc", max_size=6), reference_actions)
+    def test_engine_matches_linear_scans_in_blocks_of_two(self, doc, actions):
+        """The same lockstep run with two slots per block as built, so blocks
+        split, tombstone steps cross blocks and placement spans reach over
+        two of them."""
+        with block_size(2):
+            self.test_engine_matches_linear_scans.hypothesis.inner_test(self, doc, actions)
+
 
 NON_BMP = "\U0001F600"
 dump_chars = st.sampled_from(["a", "b", " ", "\n", NON_BMP])
@@ -578,34 +632,43 @@ class TestDump:
                 seq.integrate_insert(InsertId(ch, oid(1 + k % 2, k), objs[i].id, objs[j].id))
             assert seq.dump() == per_line_dump(seq)
 
+    @given(st.text(alphabet=["a", "b", NON_BMP], max_size=6), dump_histories)
+    @example("", [("insert", 0, 0, "a")] * 5 + [("remote_insert", 1, 3, "b"), ("delete", 2, 0, "a")])
+    def test_matches_per_line_formatting_in_blocks_of_two(self, doc, history):
+        with block_size(2):
+            self.test_matches_per_line_formatting.hypothesis.inner_test(self, doc, history)
+
 
 class TestAnchorSearch:
-    """`executable` looks for `next` from `prev`'s index on, and from the
-    front when `next` lies before it, charging the walk from the front."""
+    """`executable` finds each anchor with one `list.index` in the anchor's
+    own block, on either side of the other, charging the walk from the
+    front."""
 
     def test_next_before_prev(self):
-        ids = [oid(INIT_SID, k) for k in range(1, 5)]  # @s a b c d @e
-        op = InsertId("x", oid(1, 1), ids[3], ids[0])  # prev = d at 4, next = a at 1
-        engine, oracle = ObjectSequence.from_text("abcd"), LinearSequence.from_text("abcd")
-        engine.objects = CountingList(engine.objects)
-        for seq in (engine, oracle):
-            assert seq.executable(op)
-            assert seq.search_steps == (4 + 1) + (1 + 1)
-        assert engine.objects.calls == 3  # prev, next from prev's index on, next from the front
-        assert engine.located == {ids[3]: 4, ids[0]: 1}
-        for seq in (engine, oracle):
-            with pytest.raises(NotExecutableError):
-                seq.integrate_insert(op)
+        for _ in block_sizes():
+            ids = [oid(INIT_SID, k) for k in range(1, 5)]  # @s a b c d @e
+            op = InsertId("x", oid(1, 1), ids[3], ids[0])  # prev = d at 4, next = a at 1
+            engine, oracle = ObjectSequence.from_text("abcd"), LinearSequence.from_text("abcd")
+            count_index_calls(engine)
+            for seq in (engine, oracle):
+                assert seq.executable(op)
+                assert seq.search_steps == (4 + 1) + (1 + 1)
+            assert index_calls(engine) == 2  # prev, then next, each in its own block
+            assert engine.located == {ids[3]: 4, ids[0]: 1}
+            for seq in (engine, oracle):
+                with pytest.raises(NotExecutableError):
+                    seq.integrate_insert(op)
 
     def test_next_after_prev(self):
-        ids = [oid(INIT_SID, k) for k in range(1, 5)]
-        op = InsertId("x", oid(1, 1), ids[1], ids[3])  # prev = b at 2, next = d at 4
-        engine, oracle = ObjectSequence.from_text("abcd"), LinearSequence.from_text("abcd")
-        engine.objects = CountingList(engine.objects)
-        for seq in (engine, oracle):
-            assert seq.executable(op)
-            assert seq.search_steps == (2 + 1) + (4 + 1)
-        assert engine.objects.calls == 2
+        for _ in block_sizes():
+            ids = [oid(INIT_SID, k) for k in range(1, 5)]
+            op = InsertId("x", oid(1, 1), ids[1], ids[3])  # prev = b at 2, next = d at 4
+            engine, oracle = ObjectSequence.from_text("abcd"), LinearSequence.from_text("abcd")
+            count_index_calls(engine)
+            for seq in (engine, oracle):
+                assert seq.executable(op)
+                assert seq.search_steps == (2 + 1) + (4 + 1)
+            assert index_calls(engine) == 2
 
     def test_absent_anchor(self):
         present = oid(INIT_SID, 1)
