@@ -22,12 +22,14 @@ gain exceeds the parent's IQR. --profile adds a cProfile of one pass over
 that workload's batch in each checkout (after one unprofiled pass).
 --timeit adds per-call times of a statement, the best of 5 repeats, in 5
 alternating rounds per checkout, with --timeit-setup run first.
---sweep runs `python -m coedit bench --doc-len N --sites 3` for each listed
-N in both checkouts, in 3 alternating rounds, and records the WOOT rows of its
-cost table: per side the median over the rounds of each row's mean, p50 and
-p99 local and remote times (None where a side does not report one) and of
-`init.woot_init_ns`, and the rows' `search_steps_total`, which must be the
-same in every round on both sides.
+--sweep runs the cost table of `python -m coedit bench --doc-len N --sites 3`
+for each listed N in both checkouts, in 3 alternating rounds, and records its
+WOOT rows: per side the median over the rounds of each row's mean, p50 and
+p99 local and remote times and of `init.woot_init_ns`, and the rows'
+`search_steps_total`, which must be the same in every round on both sides.
+The p50 and p99 are computed here, by the nearest-rank method, from each
+row's per-op times, so both sides report them whatever their own summaries
+hold.
 Exit code 1 if a run fails, a pair's exact blocks differ or a sweep's
 search-step totals differ.
 """
@@ -99,9 +101,26 @@ SWEEP_ROUNDS = 3
 SWEEP_TIMES = ("local_ns_mean", "remote_ns_mean", "local_ns_p50", "local_ns_p99", "remote_ns_p50", "remote_ns_p99")
 
 
+# `coedit bench --sites 3`, with each row's p50 and p99 taken from its per-op times
+SWEEP_PROGRAM = """
+import json, sys
+from coedit import metrics
+summary = metrics.MetricsBundle.summary
+def with_percentiles(bundle):
+    row = summary(bundle)
+    for side in ("local", "remote"):
+        ranked = sorted(getattr(bundle, side + "_ns"))
+        for p in (50, 99):
+            row[f"{side}_ns_p{p}"] = ranked[-(-p * len(ranked) // 100) - 1] if ranked else 0
+    return row
+metrics.MetricsBundle.summary = with_percentiles
+print(json.dumps(metrics.bench(metrics.Workload(doc_len=int(sys.argv[1]), sites=3))))
+"""
+
+
 def bench_once(checkout: Path, doc_len: int) -> dict:
-    """One `coedit bench` run at this document length: its WOOT rows."""
-    cmd = [sys.executable, "-m", "coedit", "bench", "--doc-len", str(doc_len), "--sites", "3"]
+    """One run of the `coedit bench` cost table at this document length: its WOOT rows."""
+    cmd = [sys.executable, "-c", SWEEP_PROGRAM, str(doc_len)]
     env = {k: v for k, v in os.environ.items() if k != "GT_SEED"}
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env={**env, "PYTHONPATH": "src"})
     try:
@@ -212,7 +231,7 @@ def main(argv=None) -> int:
     p.add_argument("--profile", default=None, help="WORKLOAD:SEED")
     p.add_argument("--timeit-setup", default="pass")
     p.add_argument("--timeit", action="append", default=[], help="LABEL=STATEMENT; repeatable")
-    p.add_argument("--sweep", default="", help="N,N,...: document lengths for `coedit bench --sites 3`")
+    p.add_argument("--sweep", default="", help="N,N,...: document lengths for the `coedit bench --sites 3` table")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())

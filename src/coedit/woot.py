@@ -133,7 +133,7 @@ class Block:
         self.pos = pos
 
 
-VISIBLE = attrgetter("visible")
+VISIBLE, SHOWN = attrgetter("visible"), attrgetter("shown")
 
 
 class ObjectSequence:
@@ -152,25 +152,15 @@ class ObjectSequence:
     block keeps its visible count. A scan then sums block counts in C to find
     its block and makes one call inside it."""
 
-    def __init__(self):
-        self._build(["", ""], [START, END], [START, START], [END, END])
-        # ids located since the last insert -> their index; deletes move no index
-        self.located: Dict[ObjectId, int] = {}
-        self.search_steps = 0  # object visits a linear scan would make
-
-    @classmethod
-    def from_text(cls, doc: str, creator: SiteId = INIT_SID) -> "ObjectSequence":
-        seq, n = cls(), len(doc)
-        ids = list(map(ObjectId, repeat(creator, n), range(1, n + 1)))
-        chain = [START, *ids, END]
-        seq._build(["", *doc, ""], chain, [START, *chain[:n], START], [END, *chain[2:], END])
-        return seq
-
-    def _build(self, chars: List[str], ids: List[ObjectId], prevs: List[ObjectId], nexts: List[ObjectId]) -> None:
-        """Lay the slots out in blocks of BLOCK, every slot but a sentinel visible."""
-        objects = list(map(WObject, chars, ids, prevs, nexts))
+    def __init__(self, doc: str = "", creator: SiteId = INIT_SID):
+        """The sequence of `doc`'s characters, each made by `creator`, every
+        one visible, laid out in blocks of BLOCK slots."""
+        n = len(doc)
+        ids = [START, *map(ObjectId, repeat(creator, n), range(1, n + 1)), END]
+        chars = ["", *doc, ""]
+        objects = list(map(WObject, chars, ids, [START, *ids[:n], START], [END, *ids[2:], END]))
         self.blocks = [Block(objects[lo : lo + BLOCK], chars[lo : lo + BLOCK], pos)
-                       for pos, lo in enumerate(range(0, len(ids), BLOCK))]
+                       for pos, lo in enumerate(range(0, n + 2, BLOCK))]
         self.by_id: Dict[ObjectId, WObject] = dict(zip(ids, objects))
         self.lens: List[int] = []
         self.block_of: Dict[ObjectId, Block] = {}
@@ -180,7 +170,14 @@ class ObjectSequence:
             self.lens = [len(b.objects) for b in self.blocks]
             for b in self.blocks:
                 self.block_of.update(zip(ids[b.pos * BLOCK : (b.pos + 1) * BLOCK], repeat(b)))
-        self.n_visible = len(ids) - 2  # running count of visible objects
+        self.n_visible = n  # running count of visible objects
+        # ids located since the last insert -> their index; deletes move no index
+        self.located: Dict[ObjectId, int] = {}
+        self.search_steps = 0  # object visits a linear scan would make
+
+    @classmethod
+    def from_text(cls, doc: str, creator: SiteId = INIT_SID) -> "ObjectSequence":
+        return cls(doc, creator)
 
     # -- flat views (copies, for reading) -------------------------------------
 
@@ -201,9 +198,11 @@ class ObjectSequence:
         p = bisect_right(ends, i)
         return self.blocks[p], i - ends[p] + self.lens[p]
 
-    def _locate(self, oid: ObjectId) -> int:
+    def _locate(self, oid: ObjectId, start: int = 0) -> int:
         """Index of `oid`, or -1 when it is absent; charged from the front.
-        The index is remembered until the next insert."""
+        In one block the search may begin at a `start` the id is known to
+        follow; past one block it is one search in the id's own block. The
+        index is remembered until the next insert."""
         obj = self.by_id.get(oid)
         if obj is None:
             self.search_steps += len(self.by_id)
@@ -212,7 +211,10 @@ class ObjectSequence:
             b = self.block_of[oid]
             i = sum(self.lens[: b.pos]) + b.objects.index(obj)
         else:
-            i = self.blocks[0].objects.index(obj)
+            try:
+                i = self.blocks[0].objects.index(obj, start)
+            except ValueError:
+                i = self.blocks[0].objects.index(obj)
         self.located[oid] = i
         self.search_steps += i + 1
         return i
@@ -237,8 +239,10 @@ class ObjectSequence:
     def is_visible(self, oid: ObjectId) -> bool:
         """Whether `oid` is visible, charged as `index_of`."""
         i = self.index_of(oid)
-        b, k = self._at(i) if self.lens else (self.blocks[0], i)
-        return b.shown[k] != ""
+        if self.lens:
+            b, i = self._at(i)
+            return b.shown[i] != ""
+        return self.blocks[0].shown[i] != ""
 
     def nth_visible_index(self, n: int) -> int:
         """Index of the n-th (0-based) visible object."""
@@ -275,7 +279,7 @@ class ObjectSequence:
     def value(self) -> str:
         if not self.lens:
             return "".join(self.blocks[0].shown)
-        return "".join(["".join(b.shown) for b in self.blocks])
+        return "".join(map("".join, map(SHOWN, self.blocks)))
 
     def visible_count(self) -> int:
         return sum(len(b.shown) - b.shown.count("") for b in self.blocks)
@@ -298,8 +302,11 @@ class ObjectSequence:
         """Convert a position-based op (not yet applied here) to identifier form."""
         if isinstance(eo, Delete):
             i = self.nth_visible_index(eo.position)
-            b, k = self._at(i) if self.lens else (self.blocks[0], i)
-            target = b.objects[k].id
+            if self.lens:
+                b, k = self._at(i)
+                target = b.objects[k].id
+            else:
+                target = self.blocks[0].objects[i].id
             self.located[target] = i
             return DeleteId(target)
         if isinstance(eo, Insert):
@@ -307,25 +314,31 @@ class ObjectSequence:
             if not 0 <= eo.position <= visible:
                 raise BoundsError(f"insert position {eo.position} out of range for {visible} visible objects")
             i = 0 if eo.position == 0 else self.nth_visible_index(eo.position - 1)  # slot 0 is START
-            b, k = self._at(i) if self.lens else (self.blocks[0], i)
+            if self.lens:
+                b, k = self._at(i)
+            else:
+                b, k = self.blocks[0], i
             prev = b.objects[k].id
             if eo.position == visible:
                 j, nxt = len(self.by_id) - 1, END
             else:
                 # Step over the tombstones after the left neighbour to the next
                 # visible object, but charge the walk from the start that the
-                # reference conversion makes. Past a tombstone or the block's
-                # end, the next visible slot is found in C, block by block.
-                j, k, shown = i + 1, k + 1, b.shown
-                if k == len(shown) or not shown[k]:
-                    start = j - k  # the block's first slot
-                    k = next(compress(count(k), islice(shown, k, None)), None)
+                # reference conversion makes. A block that ends in tombstones
+                # is left for the next visible slot, found in C block by block.
+                base, shown = i - k, b.shown  # base: the block's first index
+                k += 1
+                try:
+                    while not shown[k]:
+                        k += 1
+                except IndexError:
+                    k = None
                     while k is None:
-                        start += len(shown)
+                        base += len(shown)
                         b = self.blocks[b.pos + 1]
                         shown = b.shown
                         k = next(compress(count(), shown), None)
-                    j = start + k
+                j = base + k
                 self.search_steps += j + 1
                 nxt = b.objects[k].id
             self.located[prev], self.located[nxt] = i, j
@@ -347,17 +360,23 @@ class ObjectSequence:
     def integrate_delete(self, op: DeleteId) -> None:
         """Tombstone the target; idempotent."""
         i = self.index_of(op.target)
-        b, k = self._at(i) if self.lens else (self.blocks[0], i)
-        if b.shown[k]:
-            b.shown[k] = ""
-            self.n_visible -= 1
-            if self.lens:
+        if self.lens:
+            b, k = self._at(i)
+            if b.shown[k]:
+                b.shown[k] = ""
                 b.visible -= 1
+                self.n_visible -= 1
+            return
+        shown = self.blocks[0].shown
+        if shown[i]:
+            shown[i] = ""
+            self.n_visible -= 1
 
     def executable(self, op: Union[InsertId, DeleteId]) -> bool:
         if isinstance(op, DeleteId):
             return self._locate(op.target) >= 0
-        return self._locate(op.prev) >= 0 and self._locate(op.next) >= 0
+        p = self._locate(op.prev)  # in one block, `next`'s search starts there
+        return p >= 0 and self._locate(op.next, p) >= 0
 
     def integrate_insert(self, op: InsertId) -> None:
         """Place the new object between its anchors.
@@ -376,27 +395,34 @@ class ObjectSequence:
             if p >= n:
                 raise NotExecutableError(f"anchor order violated for {op.id}: {prev} !< {nxt}")
             if n == p + 1:
-                b, k = self._at(n) if self.lens else (self.blocks[0], n)
                 new = WObject(op.character, op.id, op.prev, op.next)
-                b.objects.insert(k, new)
-                b.shown.insert(k, op.character)
-                self.n_visible += 1
                 self.by_id[op.id] = new
                 self.located = {op.id: n}  # every index from n on has moved
+                self.n_visible += 1
                 if self.lens:
+                    b, k = self._at(n)
                     b.visible += 1
                     self.block_of[op.id] = b
                     self.lens[b.pos] += 1
+                else:
+                    b, k = self.blocks[0], n
+                b.objects.insert(k, new)
+                b.shown.insert(k, op.character)
                 if len(b.objects) > 2 * BLOCK:
                     self._split(b)
                 return
-            b, k = self._at(p) if self.lens else (self.blocks[0], p)
-            candidates = [b.objects[k]]
-            width = n - p - 1
-            span = b.objects[k + 1 : k + 1 + width]
-            while len(span) < width:
-                b = self.blocks[b.pos + 1]
-                span += b.objects[: width - len(span)]
+            if self.lens:
+                b, k = self._at(p)
+                candidates = [b.objects[k]]
+                width = n - p - 1
+                span = b.objects[k + 1 : k + 1 + width]
+                while len(span) < width:
+                    b = self.blocks[b.pos + 1]
+                    span += b.objects[: width - len(span)]
+            else:
+                objects = self.blocks[0].objects
+                candidates = [objects[p]]
+                span = objects[p + 1 : n]
             for obj in span:
                 self.search_steps += 1
                 o_prev, o_next = self._placement_anchors(obj)
@@ -469,14 +495,15 @@ class WootSite:
         istate = ObjectSequence.from_text(doc)
         return cls(site=site, istate=istate, state=doc, metrics=WootMetrics(init_cost=istate.total_count()))
 
-    def _sample(self, steps_before: int) -> None:
-        self.metrics.search_steps_per_op.append(self.istate.search_steps - steps_before)
-        self.metrics.visible_counts.append(self.istate.n_visible)
-        self.metrics.total_counts.append(self.istate.total_count())
-
-    def _check_value(self) -> None:
-        if self.istate.value() != self.state:
-            raise EngineInvariantError(f"site {self.site}: value(IS) {self.istate.value()!r} != text {self.state!r}")
+    def _sample(self, steps_before: int, check: bool = True) -> None:
+        """Record an op's search steps and the sequence's counts; then, when
+        `check`, hold the sequence's visible text to the text mirror."""
+        istate, m = self.istate, self.metrics
+        m.search_steps_per_op.append(istate.search_steps - steps_before)
+        m.visible_counts.append(istate.n_visible)
+        m.total_counts.append(istate.total_count())
+        if check and istate.value() != self.state:
+            raise EngineInvariantError(f"site {self.site}: value(IS) {istate.value()!r} != text {self.state!r}")
 
     def fold_metrics(self, bundle, first: bool) -> None:
         m = self.metrics
@@ -543,7 +570,6 @@ class WootSite:
             self.istate.integrate_delete(id_form)
         self.state = apply_external(self.state, eo)
         self._sample(steps0)
-        self._check_value()
         return IdOp(id_form, self.site, seq, self.clock)
 
     def remote(self, idop: IdOp) -> ExternalOp:
@@ -552,7 +578,6 @@ class WootSite:
         eo = NoOp() if already_gone else self.istate.id_to_pos(idop.op)
         self.state = apply_external(self.state, eo)
         self._sample(steps0)
-        self._check_value()
         return eo
 
     def _integrate(self, idop: IdOp) -> tuple:
@@ -580,5 +605,5 @@ class SkipConversionSite(WootSite):
 
     def remote(self, idop: IdOp) -> None:
         steps0, _ = self._integrate(idop)
-        self._sample(steps0)
+        self._sample(steps0, check=False)
         return None

@@ -373,12 +373,13 @@ class TestMetricsCounters:
 
 
 class CountingList(list):
-    """A list that counts its `index` calls."""
+    """A list that counts its `index` calls and records where each began."""
 
     calls = 0
 
     def index(self, *args):
         self.calls += 1
+        self.starts = getattr(self, "starts", []) + [args[1] if len(args) > 1 else 0]
         return super().index(*args)
 
 
@@ -640,9 +641,10 @@ class TestDump:
 
 
 class TestAnchorSearch:
-    """`executable` finds each anchor with one `list.index` in the anchor's
-    own block, on either side of the other, charging the walk from the
-    front."""
+    """`executable` charges each anchor's walk from the front. In one block
+    it looks for `next` from `prev`'s index on, and from the front when
+    `next` lies before it; past one block each anchor is one `list.index`
+    in its own block."""
 
     def test_next_before_prev(self):
         for _ in block_sizes():
@@ -653,7 +655,10 @@ class TestAnchorSearch:
             for seq in (engine, oracle):
                 assert seq.executable(op)
                 assert seq.search_steps == (4 + 1) + (1 + 1)
-            assert index_calls(engine) == 2  # prev, then next, each in its own block
+            if len(engine.blocks) == 1:  # prev, next from prev's index on, next from the front
+                assert index_calls(engine) == 3 and engine.blocks[0].objects.starts == [0, 4, 0]
+            else:  # prev, then next, each in its own block
+                assert index_calls(engine) == 2
             assert engine.located == {ids[3]: 4, ids[0]: 1}
             for seq in (engine, oracle):
                 with pytest.raises(NotExecutableError):
@@ -669,6 +674,8 @@ class TestAnchorSearch:
                 assert seq.executable(op)
                 assert seq.search_steps == (2 + 1) + (4 + 1)
             assert index_calls(engine) == 2
+            if len(engine.blocks) == 1:
+                assert engine.blocks[0].objects.starts == [0, 2]
 
     def test_absent_anchor(self):
         present = oid(INIT_SID, 1)
