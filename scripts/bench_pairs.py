@@ -27,9 +27,8 @@ for each listed N in both checkouts, in 3 alternating rounds, and records its
 WOOT rows: per side the median over the rounds of each row's mean, p50 and
 p99 local and remote times and of `init.woot_init_ns`, and the rows'
 `search_steps_total`, which must be the same in every round on both sides.
-The p50 and p99 are computed here, by the nearest-rank method, from each
-row's per-op times, so both sides report them whatever their own summaries
-hold.
+The times are the library's own summary keys; a revision whose summary lacks
+one reports it as None.
 Exit code 1 if a run fails, a pair's exact blocks differ or a sweep's
 search-step totals differ.
 """
@@ -101,19 +100,10 @@ SWEEP_ROUNDS = 3
 SWEEP_TIMES = ("local_ns_mean", "remote_ns_mean", "local_ns_p50", "local_ns_p99", "remote_ns_p50", "remote_ns_p99")
 
 
-# `coedit bench --sites 3`, with each row's p50 and p99 taken from its per-op times
+# `coedit bench --sites 3`
 SWEEP_PROGRAM = """
 import json, sys
 from coedit import metrics
-summary = metrics.MetricsBundle.summary
-def with_percentiles(bundle):
-    row = summary(bundle)
-    for side in ("local", "remote"):
-        ranked = sorted(getattr(bundle, side + "_ns"))
-        for p in (50, 99):
-            row[f"{side}_ns_p{p}"] = ranked[-(-p * len(ranked) // 100) - 1] if ranked else 0
-    return row
-metrics.MetricsBundle.summary = with_percentiles
 print(json.dumps(metrics.bench(metrics.Workload(doc_len=int(sys.argv[1]), sites=3))))
 """
 

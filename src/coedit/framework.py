@@ -5,6 +5,11 @@ through two calls: loh (local op -> wire message) and roh (wire message ->
 position-based op to replay). Every engine plugs in here the same way, so
 the harness can run identical scenarios against any of them.
 
+Every wire message is a TimestampedOp, whose origin, seq and clock the
+envelope carries. 'W' and 'X' are the payloads of one whose op is an
+identifier op (WOOT's InsertId or DeleteId), 'T' of one whose op is
+position-based, and 'C' and 'S' of the sequencer's ClientOpMsg and ServerOpMsg.
+
 Wire layout (big-endian, length-prefixed; nothing may follow the payload):
   envelope  = origin u32 | seq u64 | nclock u32 | nclock * (site u32, count u64)
               | payload_len u32 | payload
@@ -18,14 +23,16 @@ Wire layout (big-endian, length-prefixed; nothing may follow the payload):
 Clock entries are sorted by site with no zero count, so each clock has one
 encoding. The decoders raise WireFormatError (a ValueError) on a short field,
 trailing bytes, an unknown kind, bad UTF-8, a clock entry that is zero or out
-of order, or a value the message types reject.
+of order, a seq below 1 or other than the clock's entry for the origin, a
+WOOT insert whose id is not its message's (origin, seq), or a value the op
+types reject.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Protocol, Union
+from typing import Optional, Protocol
 
 from .model import (
     Delete,
@@ -40,9 +47,9 @@ from .model import (
     format_op,
 )
 from .ot import ClientOpMsg, ServerOpMsg
-from .woot import DeleteId, IdOp, InsertId, ObjectId
+from .woot import DeleteId, InsertId, ObjectId
 
-WireMessage = Union[TimestampedOp, ClientOpMsg, ServerOpMsg, IdOp]
+WireMessage = TimestampedOp
 
 
 def message_meta(msg: WireMessage) -> tuple:
@@ -57,7 +64,7 @@ def op_token(op: ExternalOp) -> str:
 
 def message_text(msg: WireMessage) -> str:
     """The op a message carries, as one trace-log token."""
-    if isinstance(msg, IdOp):
+    if isinstance(msg.op, (InsertId, DeleteId)):
         return str(msg.op).replace(" ", "")
     return op_token(msg.op)
 
@@ -115,16 +122,17 @@ def _decode_op(data: bytes, off: int) -> tuple:
 
 
 def encode_payload(msg: WireMessage) -> bytes:
-    if isinstance(msg, TimestampedOp):
-        return b"T" + _encode_op(msg.op)
-    if isinstance(msg, ClientOpMsg):
-        return b"C" + struct.pack(">Q", msg.seen) + _encode_op(msg.op)
-    if isinstance(msg, ServerOpMsg):
-        return b"S" + struct.pack(">Q", msg.index) + _encode_op(msg.op)
-    if isinstance(msg, IdOp):
-        if isinstance(msg.op, InsertId):
-            return b"W" + _encode_text(msg.op.character) + struct.pack(">qQqQqQ", *msg.op.id, *msg.op.prev, *msg.op.next)
-        return b"X" + _encode_id(msg.op.target)
+    kind, op = type(msg), msg.op
+    if kind is TimestampedOp:
+        if type(op) is InsertId:
+            return b"W" + _encode_text(op.character) + struct.pack(">qQqQqQ", *op.id, *op.prev, *op.next)
+        if type(op) is DeleteId:
+            return b"X" + _encode_id(op.target)
+        return b"T" + _encode_op(op)
+    if kind is ClientOpMsg:
+        return b"C" + struct.pack(">Q", msg.seen) + _encode_op(op)
+    if kind is ServerOpMsg:
+        return b"S" + struct.pack(">Q", msg.index) + _encode_op(op)
     raise TypeError(f"not a wire message: {msg!r}")
 
 
@@ -137,17 +145,18 @@ def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock)
         elif kind == b"C" or kind == b"S":
             (n,) = struct.unpack_from(">Q", payload, off)
             op, off = _decode_op(payload, off + 8)
-            stamped = TimestampedOp(op, origin, seq, clock)
-            msg = ClientOpMsg(stamped, n) if kind == b"C" else ServerOpMsg(stamped, n)
+            msg = (ClientOpMsg if kind == b"C" else ServerOpMsg)(op, origin, seq, clock, n)
         elif kind == b"W":
             char, off = _decode_text(payload, off)
             oid, off = _decode_id(payload, off)
+            if oid != (origin, seq):  # a site mints each insert's id from its own stamp
+                raise ValueError(f"insert id {oid} is not the message's {origin}.{seq}")
             prev, off = _decode_id(payload, off)
             nxt, off = _decode_id(payload, off)
-            msg = IdOp(InsertId(char, oid, prev, nxt), origin, seq, clock)
+            msg = TimestampedOp(InsertId(char, oid, prev, nxt), origin, seq, clock)
         elif kind == b"X":
             target, off = _decode_id(payload, off)
-            msg = IdOp(DeleteId(target), origin, seq, clock)
+            msg = TimestampedOp(DeleteId(target), origin, seq, clock)
         else:
             raise WireFormatError(f"unknown payload kind {kind!r}")
     except (struct.error, ValueError) as exc:  # a short field, bad UTF-8, or a value the message types reject

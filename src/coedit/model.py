@@ -127,9 +127,12 @@ class VectorClock:
 
 @dataclass(frozen=True)
 class TimestampedOp:
-    """A position-based op plus the metadata needed for causal replay."""
+    """An op plus the metadata needed for causal replay: the one wire record
+    of every engine. The op is position-based (an ExternalOp, for the OT
+    engines) or an identifier op (WOOT's InsertId or DeleteId); the
+    sequencer's messages subclass this record with one field each."""
 
-    op: ExternalOp
+    op: object
     origin: SiteId
     seq: int
     clock: VectorClock

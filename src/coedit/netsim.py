@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
 from .model import SiteId, VectorClock
@@ -49,6 +49,10 @@ class UniformLatency:
     lo: int = 1
     hi: int = 10
 
+    def __post_init__(self):
+        if self.lo > self.hi:
+            raise ValueError(f"uniform latency needs lo <= hi, got {self.lo} > {self.hi}")
+
 
 LatencyModel = Union[FixedLatency, UniformLatency]
 
@@ -70,7 +74,6 @@ class SimConfig:
 @dataclass
 class Envelope:
     payload: bytes  # full encoded message
-    arrivals: Dict[int, int] = field(default_factory=dict)
     msg: Optional[WireMessage] = None  # decoded from `payload` on the first arrival
 
 
@@ -139,13 +142,10 @@ class Simulator:
             d = self.rng.randint(lat.lo, lat.hi)
         return max(1, d)
 
-    def broadcast(self, msg: WireMessage, dests: List[int]) -> Envelope:
+    def broadcast(self, msg: WireMessage, dests: List[int]) -> None:
         env = Envelope(encode_message(msg))
         for dst in sorted(dests):
-            delay = self._draw_latency()
-            env.arrivals[dst] = self.now + delay
-            self._push(self.now + delay, "net", (dst, env))
-        return env
+            self._push(self.now + self._draw_latency(), "net", (dst, env))
 
     # -- event handling -----------------------------------------------------
 

@@ -110,7 +110,7 @@ class _Replica:
     """What both OT replicas hold: a mirror of the visible text, a clock,
     the `buffer` log of every op in the form it was executed here, and the
     `pending` local ops no remote has acknowledged yet, as entries
-    `[op rebased to the current text, site, stamped op]`."""
+    `[op rebased to the current text, site, its message]`."""
 
     site: SiteId
     state: str = ""
@@ -119,16 +119,18 @@ class _Replica:
     pending: list = field(default_factory=list)
     metrics: OtMetrics = field(default_factory=OtMetrics)
 
-    def _stamp(self, eo: ExternalOp) -> TimestampedOp:
-        """Execute, timestamp, log and hold a local op; no transformation runs.
-        The visible text already shows the edit; the mirror follows here."""
+    def _stamp(self, eo: ExternalOp, message: type, *extra) -> TimestampedOp:
+        """Execute, timestamp, log and hold a local op as one `message` (a
+        TimestampedOp or a subclass, given its `extra` fields); no
+        transformation runs. The visible text already shows the edit; the
+        mirror follows here."""
         self.state = apply_external(self.state, eo)
         self.clock = self.clock.tick(self.site)
-        stamped = TimestampedOp(eo, self.site, self.clock.get(self.site), self.clock)
-        self.buffer.append(stamped)
-        self.pending.append([eo, self.site, stamped])
+        msg = message(eo, self.site, self.clock.get(self.site), self.clock, *extra)
+        self.buffer.append(msg)
+        self.pending.append([eo, self.site, msg])
         self.metrics.buffer_length_samples.append(len(self.buffer))
-        return stamped
+        return msg
 
     def _execute(self, remote_op: TimestampedOp) -> ExternalOp:
         """Fold a remote op past the pending ops, execute and log it; returns
@@ -171,7 +173,7 @@ class OtSite(_Replica):
     """
 
     def local(self, eo: ExternalOp) -> TimestampedOp:
-        return self._stamp(eo)
+        return self._stamp(eo, TimestampedOp)
 
     def remote(self, remote_op: TimestampedOp) -> ExternalOp:
         """Fold a causally-ready op from the peer past the local ops it had
@@ -187,28 +189,18 @@ class OtSite(_Replica):
         return self._execute(remote_op)
 
 
-class _Carrier:
-    """Reads the carried op's fields through, as TimestampedOp has them."""
-
-    op = property(lambda self: self.stamped.op)
-    origin = property(lambda self: self.stamped.origin)
-    seq = property(lambda self: self.stamped.seq)
-    clock = property(lambda self: self.stamped.clock)
-
-
 @dataclass(frozen=True)
-class ClientOpMsg(_Carrier):
-    """Client -> sequencer: an op plus how much of the server stream it saw."""
+class ClientOpMsg(TimestampedOp):
+    """Client -> sequencer: a stamped op plus how much of the server stream it saw."""
 
-    stamped: TimestampedOp
     seen: int
 
 
 @dataclass(frozen=True)
-class ServerOpMsg(_Carrier):
-    """Sequencer -> all clients: the op rebased into the server's linear history."""
+class ServerOpMsg(TimestampedOp):
+    """Sequencer -> all clients: the op rebased into the server's linear
+    history, at stream position `index`."""
 
-    stamped: TimestampedOp
     index: int
 
 
@@ -234,17 +226,16 @@ class SequencerServer:
             self.bridges = {c: [] for c in self.client_ids}
 
     def process(self, sender: SiteId, msg: ClientOpMsg) -> ServerOpMsg:
-        stamped = msg.stamped
         bridge = [e for e in self.bridges[sender] if e[2] >= msg.seen]
-        op = fold(self.metrics, stamped.op, stamped.origin, bridge)
+        op = fold(self.metrics, msg.op, msg.origin, bridge)
         self.bridges[sender] = bridge
         self.state = apply_external(self.state, op)
         index = self.history_len
         self.history_len += 1
         for c in self.client_ids:
             if c != sender:
-                self.bridges[c].append([op, stamped.origin, index])
-        return ServerOpMsg(TimestampedOp(op, stamped.origin, stamped.seq, stamped.clock), index)
+                self.bridges[c].append([op, msg.origin, index])
+        return ServerOpMsg(op, msg.origin, msg.seq, msg.clock, index)
 
     def fold_metrics(self, bundle, first: bool) -> None:
         self.metrics.fold_into(bundle)
@@ -262,7 +253,7 @@ class SequencerClient(_Replica):
     delivered: int = 0
 
     def local(self, eo: ExternalOp) -> ClientOpMsg:
-        return ClientOpMsg(self._stamp(eo), self.delivered)
+        return self._stamp(eo, ClientOpMsg, self.delivered)
 
     def remote(self, msg: ServerOpMsg):
         """Handle the next server-stream message; returns the EO_out to replay
@@ -272,12 +263,11 @@ class SequencerClient(_Replica):
                 f"server stream out of order at site {self.site}: got {msg.index}, expected {self.delivered}"
             )
         self.delivered += 1
-        stamped = msg.stamped
-        if stamped.origin == self.site:
+        if msg.origin == self.site:
             acked = self.pending.pop(0)[2]
-            if acked.key() != stamped.key():
+            if acked.key() != msg.key():
                 raise ContextMismatchError(
-                    f"echo mismatch at site {self.site}: {acked.key()} vs {stamped.key()}"
+                    f"echo mismatch at site {self.site}: {acked.key()} vs {msg.key()}"
                 )
             return None
-        return self._execute(stamped)
+        return self._execute(msg)

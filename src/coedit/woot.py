@@ -37,6 +37,7 @@ from .model import (
     Insert,
     NoOp,
     SiteId,
+    TimestampedOp,
     VectorClock,
     apply_external,
 )
@@ -98,19 +99,6 @@ class DeleteId:
     target: ObjectId
 
 
-@dataclass(frozen=True)
-class IdOp:
-    """Identifier-based op plus delivery metadata."""
-
-    op: Union[InsertId, DeleteId]
-    origin: SiteId
-    seq: int
-    clock: VectorClock
-
-    def key(self) -> tuple:
-        return (self.origin, self.seq)
-
-
 class NotExecutableError(RuntimeError):
     """The op's anchors are not present yet; causal delivery never lets this happen."""
 
@@ -152,11 +140,11 @@ class ObjectSequence:
     block keeps its visible count. A scan then sums block counts in C to find
     its block and makes one call inside it."""
 
-    def __init__(self, doc: str = "", creator: SiteId = INIT_SID):
-        """The sequence of `doc`'s characters, each made by `creator`, every
+    def __init__(self, doc: str = ""):
+        """The sequence of `doc`'s characters, each made by INIT_SID, every
         one visible, laid out in blocks of BLOCK slots."""
         n = len(doc)
-        ids = [START, *map(ObjectId, repeat(creator, n), range(1, n + 1)), END]
+        ids = [START, *map(ObjectId, repeat(INIT_SID, n), range(1, n + 1)), END]
         chars = ["", *doc, ""]
         objects = list(map(WObject, chars, ids, [START, *ids[:n], START], [END, *ids[2:], END]))
         self.blocks = [Block(objects[lo : lo + BLOCK], chars[lo : lo + BLOCK], pos)
@@ -176,8 +164,8 @@ class ObjectSequence:
         self.search_steps = 0  # object visits a linear scan would make
 
     @classmethod
-    def from_text(cls, doc: str, creator: SiteId = INIT_SID) -> "ObjectSequence":
-        return cls(doc, creator)
+    def from_text(cls, doc: str) -> "ObjectSequence":
+        return cls(doc)
 
     # -- flat views (copies, for reading) -------------------------------------
 
@@ -555,9 +543,10 @@ class WootSite:
             raise AssertionError(f"site {i}: object count decreased")
         return None, seq.dump()
 
-    def local(self, eo: ExternalOp) -> IdOp:
+    def local(self, eo: ExternalOp) -> TimestampedOp:
         """Convert a local position-based op, integrate it, and hand it back
-        for propagation. The conversion runs against the pre-op sequence."""
+        for propagation, stamped with its identifier op. The conversion runs
+        against the pre-op sequence."""
         if isinstance(eo, NoOp):
             raise ValueError("NoOp is not propagated")
         steps0 = self.istate.search_steps
@@ -570,9 +559,9 @@ class WootSite:
             self.istate.integrate_delete(id_form)
         self.state = apply_external(self.state, eo)
         self._sample(steps0)
-        return IdOp(id_form, self.site, seq, self.clock)
+        return TimestampedOp(id_form, self.site, seq, self.clock)
 
-    def remote(self, idop: IdOp) -> ExternalOp:
+    def remote(self, idop: TimestampedOp) -> ExternalOp:
         """Integrate a remote identifier-based op; return its position-based form for the visible text."""
         steps0, already_gone = self._integrate(idop)
         eo = NoOp() if already_gone else self.istate.id_to_pos(idop.op)
@@ -580,7 +569,7 @@ class WootSite:
         self._sample(steps0)
         return eo
 
-    def _integrate(self, idop: IdOp) -> tuple:
+    def _integrate(self, idop: TimestampedOp) -> tuple:
         """Integrate into the internal sequence only; returns the search-step
         count before it and whether a delete's target was already tombstoned."""
         if idop.origin == self.site:
@@ -603,7 +592,7 @@ class SkipConversionSite(WootSite):
     sequence but never converted to positions or applied to the text, which
     shows that the conversion step is load-bearing."""
 
-    def remote(self, idop: IdOp) -> None:
+    def remote(self, idop: TimestampedOp) -> None:
         steps0, _ = self._integrate(idop)
         self._sample(steps0, check=False)
         return None

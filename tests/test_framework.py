@@ -18,7 +18,7 @@ from coedit.framework import (
     message_meta,
 )
 from coedit.ot import ClientOpMsg, OtSite, SequencerClient, SequencerServer, ServerOpMsg
-from coedit.woot import DeleteId, IdOp, InsertId, ObjectId, START, END, WootSite
+from coedit.woot import DeleteId, InsertId, ObjectId, START, END, WootSite
 
 from conftest import stamp
 
@@ -32,26 +32,26 @@ class TestWireFormats:
         self.roundtrip(stamp(Delete(0), 2, 4, {0: 1, 1: 2}))
 
     def test_client_op(self):
-        self.roundtrip(ClientOpMsg(stamp(Insert(0, "x"), 1, 1), seen=7))
+        self.roundtrip(ClientOpMsg(Insert(0, "x"), 1, 1, VectorClock({1: 1}), seen=7))
 
     def test_server_op(self):
-        self.roundtrip(ServerOpMsg(stamp(Delete(2), 1, 3, {0: 5}), index=12))
-        self.roundtrip(ServerOpMsg(stamp(NoOp(), 1, 4), index=13))
+        self.roundtrip(ServerOpMsg(Delete(2), 1, 3, VectorClock({0: 5, 1: 3}), index=12))
+        self.roundtrip(ServerOpMsg(NoOp(), 1, 4, VectorClock({1: 4}), index=13))
 
     def test_woot_insert(self):
-        op = IdOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2}))
+        op = TimestampedOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2}))
         self.roundtrip(op)
 
     def test_woot_delete(self):
-        op = IdOp(DeleteId(ObjectId(0, 9)), 0, 9, VectorClock({0: 9, 1: 1}))
+        op = TimestampedOp(DeleteId(ObjectId(0, 9)), 0, 9, VectorClock({0: 9, 1: 1}))
         self.roundtrip(op)
 
     def test_unicode_character(self):
         for ch in ("é", " ", "\n", "\t", "\U0001f600"):
             self.roundtrip(stamp(Insert(0, ch), 0, 1))
-            self.roundtrip(ClientOpMsg(stamp(Insert(1, ch), 1, 1), seen=2))
-            self.roundtrip(ServerOpMsg(stamp(Insert(2, ch), 1, 1), index=3))
-        self.roundtrip(IdOp(InsertId("世", ObjectId(0, 1), START, END), 0, 1, VectorClock({0: 1})))
+            self.roundtrip(ClientOpMsg(Insert(1, ch), 1, 1, VectorClock({1: 1}), seen=2))
+            self.roundtrip(ServerOpMsg(Insert(2, ch), 1, 1, VectorClock({1: 1}), index=3))
+        self.roundtrip(TimestampedOp(InsertId("世", ObjectId(0, 1), START, END), 0, 1, VectorClock({0: 1})))
 
     def test_envelope_fields(self):
         payload = b"hello"
@@ -61,21 +61,25 @@ class TestWireFormats:
         assert hash(clock) == hash(VectorClock({1: 2, 3: 7}))
 
     def test_message_meta(self):
-        msg = ClientOpMsg(stamp(Insert(0, "x"), 2, 5, {0: 1}), seen=3)
+        msg = ClientOpMsg(Insert(0, "x"), 2, 5, VectorClock({0: 1, 2: 5}), seen=3)
         assert message_meta(msg) == (2, 5, VectorClock({0: 1, 2: 5}))
 
 
 SAMPLES = [
     stamp(Insert(3, "c"), 0, 1, {1: 2}),
-    ClientOpMsg(stamp(Delete(4), 1, 2), seen=7),
-    ServerOpMsg(stamp(NoOp(), 2, 1, {0: 3}), index=9),
-    IdOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2})),
-    IdOp(DeleteId(ObjectId(0, 9)), 0, 9, VectorClock({0: 9, 1: 1})),
+    ClientOpMsg(Delete(4), 1, 2, VectorClock({1: 2}), seen=7),
+    ServerOpMsg(NoOp(), 2, 1, VectorClock({0: 3, 2: 1}), index=9),
+    TimestampedOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2})),
+    TimestampedOp(DeleteId(ObjectId(0, 9)), 0, 9, VectorClock({0: 9, 1: 1})),
 ]
 
 
-# a WOOT insert's id, prev and next: 0.1 between the sentinels
-_WOOT_IDS = struct.pack(">qQqQqQ", 0, 1, -(2**31), 0, 2**31, 0)
+def _woot_ids(sid: int, seq: int) -> bytes:
+    """A WOOT insert's id, prev and next: sid.seq between the sentinels."""
+    return struct.pack(">qQqQqQ", sid, seq, -(2**31), 0, 2**31, 0)
+
+
+_WOOT_IDS = _woot_ids(0, 1)
 
 
 def _envelope(payload: bytes) -> bytes:
@@ -105,7 +109,8 @@ class TestStrictDecoding:
         b"TI" + struct.pack(">II", 0, 2) + b"ab",  # an insert carries one character
         b"W" + struct.pack(">I", 0) + _WOOT_IDS,  # so does a WOOT insert
         b"W" + struct.pack(">I", 2) + b"ab" + _WOOT_IDS,
-    ], ids=["payload-kind", "op-kind", "utf8", "two-chars", "woot-no-char", "woot-two-chars"])
+        b"W" + struct.pack(">I", 1) + b"q" + _woot_ids(7, 1),  # an insert's id is its message's origin.seq
+    ], ids=["payload-kind", "op-kind", "utf8", "two-chars", "woot-no-char", "woot-two-chars", "woot-foreign-id"])
     def test_bad_payload_rejected(self, payload):
         with pytest.raises(WireFormatError):
             decode_message(_envelope(payload))
@@ -114,6 +119,14 @@ class TestStrictDecoding:
         data = encode_envelope(0, 2, VectorClock({0: 1}), b"TN")
         with pytest.raises(WireFormatError):
             decode_message(data)
+
+    @pytest.mark.parametrize("seq, entries", [(0, {}), (2, {0: 1})], ids=["seq-0", "seq-outside-clock"])
+    @pytest.mark.parametrize("kind", "WX")
+    def test_woot_stamp_checked(self, kind, seq, entries):
+        """A WOOT message's seq is at least 1 and its clock's entry for its origin."""
+        payload = b"W" + struct.pack(">I", 1) + b"q" + _woot_ids(0, seq) if kind == "W" else b"X" + struct.pack(">qQ", 0, 9)
+        with pytest.raises(WireFormatError):
+            decode_message(encode_envelope(0, seq, VectorClock(entries), payload))
 
     @pytest.mark.parametrize("entries", [
         [(0, 0), (1, 1)],
@@ -184,7 +197,7 @@ class TestSiteContainer:
     def test_woot_payload_is_identifier_based(self):
         site = Site(id=0, engine=WootSite.create(0, "abe"), external="abe")
         msg = site.generate(Delete(1))
-        assert isinstance(msg, IdOp) and isinstance(msg.op, DeleteId)
+        assert isinstance(msg.op, DeleteId)
 
     def test_deliver_both_engines_figure_case(self):
         for make in (lambda i: OtSite(site=i, state="abe"), lambda i: WootSite.create(i, "abe")):

@@ -48,33 +48,44 @@ class TestLatencyModels:
         cfg = SimConfig(mode, latency, seed)
         return Simulator(cfg, list(range(sites)), lambda s, t: None, lambda s, m, t: None, lambda s: VectorClock())
 
+    @staticmethod
+    def _arrivals(sim):
+        """Destination -> arrival tick of each scheduled network event."""
+        return {dst: tick for tick, _, _, (dst, _) in sim.events}
+
     def test_fixed_latency_schedule(self):
         sim = self._sim(FixedLatency(3))
         from conftest import stamp
         sim.now = 5
-        env = sim.broadcast(stamp(Delete(0), 0, 1), [1])
-        assert env.arrivals == {1: 8}
+        sim.broadcast(stamp(Delete(0), 0, 1), [1])
+        assert self._arrivals(sim) == {1: 8}
 
     def test_broadcast_reaches_all_other_sites(self):
         sim = self._sim(FixedLatency(1), sites=5)
         from conftest import stamp
-        env = sim.broadcast(stamp(Delete(0), 0, 1), [1, 2, 3, 4])
-        assert sorted(env.arrivals) == [1, 2, 3, 4]
+        sim.broadcast(stamp(Delete(0), 0, 1), [1, 2, 3, 4])
+        assert sorted(self._arrivals(sim)) == [1, 2, 3, 4]
 
     def test_uniform_latency_deterministic_per_seed(self):
         from conftest import stamp
         draws = []
         for _ in range(2):
             sim = self._sim(UniformLatency(1, 10), sites=3, seed=42)
-            env = sim.broadcast(stamp(Delete(0), 0, 1), [1, 2])
-            draws.append(dict(env.arrivals))
+            sim.broadcast(stamp(Delete(0), 0, 1), [1, 2])
+            draws.append(self._arrivals(sim))
         assert draws[0] == draws[1]
 
     def test_minimum_one_tick(self):
         from conftest import stamp
         sim = self._sim(FixedLatency(0))
-        env = sim.broadcast(stamp(Delete(0), 0, 1), [1])
-        assert env.arrivals[1] >= 1
+        sim.broadcast(stamp(Delete(0), 0, 1), [1])
+        assert self._arrivals(sim)[1] >= 1
+
+    def test_uniform_bounds_checked_at_construction(self):
+        # an inverted range would only fail later, inside the run's latency draw
+        with pytest.raises(ValueError, match="lo <= hi"):
+            UniformLatency(5, 2)
+        assert UniformLatency(5, 5).hi == 5
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from coedit.ot import (
     OtSite,
     SequencerClient,
     SequencerServer,
+    ServerOpMsg,
     fold,
     transform,
     transform_delete_delete,
@@ -258,6 +259,17 @@ class TestSequencer:
         out = server.process(0, msg)
         assert client.remote(out) is None
         assert client.pending == []
+
+    def test_local_op_is_one_message(self):
+        """The client logs and holds the very ClientOpMsg it sends; the server
+        answers with one ServerOpMsg carrying the same stamp."""
+        client = SequencerClient(site=0, state="ab")
+        msg = client.local(Insert(2, "c"))
+        assert type(msg) is ClientOpMsg and msg.seen == 0
+        assert client.buffer[-1] is msg and client.pending[-1][2] is msg
+        out = SequencerServer(client_ids=[0], state="ab").process(0, msg)
+        assert type(out) is ServerOpMsg
+        assert (out.op, out.key(), out.clock, out.index) == (Insert(2, "c"), (0, 1), msg.clock, 0)
 
     def test_out_of_order_stream_rejected(self):
         client = SequencerClient(site=1, state="")

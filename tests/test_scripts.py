@@ -1,0 +1,31 @@
+"""Smoke runs of the scripts under scripts/, each in its own interpreter
+from the repository root, as their docstrings say to run them."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*args: str) -> str:
+    done = subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_fig1_demo():
+    out = run_script("scripts/fig1_demo.py")
+    assert out.splitlines()[-1] == "converged: both engines end at 'ace'"
+
+
+def test_cross_engine_agreement():
+    out = run_script("scripts/cross_engine_agreement.py", "20", "0")
+    assert "tie-free disagreement" not in out
+    last = re.fullmatch(r"20 scenarios: \d+ excluded \(insert ties\), (\d+)/(\d+) agree \(rate 1\.000\)", out.splitlines()[-1])
+    assert last and last[1] == last[2] != "0"
+
+
+def test_bench_pairs_help():
+    assert "--parent" in run_script("scripts/bench_pairs.py", "--help")

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from coedit import woot
-from coedit.model import BoundsError, Delete, Insert, NoOp, VectorClock
+from coedit.model import BoundsError, Delete, Insert, NoOp, TimestampedOp, VectorClock
 from coedit.woot import (
     DeleteId,
     END,
-    IdOp,
     INIT_SID,
     InsertId,
     NotExecutableError,
@@ -32,12 +31,12 @@ def oid(sid, seq):
 
 def ins_op(site, seq, char, prev, nxt, **clock):
     clock[site] = seq
-    return IdOp(InsertId(char, oid(site, seq), prev, nxt), site, seq, VectorClock(clock))
+    return TimestampedOp(InsertId(char, oid(site, seq), prev, nxt), site, seq, VectorClock(clock))
 
 
 def del_op(site, seq, target, **clock):
     clock[site] = seq
-    return IdOp(DeleteId(target), site, seq, VectorClock(clock))
+    return TimestampedOp(DeleteId(target), site, seq, VectorClock(clock))
 
 
 def sentinel_first_key(o):
