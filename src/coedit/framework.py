@@ -24,8 +24,9 @@ Clock entries are sorted by site with no zero count, so each clock has one
 encoding. The decoders raise WireFormatError (a ValueError) on a short field,
 trailing bytes, an unknown kind, bad UTF-8, a clock entry that is zero or out
 of order, a seq below 1 or other than the clock's entry for the origin, a
-WOOT insert whose id is not its message's (origin, seq), or a value the op
-types reject.
+WOOT insert whose id is not its message's (origin, seq), a WOOT anchor or
+delete target outside the message's causal past, or a value the op types
+reject.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .model import (
     format_op,
 )
 from .ot import ClientOpMsg, ServerOpMsg
-from .woot import DeleteId, InsertId, ObjectId
+from .woot import END, INIT_SID, START, DeleteId, InsertId, ObjectId
 
 WireMessage = TimestampedOp
 
@@ -84,6 +85,15 @@ def _encode_id(oid: ObjectId) -> bytes:
 def _decode_id(data: bytes, off: int) -> tuple:
     sid, seq = struct.unpack_from(">qQ", data, off)
     return ObjectId(sid, seq), off + 16
+
+
+def _check_past(oid: ObjectId, origin: SiteId, seq: int, clock: VectorClock) -> None:
+    """An id a WOOT message names is a sentinel, an initial object, or an
+    insert that the message's clock covers and that is not the message's own."""
+    if oid.sid == INIT_SID or oid == START or oid == END:
+        return
+    if not 1 <= oid.seq <= clock.get(oid.sid) or oid == (origin, seq):
+        raise ValueError(f"id {oid} is outside the message's causal past")
 
 
 def _encode_text(s: str) -> bytes:
@@ -153,9 +163,12 @@ def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock)
                 raise ValueError(f"insert id {oid} is not the message's {origin}.{seq}")
             prev, off = _decode_id(payload, off)
             nxt, off = _decode_id(payload, off)
+            _check_past(prev, origin, seq, clock)
+            _check_past(nxt, origin, seq, clock)
             msg = TimestampedOp(InsertId(char, oid, prev, nxt), origin, seq, clock)
         elif kind == b"X":
             target, off = _decode_id(payload, off)
+            _check_past(target, origin, seq, clock)
             msg = TimestampedOp(DeleteId(target), origin, seq, clock)
         else:
             raise WireFormatError(f"unknown payload kind {kind!r}")
@@ -215,14 +228,16 @@ class Engine(Protocol):
     own site. `quiesce` ends a run: given each site's delivered clock and the
     counts of character instances created and (distinct) deleted, it checks
     its own state and returns (ops collected or None, dump or None); dumps
-    must match across replicas."""
+    must match across replicas. `fold_metrics` then adds the replica's cost
+    counters to the run's one MetricsBundle, which every replica (and a
+    sequencer server) folds into in turn."""
 
     state: str  # the engine's mirror of the visible text
     clock: VectorClock  # what it has delivered, for causal gating
 
     def local(self, eo: ExternalOp) -> WireMessage: ...
     def remote(self, msg: WireMessage) -> Optional[ExternalOp]: ...
-    def fold_metrics(self, bundle, first: bool) -> None: ...
+    def fold_metrics(self, bundle) -> None: ...
     def quiesce(self, stability: dict, created: int, deleted: int) -> tuple: ...
 
 

@@ -387,16 +387,16 @@ class _Run:
         deleted = len(set(self.delete_targets.values()))  # distinct instances deleted
         bundle = MetricsBundle(engine=self.engine_name, local_ns=self.local_ns, remote_ns=self.remote_ns)
         dumps = {}
-        for k, (i, site) in enumerate(self.sites.items()):
+        for i, site in self.sites.items():
             collected, dump = site.engine.quiesce(stability, created, deleted)
             if collected is not None:
                 bundle.gc_total += collected
                 self.sim.log_gc(i, collected)
             if dump is not None:
                 dumps[i] = dump
-            site.engine.fold_metrics(bundle, first=k == 0)
+            site.engine.fold_metrics(bundle)
         if self.server is not None:
-            self.server.fold_metrics(bundle, first=False)
+            self.server.fold_metrics(bundle)
 
         finals = {i: s.external for i, s in self.sites.items()}
         converged = len(set(finals.values())) <= 1 and len(set(dumps.values())) <= 1

@@ -35,11 +35,11 @@ CSV_COLUMNS = [
 class MetricsBundle:
     engine: str
     c_samples: List[int] = field(default_factory=list)
-    visible_series: List[int] = field(default_factory=list)
-    total_series: List[int] = field(default_factory=list)
     search_steps_per_op: List[int] = field(default_factory=list)
     local_ns: List[int] = field(default_factory=list)
     remote_ns: List[int] = field(default_factory=list)
+    final_visible: int = 0  # C at quiescence
+    final_total: int = 0  # C_t at quiescence
     init_cost: int = 0
     gc_total: int = 0
     transform_total: int = 0
@@ -53,14 +53,6 @@ class MetricsBundle:
     @property
     def mean_c(self) -> float:
         return sum(self.c_samples) / len(self.c_samples) if self.c_samples else 0.0
-
-    @property
-    def final_visible(self) -> int:
-        return self.visible_series[-1] if self.visible_series else 0
-
-    @property
-    def final_total(self) -> int:
-        return self.total_series[-1] if self.total_series else 0
 
     def summary(self) -> dict:
         return {

@@ -157,7 +157,7 @@ class _Replica:
     def quiesce(self, stability: dict, created: int, deleted: int) -> tuple:
         return self.gc(stability), None
 
-    def fold_metrics(self, bundle, first: bool) -> None:
+    def fold_metrics(self, bundle) -> None:
         self.metrics.fold_into(bundle)
         bundle.buffer_final = max(bundle.buffer_final, len(self.buffer))
 
@@ -226,6 +226,8 @@ class SequencerServer:
             self.bridges = {c: [] for c in self.client_ids}
 
     def process(self, sender: SiteId, msg: ClientOpMsg) -> ServerOpMsg:
+        if msg.seen > self.history_len:  # a bridge cut there would drop ops the client never saw
+            raise ContextMismatchError(f"client {sender} claims {msg.seen} of {self.history_len} sequenced ops")
         bridge = [e for e in self.bridges[sender] if e[2] >= msg.seen]
         op = fold(self.metrics, msg.op, msg.origin, bridge)
         self.bridges[sender] = bridge
@@ -237,7 +239,7 @@ class SequencerServer:
                 self.bridges[c].append([op, msg.origin, index])
         return ServerOpMsg(op, msg.origin, msg.seq, msg.clock, index)
 
-    def fold_metrics(self, bundle, first: bool) -> None:
+    def fold_metrics(self, bundle) -> None:
         self.metrics.fold_into(bundle)
 
 

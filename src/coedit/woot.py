@@ -15,10 +15,11 @@ block, the visible text is a join, counts and ranks are `list.count`, and
 `itertools` finds the n-th visible slot in C. Past one block, the sequence
 keeps each block's slot and visible counts, so a scan sums them in C to
 find its block and makes one such call inside it. An id is located once
-per op: an id -> object dict plus `list.index` by identity in the id's
-block finds it, and its index is remembered until the next insert shifts
-the sequence. A running count answers how many are visible. Each scan is
-charged exactly the objects the linear walk would visit.
+per op: an id -> object dict gives its object, which names its block, and
+`list.index` by identity in that block finds it; its index is remembered
+until the next insert shifts the sequence. A running count answers how
+many are visible. Each scan is charged exactly the objects the linear walk
+would visit.
 """
 
 from __future__ import annotations
@@ -72,14 +73,15 @@ END = ObjectId(2**31, 0)
 
 @dataclass(eq=False, slots=True)
 class WObject:
-    """One character slot's immutable part; whether it is visible is kept
-    in its block's `shown`. Compared by identity, so `list.index` finds an
-    object without comparing fields."""
+    """One character slot: its immutable part and the block that holds it;
+    whether it is visible is kept in that block's `shown`. Compared by
+    identity, so `list.index` finds an object without comparing fields."""
 
     character: str
     id: ObjectId
     prev: ObjectId
     next: ObjectId
+    block: Block
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ class UnknownTargetError(RuntimeError):
 class Block:
     """A run of consecutive slots: their objects, their `shown` characters,
     how many of those are visible, and the block's position in
-    `ObjectSequence.blocks`."""
+    `ObjectSequence.blocks`. Each of its objects names it as its `block`."""
 
     __slots__ = ("objects", "shown", "visible", "pos")
 
@@ -134,11 +136,11 @@ class ObjectSequence:
     tombstone or a sentinel; it is the only record of visibility.
 
     A sequence of one block keeps no block counts: its scans are one C-level
-    call each on that block's lists, `lens` and `block_of` are empty and the
-    block's `visible` is None. The first split starts the counts: `lens[b]`
-    is block b's slot count, `block_of` maps each id to its block and each
-    block keeps its visible count. A scan then sums block counts in C to find
-    its block and makes one call inside it."""
+    call each on that block's lists, `lens` is empty and the block's
+    `visible` is None. The first split starts the counts: `lens[b]` is block
+    b's slot count and each block keeps its visible count. A scan then sums
+    block counts in C to find its block and makes one call inside it; an
+    object's own `block` says which block to search for it."""
 
     def __init__(self, doc: str = ""):
         """The sequence of `doc`'s characters, each made by INIT_SID, every
@@ -146,18 +148,17 @@ class ObjectSequence:
         n = len(doc)
         ids = [START, *map(ObjectId, repeat(INIT_SID, n), range(1, n + 1)), END]
         chars = ["", *doc, ""]
-        objects = list(map(WObject, chars, ids, [START, *ids[:n], START], [END, *ids[2:], END]))
-        self.blocks = [Block(objects[lo : lo + BLOCK], chars[lo : lo + BLOCK], pos)
-                       for pos, lo in enumerate(range(0, n + 2, BLOCK))]
+        self.blocks = [Block([], chars[lo : lo + BLOCK], pos) for pos, lo in enumerate(range(0, n + 2, BLOCK))]
+        objects = list(map(WObject, chars, ids, [START, *ids[:n], START], [END, *ids[2:], END],
+                           chain.from_iterable(map(repeat, self.blocks, repeat(BLOCK)))))
+        for b in self.blocks:
+            b.objects = objects[b.pos * BLOCK : (b.pos + 1) * BLOCK]
         self.by_id: Dict[ObjectId, WObject] = dict(zip(ids, objects))
         self.lens: List[int] = []
-        self.block_of: Dict[ObjectId, Block] = {}
         if len(self.blocks) == 1:
             self.blocks[0].visible = None
         else:
             self.lens = [len(b.objects) for b in self.blocks]
-            for b in self.blocks:
-                self.block_of.update(zip(ids[b.pos * BLOCK : (b.pos + 1) * BLOCK], repeat(b)))
         self.n_visible = n  # running count of visible objects
         # ids located since the last insert -> their index; deletes move no index
         self.located: Dict[ObjectId, int] = {}
@@ -196,7 +197,7 @@ class ObjectSequence:
             self.search_steps += len(self.by_id)
             return -1
         if self.lens:
-            b = self.block_of[oid]
+            b = obj.block
             i = sum(self.lens[: b.pos]) + b.objects.index(obj)
         else:
             try:
@@ -383,17 +384,16 @@ class ObjectSequence:
             if p >= n:
                 raise NotExecutableError(f"anchor order violated for {op.id}: {prev} !< {nxt}")
             if n == p + 1:
-                new = WObject(op.character, op.id, op.prev, op.next)
-                self.by_id[op.id] = new
-                self.located = {op.id: n}  # every index from n on has moved
-                self.n_visible += 1
                 if self.lens:
                     b, k = self._at(n)
                     b.visible += 1
-                    self.block_of[op.id] = b
                     self.lens[b.pos] += 1
                 else:
                     b, k = self.blocks[0], n
+                new = WObject(op.character, op.id, op.prev, op.next, b)
+                self.by_id[op.id] = new
+                self.located = {op.id: n}  # every index from n on has moved
+                self.n_visible += 1
                 b.objects.insert(k, new)
                 b.shown.insert(k, op.character)
                 if len(b.objects) > 2 * BLOCK:
@@ -432,12 +432,12 @@ class ObjectSequence:
         if not self.lens:
             b.visible = len(b.shown) - b.shown.count("")
             self.lens = [len(b.objects)]
-            self.block_of = dict.fromkeys(self.by_id, b)
         half = len(b.objects) // 2
         right = Block(b.objects[half:], b.shown[half:], b.pos + 1)
         del b.objects[half:], b.shown[half:]
         b.visible -= right.visible
-        self.block_of.update(zip((o.id for o in right.objects), repeat(right)))
+        for o in right.objects:
+            o.block = right
         self.blocks.insert(right.pos, right)
         self.lens[b.pos : right.pos] = [half, len(right.objects)]
         for q in range(right.pos + 1, len(self.blocks)):
@@ -493,11 +493,10 @@ class WootSite:
         if check and istate.value() != self.state:
             raise EngineInvariantError(f"site {self.site}: value(IS) {istate.value()!r} != text {self.state!r}")
 
-    def fold_metrics(self, bundle, first: bool) -> None:
+    def fold_metrics(self, bundle) -> None:
         m = self.metrics
-        if first:
-            bundle.visible_series = list(m.visible_counts)
-            bundle.total_series = list(m.total_counts)
+        # quiesce has held every replica to the same counts
+        bundle.final_visible, bundle.final_total = self.istate.n_visible, self.istate.total_count()
         bundle.search_steps_per_op.extend(m.search_steps_per_op)
         bundle.init_cost = max(bundle.init_cost, m.init_cost)
 
@@ -513,8 +512,6 @@ class WootSite:
         lens = [len(b.objects) for b in seq.blocks] if counted else []
         if seq.lens != lens:
             raise AssertionError(f"site {i}: block lengths {seq.lens}, expected {lens}")
-        if len(seq.block_of) != (slots if counted else 0):
-            raise AssertionError(f"site {i}: block index holds {len(seq.block_of)} ids for {slots} objects")
         for pos, b in enumerate(seq.blocks):
             # `shown` is the only record of visibility, slot for slot with `objects`
             if len(b.shown) != len(b.objects):
@@ -524,7 +521,8 @@ class WootSite:
             visible = len(b.shown) - b.shown.count("") if counted else None
             if b.pos != pos or b.visible != visible:
                 raise AssertionError(f"site {i}: block {pos} is numbered {b.pos} and keeps visible count {b.visible}, expected {visible}")
-            if counted and any(seq.block_of.get(o.id) is not b for o in b.objects):
+            # the objects' `block` slots are the block index
+            if any(o.block is not b for o in b.objects):
                 raise AssertionError(f"site {i}: the block index does not place every object of block {pos} in it")
         if seq.blocks[0].shown[0] or seq.blocks[-1].shown[-1]:
             raise AssertionError(f"site {i}: a sentinel is shown")

@@ -43,7 +43,7 @@ class TestWireFormats:
         self.roundtrip(op)
 
     def test_woot_delete(self):
-        op = TimestampedOp(DeleteId(ObjectId(0, 9)), 0, 9, VectorClock({0: 9, 1: 1}))
+        op = TimestampedOp(DeleteId(ObjectId(1, 1)), 0, 9, VectorClock({0: 9, 1: 1}))
         self.roundtrip(op)
 
     def test_unicode_character(self):
@@ -70,7 +70,7 @@ SAMPLES = [
     ClientOpMsg(Delete(4), 1, 2, VectorClock({1: 2}), seen=7),
     ServerOpMsg(NoOp(), 2, 1, VectorClock({0: 3, 2: 1}), index=9),
     TimestampedOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2})),
-    TimestampedOp(DeleteId(ObjectId(0, 9)), 0, 9, VectorClock({0: 9, 1: 1})),
+    TimestampedOp(DeleteId(ObjectId(1, 1)), 0, 9, VectorClock({0: 9, 1: 1})),
 ]
 
 
@@ -112,6 +112,20 @@ class TestStrictDecoding:
         b"W" + struct.pack(">I", 1) + b"q" + _woot_ids(7, 1),  # an insert's id is its message's origin.seq
     ], ids=["payload-kind", "op-kind", "utf8", "two-chars", "woot-no-char", "woot-two-chars", "woot-foreign-id"])
     def test_bad_payload_rejected(self, payload):
+        with pytest.raises(WireFormatError):
+            decode_message(_envelope(payload))
+
+    @pytest.mark.parametrize("payload", [
+        b"W" + struct.pack(">I", 1) + b"q" + struct.pack(">qQqQqQ", 0, 1, 3, 9, 2**31, 0),  # prev 3.9, unseen
+        b"W" + struct.pack(">I", 1) + b"q" + struct.pack(">qQqQqQ", 0, 1, -(2**31), 0, 0, 1),  # next is its own id
+        b"W" + struct.pack(">I", 1) + b"q" + struct.pack(">qQqQqQ", 0, 1, -(2**31), 0, 0, 0),  # next 0.0
+        b"X" + struct.pack(">qQ", 0, 1),  # a delete of its own (origin, seq)
+        b"X" + struct.pack(">qQ", 2, 1),  # of an insert its clock does not cover
+        b"X" + struct.pack(">qQ", -(2**31), 5),  # of a non-sentinel below every sid
+    ], ids=["unseen-prev", "own-next", "seq-0-next", "own-target", "unseen-target", "low-sid-target"])
+    def test_woot_id_outside_causal_past_rejected(self, payload):
+        """Every id a WOOT message names, other than the sentinels and the
+        initial objects, is an insert its clock covers and not its own."""
         with pytest.raises(WireFormatError):
             decode_message(_envelope(payload))
 

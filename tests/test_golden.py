@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from coedit import woot
 from coedit.harness import FuzzSpec, Scenario, _random_scenario, fig1_scenario, run_scenario
 from coedit.netsim import UniformLatency
 
@@ -163,6 +164,15 @@ GOLDEN = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_digest_pinned(name):
+    assert run_digest(*CASES[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, engine, _) in CASES.items() if engine == "woot"))
+def test_digest_pinned_in_blocks_of_two(monkeypatch, name):
+    """No WOOT case splits a block at the default size; in blocks of two
+    every one runs the block counts, the splits and the cross-block scans,
+    and must reach the same digest."""
+    monkeypatch.setattr(woot, "BLOCK", 2)
     assert run_digest(*CASES[name]) == GOLDEN[name]
 
 

@@ -181,7 +181,7 @@ class TestRunScenario:
             elif drift == "length":
                 seq.lens[-1] += 1
             elif drift == "block of":
-                seq.block_of[seq.blocks[0].objects[1].id] = Block([], [], 0)
+                seq.blocks[0].objects[1].block = Block([], [], 0)
             else:
                 seq.blocks[0].visible = 3
             return idop

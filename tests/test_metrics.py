@@ -9,8 +9,9 @@ import pytest
 
 from coedit import metrics
 from coedit.cli import main
-from coedit.harness import ScenarioError, fig1_scenario, run_scenario
+from coedit.harness import FuzzSpec, Scenario, ScenarioError, fig1_scenario, run_scenario
 from coedit.metrics import CSV_COLUMNS, Workload, csv_row, measure_init, rows_to_csv
+from coedit.woot import WootSite
 
 
 class TestCollect:
@@ -25,10 +26,24 @@ class TestCollect:
         assert report.metrics.final_total == 4  # + tombstoned 'b'
         assert report.metrics.init_cost == 3
 
-    def test_c_t_dominates_c(self):
-        report = run_scenario(fig1_scenario(), "woot")
-        for c, t in zip(report.metrics.visible_series, report.metrics.total_series):
+    def test_c_t_dominates_c(self, monkeypatch):
+        # every replica's (C, C_t) after each of its ops, read as it folds
+        samples = []
+        fold = WootSite.fold_metrics
+
+        def recording(self, bundle):
+            samples.extend(zip(self.metrics.visible_counts, self.metrics.total_counts))
+            fold(self, bundle)
+
+        monkeypatch.setattr(WootSite, "fold_metrics", recording)
+        run_scenario(fig1_scenario(), "woot")
+        assert len(samples) == 4  # 2 sites, each making one op and receiving the other
+        for c, t in samples:
             assert t >= c
+
+    def test_run_without_ops_reports_the_document(self):
+        report = run_scenario(Scenario("abc", 2, fuzz=FuzzSpec(n_ops=0)), "woot")
+        assert (report.metrics.final_visible, report.metrics.final_total) == (3, 3)
 
 
 class TestPercentiles:
@@ -175,6 +190,12 @@ class TestCli:
         self._exits_two(["bench", "--sites", "0"], capsys, "argument --sites: must be at least 1, got 0")
         # a window of 0 would never schedule an op
         self._exits_two(["bench", "--window", "0"], capsys, "argument --window: must be at least 1, got 0")
+
+    def test_bench_without_ops_reports_the_document(self, capsys):
+        assert main(["bench", "--doc-len", "200", "--ops", "0"]) == 0
+        rows = json.loads(capsys.readouterr().out)["table"]
+        woot = [(r["C"], r["C_t"]) for r in rows if r["engine"] == "woot"]
+        assert woot == [(200, 200), (200, 200)]
 
     def test_python_dash_m(self):
         src = os.path.join(os.path.dirname(__file__), "..", "src")

@@ -271,6 +271,19 @@ class TestSequencer:
         assert type(out) is ServerOpMsg
         assert (out.op, out.key(), out.clock, out.index) == (Insert(2, "c"), (0, 1), msg.clock, 0)
 
+    def test_seen_beyond_history_rejected(self):
+        """A client op that claims more of the stream than the server has
+        sequenced is refused; cutting the bridge there would fold it past
+        nothing."""
+        server = SequencerServer(client_ids=[0, 1], state="ab")
+        server.process(0, SequencerClient(site=0, state="ab").local(Insert(0, "x")))
+        late = SequencerClient(site=1, state="ab").local(Delete(1))  # of 'b', before 'x' was seen
+        with pytest.raises(ContextMismatchError):
+            server.process(1, ClientOpMsg(late.op, late.origin, late.seq, late.clock, 5))
+        assert server.state == "xab"
+        server.process(1, late)
+        assert server.state == "xa"
+
     def test_out_of_order_stream_rejected(self):
         client = SequencerClient(site=1, state="")
         other = SequencerClient(site=0, state="")
