@@ -26,11 +26,12 @@ alternating rounds per checkout, with --timeit-setup run first.
 for each listed N in both checkouts, in 3 alternating rounds, and records its
 WOOT rows: per side the median over the rounds of each row's mean, p50 and
 p99 local and remote times and of `init.woot_init_ns`, and the rows'
-`search_steps_total`, which must be the same in every round on both sides.
+`search_steps_total`, `C` and `C_t`, each of which must be the same in every
+round on both sides (the scans' cost depends on the tombstone ratio).
 The times are the library's own summary keys; a revision whose summary lacks
 one reports it as None.
 Exit code 1 if a run fails, a pair's exact blocks differ or a sweep's
-search-step totals differ.
+counts differ.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
 
 SWEEP_ROUNDS = 3
 SWEEP_TIMES = ("local_ns_mean", "remote_ns_mean", "local_ns_p50", "local_ns_p99", "remote_ns_p50", "remote_ns_p99")
+SWEEP_COUNTS = ("search_steps_total", "C", "C_t")
+SWEEP_ROWS = ("sequential_woot", "concurrent_woot")
 
 
 # `coedit bench --sites 3`
@@ -129,20 +132,20 @@ def sweep(dirs: dict, doc_len: int) -> dict:
             runs[side].append(bench_once(dirs[side], doc_len))
             print(f"sweep {doc_len} round {r} {side}: ok {runs[side][-1]['ok']}", flush=True)
     median = lambda xs: statistics.median(xs) if None not in xs else None
-    steps = {(side, name, run["rows"].get(name, {}).get("search_steps_total")) for side in SIDES for run in runs[side]
-             for name in ("sequential_woot", "concurrent_woot")}
+    counts = {tuple(run["rows"].get(name, {}).get(key) for name in SWEEP_ROWS for key in SWEEP_COUNTS)
+              for side in SIDES for run in runs[side]}
     out = {
         "rounds": SWEEP_ROUNDS,
         "all_ok": all(run["ok"] for side in SIDES for run in runs[side]),
-        "search_steps_identical": len({(name, total) for _, name, total in steps}) == 2 and None not in {t for *_, t in steps},
+        "counts_identical": len(counts) == 1 and None not in next(iter(counts)),
     }
     for side in SIDES:
         ok_runs = [run for run in runs[side] if run["ok"]]
         out[side] = {"woot_init_ns": median([run["woot_init_ns"] for run in ok_runs]) if ok_runs else None}
-        for name in ("sequential_woot", "concurrent_woot"):
+        for name in SWEEP_ROWS:
             out[side][name] = {key: median([run["rows"][name].get(key) for run in ok_runs]) if ok_runs else None
                                for key in SWEEP_TIMES}
-            out[side][name]["search_steps_total"] = ok_runs[0]["rows"][name]["search_steps_total"] if ok_runs else None
+            out[side][name].update({key: ok_runs[0]["rows"][name].get(key) if ok_runs else None for key in SWEEP_COUNTS})
     return out
 
 
@@ -291,7 +294,7 @@ def main(argv=None) -> int:
         }
     if args.sweep:
         out["sweep_coedit_bench_sites3"] = {n: sweep(dirs, int(n)) for n in args.sweep.split(",")}
-        ok &= all(s["all_ok"] and s["search_steps_identical"] for s in out["sweep_coedit_bench_sites3"].values())
+        ok &= all(s["all_ok"] and s["counts_identical"] for s in out["sweep_coedit_bench_sites3"].values())
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     return 0 if ok else 1
 

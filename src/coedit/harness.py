@@ -33,6 +33,7 @@ from .model import (
     ExternalOp,
     Insert,
     NoOp,
+    NUL,
     SiteId,
     format_op,
     parse_op,
@@ -92,6 +93,8 @@ class Scenario:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.fuzz is not None and self.fuzz.window is not None and self.fuzz.window < 1:
             raise ScenarioError(f"a fuzz window needs at least 1 op, got {self.fuzz.window}")
+        if NUL in self.initial or (self.fuzz is not None and NUL in self.fuzz.alphabet):
+            raise ScenarioError("a document character is never NUL: not in the initial document, nor in the fuzz alphabet")
 
 
 @dataclass

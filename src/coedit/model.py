@@ -12,6 +12,10 @@ from typing import Mapping, Union
 
 SiteId = int
 
+# The one code point that is never a document character: WOOT's blocks use it
+# to mark a slot that shows nothing.
+NUL = "\x00"
+
 
 class BoundsError(ValueError):
     """Raised when an operation's position falls outside the document."""
@@ -27,8 +31,8 @@ class Insert:
     character: str
 
     def __post_init__(self):
-        if len(self.character) != 1:
-            raise ValueError(f"Insert carries exactly one character, got {self.character!r}")
+        if len(self.character) != 1 or self.character == NUL:
+            raise ValueError(f"Insert carries exactly one character other than NUL, got {self.character!r}")
 
 
 @dataclass(frozen=True)

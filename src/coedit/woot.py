@@ -9,24 +9,26 @@ costed as the paper's search-count method: a walk from the start of the
 sequence, counting visible objects, whose length is recorded as the
 engine's cost metric (`search_steps`). The walks themselves neither run
 object by object in Python nor cover the whole document. The sequence is
-laid out in blocks of slots, each with its objects and a `shown` list that
-holds each slot's character while it is visible and "" otherwise. In one
-block, the visible text is a join, counts and ranks are `list.count`, and
-`itertools` finds the n-th visible slot in C. Past one block, the sequence
-keeps each block's slot and visible counts, so a scan sums them in C to
-find its block and makes one such call inside it. An id is located once
-per op: an id -> object dict gives its object, which names its block, and
-`list.index` by identity in that block finds it; its index is remembered
-until the next insert shifts the sequence. A running count answers how
-many are visible. Each scan is charged exactly the objects the linear walk
-would visit.
+laid out in blocks of slots, each with its objects and a `shown` string: one
+code point per slot, the slot's character while it is visible and TOMB
+(NUL, never a document character) otherwise. Every scan runs in C: ranks
+and visible counts are `str.count`, `lstrip` steps over tombstones, the
+n-th visible slot is a few counts in its block, and the visible text is the
+strings with the TOMBs taken out by `str.replace`, a full scan at C speed.
+Past one block, the sequence keeps each block's slot and visible counts, so
+a scan sums them in C to find its block and works inside it. An edit
+rebuilds its block's string. An id is located once per op: an id -> object
+dict gives its object, which names its block, and `list.index` by identity
+in that block finds it; its index is remembered until the next insert
+shifts the sequence. A running count answers how many are visible. Each
+scan is charged exactly the objects the linear walk would visit.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Union
 
@@ -37,6 +39,7 @@ from .model import (
     ExternalOp,
     Insert,
     NoOp,
+    NUL,
     SiteId,
     TimestampedOp,
     VectorClock,
@@ -50,6 +53,10 @@ INIT_SID = -1
 # Slots per block as a sequence is built; a block that passes 2 * BLOCK slots
 # splits in two.
 BLOCK = 128
+
+# What a block's `shown` holds in a slot that shows nothing: a tombstone or a
+# sentinel. No document character is NUL, so it never stands for one.
+TOMB = NUL
 
 
 class ObjectId(NamedTuple):
@@ -92,8 +99,8 @@ class InsertId:
     next: ObjectId
 
     def __post_init__(self):
-        if len(self.character) != 1:
-            raise ValueError(f"InsertId must carry exactly one character, got {self.character!r}")
+        if len(self.character) != 1 or self.character == NUL:
+            raise ValueError(f"InsertId must carry exactly one character other than NUL, got {self.character!r}")
 
 
 @dataclass(frozen=True)
@@ -110,16 +117,19 @@ class UnknownTargetError(RuntimeError):
 
 
 class Block:
-    """A run of consecutive slots: their objects, their `shown` characters,
-    how many of those are visible, and the block's position in
-    `ObjectSequence.blocks`. Each of its objects names it as its `block`."""
+    """A run of consecutive slots: their objects, their `shown` string, how
+    many of its slots are visible, and the block's position in
+    `ObjectSequence.blocks`. `shown` is one immutable `str` with one code
+    point per slot: the object's character while it is visible, TOMB for a
+    tombstone or a sentinel; an edit replaces it with a rebuilt string. Each
+    of the block's objects names it as its `block`."""
 
     __slots__ = ("objects", "shown", "visible", "pos")
 
-    def __init__(self, objects: List[WObject], shown: List[str], pos: int):
+    def __init__(self, objects: List[WObject], shown: str, pos: int):
         self.objects = objects
         self.shown = shown
-        self.visible: Optional[int] = len(shown) - shown.count("")
+        self.visible: Optional[int] = len(shown) - shown.count(TOMB)
         self.pos = pos
 
 
@@ -132,11 +142,12 @@ class ObjectSequence:
 
     A slot's index is its place in the whole sequence: the slots of the
     blocks in front of its own, plus its offset in its block. In each block,
-    `shown[k]` is `objects[k]`'s character while it is visible and "" for a
-    tombstone or a sentinel; it is the only record of visibility.
+    `shown[k]` is `objects[k]`'s character while it is visible and TOMB for a
+    tombstone or a sentinel; it is the only record of visibility, so the
+    visible text is every block's `shown` with the TOMBs taken out.
 
-    A sequence of one block keeps no block counts: its scans are one C-level
-    call each on that block's lists, `lens` is empty and the block's
+    A sequence of one block keeps no block counts: its scans work on that
+    block's `shown` or `objects` alone, `lens` is empty and the block's
     `visible` is None. The first split starts the counts: `lens[b]` is block
     b's slot count and each block keeps its visible count. A scan then sums
     block counts in C to find its block and makes one call inside it; an
@@ -144,12 +155,15 @@ class ObjectSequence:
 
     def __init__(self, doc: str = ""):
         """The sequence of `doc`'s characters, each made by INIT_SID, every
-        one visible, laid out in blocks of BLOCK slots."""
+        one visible, laid out in blocks of BLOCK slots. A NUL in `doc` is a
+        ValueError: no document character is NUL."""
+        if NUL in doc:
+            raise ValueError(f"a document character is never NUL; got one at {doc.index(NUL)}")
         n = len(doc)
         ids = [START, *map(ObjectId, repeat(INIT_SID, n), range(1, n + 1)), END]
-        chars = ["", *doc, ""]
-        self.blocks = [Block([], chars[lo : lo + BLOCK], pos) for pos, lo in enumerate(range(0, n + 2, BLOCK))]
-        objects = list(map(WObject, chars, ids, [START, *ids[:n], START], [END, *ids[2:], END],
+        shown = TOMB + doc + TOMB
+        self.blocks = [Block([], shown[lo : lo + BLOCK], pos) for pos, lo in enumerate(range(0, n + 2, BLOCK))]
+        objects = list(map(WObject, ["", *doc, ""], ids, [START, *ids[:n], START], [END, *ids[2:], END],
                            chain.from_iterable(map(repeat, self.blocks, repeat(BLOCK)))))
         for b in self.blocks:
             b.objects = objects[b.pos * BLOCK : (b.pos + 1) * BLOCK]
@@ -175,8 +189,8 @@ class ObjectSequence:
         return list(chain.from_iterable(b.objects for b in self.blocks))
 
     @property
-    def shown(self) -> List[str]:
-        return list(chain.from_iterable(b.shown for b in self.blocks))
+    def shown(self) -> str:
+        return "".join(map(SHOWN, self.blocks))
 
     # -- scans (each charged what a linear scan from the start would visit) --
 
@@ -230,23 +244,28 @@ class ObjectSequence:
         i = self.index_of(oid)
         if self.lens:
             b, i = self._at(i)
-            return b.shown[i] != ""
-        return self.blocks[0].shown[i] != ""
+            return b.shown[i] != TOMB
+        return self.blocks[0].shown[i] != TOMB
 
     def nth_visible_index(self, n: int) -> int:
         """Index of the n-th (0-based) visible object."""
-        i = None
-        if n >= 0 and not self.lens:
-            i = next(islice(compress(count(), self.blocks[0].shown), n, None), None)
-        elif n >= 0:
-            ends = list(accumulate(map(VISIBLE, self.blocks)))
-            p = bisect_right(ends, n)
-            if p < len(ends):
-                b = self.blocks[p]
-                i = sum(self.lens[:p]) + next(islice(compress(count(), b.shown), n - ends[p] + b.visible, None))
-        if i is None:
+        if not 0 <= n < self.n_visible:
             self.search_steps += len(self.by_id)
             raise BoundsError(f"visible index {n} out of range (only {self.n_visible} visible)")
+        if self.lens:  # the block holding it, its first index and n within it
+            ends = list(accumulate(map(VISIBLE, self.blocks)))
+            p = bisect_right(ends, n)
+            b = self.blocks[p]
+            base, n = sum(self.lens[:p]), n - ends[p] + b.visible
+        else:
+            b, base = self.blocks[0], 0
+        # The offset is the least k with k == n + (TOMBs in shown[:k + 1]).
+        # From k = n each step counts again in C and moves k up to that, and
+        # past the rest of a run of tombstones it lands in.
+        shown, k = b.shown, n
+        while (j := n + shown.count(TOMB, 0, k + 1)) != k:
+            k = j if shown[j] != TOMB else len(shown) - len(shown[j:].lstrip(TOMB))
+        i = base + k
         self.search_steps += i + 1
         return i
 
@@ -254,24 +273,23 @@ class ObjectSequence:
         """Number of visible objects strictly before `index`."""
         self.search_steps += index
         if not self.lens:
-            return index - self.blocks[0].shown[:index].count("")
+            return index - self.blocks[0].shown.count(TOMB, 0, index)
         ends = list(accumulate(self.lens))
         p = bisect_right(ends, index)
         rank = sum(map(VISIBLE, self.blocks[:p]))
         if p < len(ends):
             k = index - ends[p] + self.lens[p]
-            rank += k - self.blocks[p].shown[:k].count("")
+            rank += k - self.blocks[p].shown.count(TOMB, 0, k)
         return rank
 
     # -- derived views (full scans, not charged) ----------------------------
 
     def value(self) -> str:
-        if not self.lens:
-            return "".join(self.blocks[0].shown)
-        return "".join(map("".join, map(SHOWN, self.blocks)))
+        shown = "".join(map(SHOWN, self.blocks)) if self.lens else self.blocks[0].shown
+        return shown.replace(TOMB, "")
 
     def visible_count(self) -> int:
-        return sum(len(b.shown) - b.shown.count("") for b in self.blocks)
+        return sum(len(b.shown) - b.shown.count(TOMB) for b in self.blocks)
 
     def total_count(self) -> int:
         """Non-sentinel objects, tombstones included."""
@@ -280,7 +298,7 @@ class ObjectSequence:
     def dump(self) -> str:
         text = {oid: f"{oid.sid}.{oid.seq}" for oid in self.by_id}  # each id formatted once
         text[START], text[END] = "@s", "@e"
-        lines = [f"{o.character}|{text[o.id]}|prev={text[o.prev]}|next={text[o.next]}|{'v' if ch else 'iv'}"
+        lines = [f"{o.character}|{text[o.id]}|prev={text[o.prev]}|next={text[o.next]}|{'iv' if ch == TOMB else 'v'}"
                  for o, ch in zip(self.objects, self.shown)]
         lines[0], lines[-1] = "@s", "@e"  # a sentinel's line is its id alone
         return "\n".join(lines)
@@ -313,20 +331,19 @@ class ObjectSequence:
             else:
                 # Step over the tombstones after the left neighbour to the next
                 # visible object, but charge the walk from the start that the
-                # reference conversion makes. A block that ends in tombstones
-                # is left for the next visible slot, found in C block by block.
+                # reference conversion makes. Tombstones are stripped in C,
+                # and a block that ends in them is left for the next block
+                # with a visible slot.
                 base, shown = i - k, b.shown  # base: the block's first index
                 k += 1
-                try:
-                    while not shown[k]:
-                        k += 1
-                except IndexError:
-                    k = None
-                    while k is None:
+                if k == len(shown) or shown[k] == TOMB:
+                    rest = shown[k:].lstrip(TOMB)
+                    while not rest:
                         base += len(shown)
                         b = self.blocks[b.pos + 1]
                         shown = b.shown
-                        k = next(compress(count(), shown), None)
+                        rest = shown.lstrip(TOMB)
+                    k = len(shown) - len(rest)
                 j = base + k
                 self.search_steps += j + 1
                 nxt = b.objects[k].id
@@ -349,17 +366,13 @@ class ObjectSequence:
     def integrate_delete(self, op: DeleteId) -> None:
         """Tombstone the target; idempotent."""
         i = self.index_of(op.target)
-        if self.lens:
-            b, k = self._at(i)
-            if b.shown[k]:
-                b.shown[k] = ""
-                b.visible -= 1
-                self.n_visible -= 1
-            return
-        shown = self.blocks[0].shown
-        if shown[i]:
-            shown[i] = ""
+        b, k = self._at(i) if self.lens else (self.blocks[0], i)
+        shown = b.shown
+        if shown[k] != TOMB:
+            b.shown = f"{shown[:k]}{TOMB}{shown[k + 1:]}"
             self.n_visible -= 1
+            if self.lens:
+                b.visible -= 1
 
     def executable(self, op: Union[InsertId, DeleteId]) -> bool:
         if isinstance(op, DeleteId):
@@ -395,7 +408,8 @@ class ObjectSequence:
                 self.located = {op.id: n}  # every index from n on has moved
                 self.n_visible += 1
                 b.objects.insert(k, new)
-                b.shown.insert(k, op.character)
+                shown = b.shown
+                b.shown = f"{shown[:k]}{op.character}{shown[k:]}"
                 if len(b.objects) > 2 * BLOCK:
                     self._split(b)
                 return
@@ -430,11 +444,12 @@ class ObjectSequence:
         """Split block b into two halves; no slot's index moves. The first
         split starts the block counts."""
         if not self.lens:
-            b.visible = len(b.shown) - b.shown.count("")
+            b.visible = len(b.shown) - b.shown.count(TOMB)
             self.lens = [len(b.objects)]
         half = len(b.objects) // 2
         right = Block(b.objects[half:], b.shown[half:], b.pos + 1)
-        del b.objects[half:], b.shown[half:]
+        del b.objects[half:]
+        b.shown = b.shown[:half]
         b.visible -= right.visible
         for o in right.objects:
             o.block = right
@@ -515,16 +530,16 @@ class WootSite:
         for pos, b in enumerate(seq.blocks):
             # `shown` is the only record of visibility, slot for slot with `objects`
             if len(b.shown) != len(b.objects):
-                raise AssertionError(f"site {i}: block {pos}'s shown list holds {len(b.shown)} slots for {len(b.objects)} objects")
-            if any(ch and ch != o.character for o, ch in zip(b.objects, b.shown)):
-                raise AssertionError(f"site {i}: block {pos}'s shown list disagrees with its objects' characters")
-            visible = len(b.shown) - b.shown.count("") if counted else None
+                raise AssertionError(f"site {i}: block {pos}'s shown string holds {len(b.shown)} slots for {len(b.objects)} objects")
+            if any(ch != TOMB and ch != o.character for o, ch in zip(b.objects, b.shown)):
+                raise AssertionError(f"site {i}: block {pos}'s shown string disagrees with its objects' characters")
+            visible = len(b.shown) - b.shown.count(TOMB) if counted else None
             if b.pos != pos or b.visible != visible:
                 raise AssertionError(f"site {i}: block {pos} is numbered {b.pos} and keeps visible count {b.visible}, expected {visible}")
             # the objects' `block` slots are the block index
             if any(o.block is not b for o in b.objects):
                 raise AssertionError(f"site {i}: the block index does not place every object of block {pos} in it")
-        if seq.blocks[0].shown[0] or seq.blocks[-1].shown[-1]:
+        if seq.blocks[0].shown[0] != TOMB or seq.blocks[-1].shown[-1] != TOMB:
             raise AssertionError(f"site {i}: a sentinel is shown")
         if seq.total_count() != created:
             raise AssertionError(f"site {i}: object count {seq.total_count()} != initial+inserts {created}")
@@ -572,15 +587,23 @@ class WootSite:
         count before it and whether a delete's target was already tombstoned."""
         if idop.origin == self.site:
             raise ValueError("a site never delivers its own message")
-        if not self.istate.executable(idop.op):
+        op = idop.op
+        insert = type(op) is InsertId
+        if not self.istate.executable(op):
+            # The wire cannot bound an INIT_SID id, since the initial
+            # document's length is not on it; every initial object is here
+            # from the start, so an absent one is malformed, not early.
+            for oid in (op.prev, op.next) if insert else (op.target,):
+                if oid.sid == INIT_SID and oid not in self.istate.by_id:
+                    raise ValueError(f"op {idop.key()} names {oid}, beyond the initial document")
             raise NotExecutableError(f"op {idop.key()} anchors not present yet")
         steps0 = self.istate.search_steps
         already_gone = False
-        if isinstance(idop.op, InsertId):
-            self.istate.integrate_insert(idop.op)
+        if insert:
+            self.istate.integrate_insert(op)
         else:
-            already_gone = not self.istate.is_visible(idop.op.target)
-            self.istate.integrate_delete(idop.op)
+            already_gone = not self.istate.is_visible(op.target)
+            self.istate.integrate_delete(op)
         self.clock = self.clock.merge(idop.clock)
         return steps0, already_gone
 

@@ -32,6 +32,7 @@ from coedit.woot import (
     DeleteId,
     InsertId,
     NotExecutableError,
+    TOMB,
     WootSite,
 )
 
@@ -255,7 +256,8 @@ class TestCriterion6DualPathEquivalence:
         a = Site(id=0, engine=WootSite.create(0, "ab"), external="ab")
         b = Site(id=1, engine=WootSite.create(1, "ab"), external="ab")
         msg = b.generate(Insert(1, "x"))
-        a.engine.istate.blocks[0].shown[1] = ""  # desync IS from the text
+        block = a.engine.istate.blocks[0]
+        block.shown = block.shown[:1] + TOMB + block.shown[2:]  # hide 'a' in IS only: desync IS from the text
         with pytest.raises(EngineInvariantError):
             a.deliver(msg)
 

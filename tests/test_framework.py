@@ -18,7 +18,7 @@ from coedit.framework import (
     message_meta,
 )
 from coedit.ot import ClientOpMsg, OtSite, SequencerClient, SequencerServer, ServerOpMsg
-from coedit.woot import DeleteId, InsertId, ObjectId, START, END, WootSite
+from coedit.woot import DeleteId, InsertId, ObjectId, START, END, TOMB, WootSite
 
 from conftest import stamp
 
@@ -110,7 +110,12 @@ class TestStrictDecoding:
         b"W" + struct.pack(">I", 0) + _WOOT_IDS,  # so does a WOOT insert
         b"W" + struct.pack(">I", 2) + b"ab" + _WOOT_IDS,
         b"W" + struct.pack(">I", 1) + b"q" + _woot_ids(7, 1),  # an insert's id is its message's origin.seq
-    ], ids=["payload-kind", "op-kind", "utf8", "two-chars", "woot-no-char", "woot-two-chars", "woot-foreign-id"])
+        b"TI" + struct.pack(">II", 0, 1) + b"\x00",  # no document character is NUL
+        b"C" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",
+        b"S" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",
+        b"W" + struct.pack(">I", 1) + b"\x00" + _woot_ids(0, 1),
+    ], ids=["payload-kind", "op-kind", "utf8", "two-chars", "woot-no-char", "woot-two-chars", "woot-foreign-id",
+            "nul", "client-nul", "server-nul", "woot-nul"])
     def test_bad_payload_rejected(self, payload):
         with pytest.raises(WireFormatError):
             decode_message(_envelope(payload))
@@ -239,7 +244,9 @@ class TestSiteContainer:
         a = Site(id=0, engine=WootSite.create(0, "ab"), external="ab")
         b = Site(id=1, engine=WootSite.create(1, "ab"), external="ab")
         msg = b.generate(Insert(1, "x"))
-        # sabotage the internal sequence so value(IS) disagrees with the text
-        a.engine.istate.blocks[0].shown[1] = ""
+        # sabotage the internal sequence so value(IS) disagrees with the text:
+        # 'a' is hidden in its block's shown string, and in nothing else
+        block = a.engine.istate.blocks[0]
+        block.shown = block.shown[:1] + TOMB + block.shown[2:]
         with pytest.raises(EngineInvariantError):
             a.deliver(msg)

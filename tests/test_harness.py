@@ -11,7 +11,7 @@ import pytest
 from coedit import cli, harness, woot
 from coedit.model import BoundsError, Delete, Insert
 from coedit.netsim import FixedLatency, UniformLatency
-from coedit.woot import Block, WootSite
+from coedit.woot import TOMB, Block, WootSite
 from coedit.harness import (
     FuzzSpec,
     Scenario,
@@ -88,6 +88,11 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="fuzz window"):
             Scenario("ab", 2, fuzz=FuzzSpec(n_ops=4, window=window))
 
+    @pytest.mark.parametrize("initial, alphabet", [("a\x00b", "ab"), ("ab", "a\x00")], ids=["initial", "alphabet"])
+    def test_nul_document_character_rejected(self, initial, alphabet):
+        with pytest.raises(ScenarioError, match="never NUL"):
+            Scenario(initial, 2, fuzz=FuzzSpec(n_ops=4, alphabet=alphabet))
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ScenarioError, match="unknown mode 'bogus'"):
             Scenario("ab", 2, mode="bogus", fuzz=FuzzSpec(n_ops=4))
@@ -144,18 +149,19 @@ class TestRunScenario:
             run_scenario(fig1_scenario(), "woot", ablation=ablation)
 
     def test_stray_shown_slot_is_a_fault(self, monkeypatch):
-        # a trailing "" leaves value() and the visible count as they were,
-        # so only the slot-for-slot accounting of `shown` can catch it
+        # a trailing TOMB leaves value(), the visible count and the sentinel
+        # check as they were, so only the slot-for-slot accounting of `shown`
+        # can catch it
         local = WootSite.local
 
         def straying(self, eo):
             idop = local(self, eo)
             if self.site == 0 and idop.seq == 1:
-                self.istate.blocks[-1].shown.append("")
+                self.istate.blocks[-1].shown += TOMB
             return idop
 
         monkeypatch.setattr(WootSite, "local", straying)
-        with pytest.raises(AssertionError, match="shown list holds"):
+        with pytest.raises(AssertionError, match="shown string holds"):
             run_scenario(fig1_scenario(), "woot")
 
     @pytest.mark.parametrize("ablation", [False, True])

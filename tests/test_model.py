@@ -72,6 +72,11 @@ class TestOpText:
         with pytest.raises(ValueError):
             Insert(0, "ab")
 
+    def test_insert_never_carries_nul(self):
+        # NUL marks a slot that shows nothing in WOOT's blocks
+        with pytest.raises(ValueError, match="other than NUL"):
+            Insert(0, "\x00")
+
 
 class TestVectorClock:
     def test_missing_entry_is_zero(self):

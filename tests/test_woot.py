@@ -20,6 +20,7 @@ from coedit.woot import (
     ObjectSequence,
     START,
     SkipConversionSite,
+    TOMB,
     UnknownTargetError,
     WootSite,
 )
@@ -53,6 +54,8 @@ def sentinel_first_key(o):
 wire_sids = st.one_of(st.integers(-2, 4), st.integers(-(2**63), 2**63 - 1))
 wire_seqs = st.one_of(st.integers(0, 4), st.integers(0, 2**64 - 1))
 wire_ids = st.builds(ObjectId, wire_sids, wire_seqs)
+
+NON_BMP = "\U0001F600"
 
 
 class TestObjectId:
@@ -101,6 +104,26 @@ class TestInitSequence:
         assert seq.dump() == "@s\n@e"
         assert seq.value() == "" and seq.total_count() == 0
 
+    def test_nul_is_never_a_document_character(self):
+        # NUL marks a block slot that shows nothing
+        with pytest.raises(ValueError, match="never NUL"):
+            ObjectSequence.from_text("ab\x00")
+        with pytest.raises(ValueError, match="other than NUL"):
+            InsertId("\x00", oid(0, 1), START, END)
+
+    def test_non_bmp_character_in_a_block(self):
+        """A non-BMP character is one code point, so it fills one slot of its
+        block's `shown`, as any other character does."""
+        for _ in block_sizes():
+            site = WootSite.create(0, NON_BMP + "a" + NON_BMP)
+            for eo in (Insert(1, NON_BMP), Delete(0), Insert(3, "b"), Delete(1)):
+                site.local(eo)  # each op holds value() to the text
+            seq = site.istate
+            assert site.state == seq.value() == NON_BMP + NON_BMP + "b"
+            assert all(len(b.shown) == len(b.objects) for b in seq.blocks)
+            assert seq.shown == TOMB + TOMB + NON_BMP + TOMB + NON_BMP + "b" + TOMB
+            assert seq.dump() == per_line_dump(seq)
+
     def test_large_doc_object_count(self):
         seq = ObjectSequence.from_text("x" * 1000)
         assert len(seq.objects) == 1002
@@ -116,7 +139,7 @@ class TestInitSequence:
             assert sizes == [woot.BLOCK] * ((n + 2) // woot.BLOCK) + [(n + 2) % woot.BLOCK] * ((n + 2) % woot.BLOCK > 0)
             assert seq.lens == (sizes if len(sizes) > 1 else [])  # a lone block keeps no counts
             assert seq.dump() == per_line_dump(seq)
-            assert seq.value() == "".join(seq.shown) == doc
+            assert seq.shown == TOMB + doc + TOMB and seq.value() == doc
             assert [seq.index_of(o.id) for o in seq.objects] == list(range(n + 2))
             assert seq.search_steps == (n + 2) * (n + 3) // 2
 
@@ -172,6 +195,28 @@ class TestConversions:
         before = seq.search_steps
         seq.pos_to_id(Delete(4), site=0, next_seq=1)
         assert seq.search_steps > before
+
+    @pytest.mark.parametrize("size", [woot.BLOCK, 64])
+    def test_nth_visible_crosses_a_tombstone_run_in_one_step(self, size):
+        """The n-th visible search lands in a run of tombstones and moves
+        past it at once, not one count per tombstone: 98 of them in a lone
+        block, the last 36 of them in the second of two."""
+
+        class CountingStr(str):
+            calls = 0
+
+            def count(self, *args):
+                CountingStr.calls += 1
+                return super().count(*args)
+
+        with block_size(size):
+            seq = ObjectSequence.from_text("a" + "x" * 98 + "b")
+            for _ in range(98):
+                seq.integrate_delete(seq.pos_to_id(Delete(1), site=0, next_seq=1))
+            b = next(blk for blk in seq.blocks if "b" in blk.shown)
+            b.shown = CountingStr(b.shown)
+            assert seq.nth_visible_index(1) == 100
+            assert CountingStr.calls <= 3
 
 
 class TestIntegrate:
@@ -274,6 +319,25 @@ class TestWootSite:
         assert b.remote(o1) == Delete(1) and b.state == "ace"
         assert a.remote(o2) == Insert(1, "c") and a.state == "ace"
         assert a.istate.dump() == b.istate.dump()
+
+    @pytest.mark.parametrize("op", [
+        del_op(0, 1, oid(INIT_SID, 99)),
+        ins_op(0, 1, "x", oid(INIT_SID, 4), END),
+        ins_op(0, 1, "x", START, oid(INIT_SID, 0)),
+    ], ids=["delete-target", "insert-prev", "insert-next"])
+    @pytest.mark.parametrize("cls", [WootSite, SkipConversionSite])
+    def test_initial_id_beyond_document_refused(self, cls, op):
+        """The wire cannot bound an initial id, but the replica can: "abe"
+        has -1.1 to -1.3 only. The op is refused with a ValueError before
+        anything is integrated, ticked or recorded; as for an op that is not
+        executable yet, only the running search-step counter has moved."""
+        site = cls.create(1, "abe")
+        seen = lambda: (site.state, site.clock, site.istate.dump(), site.istate.n_visible,
+                        site.istate.total_count(), repr(site.metrics))
+        before = seen()
+        with pytest.raises(ValueError, match="beyond the initial document"):
+            site.remote(op)
+        assert seen() == before
 
     def test_remote_not_executable_raises(self):
         a, _ = self._fig_sites()
@@ -474,7 +538,7 @@ class LinearSequence(ObjectSequence):
         count = 0
         for i, ch in enumerate(self.shown):
             self.search_steps += 1
-            if ch:
+            if ch != TOMB:
                 if count == n:
                     return i
                 count += 1
@@ -484,7 +548,7 @@ class LinearSequence(ObjectSequence):
         rank = 0
         for ch in self.shown[:index]:
             self.search_steps += 1
-            if ch:
+            if ch != TOMB:
                 rank += 1
         return rank
 
@@ -494,10 +558,10 @@ class LinearSequence(ObjectSequence):
         return self.contains(op.prev) and self.contains(op.next)
 
     def value(self):
-        return "".join(o.character for o, ch in zip(self.objects, self.shown) if ch)
+        return "".join(o.character for o, ch in zip(self.objects, self.shown) if ch != TOMB)
 
     def visible_count(self):
-        return sum(1 for ch in self.shown if ch)
+        return sum(1 for ch in self.shown if ch != TOMB)
 
     def dump(self):
         return per_line_dump(self)
@@ -510,7 +574,7 @@ def per_line_dump(seq):
     def line(obj, shown):
         if obj.id == START or obj.id == END:
             return str(obj.id)
-        return f"{obj.character}|{obj.id}|prev={obj.prev}|next={obj.next}|{'v' if shown else 'iv'}"
+        return f"{obj.character}|{obj.id}|prev={obj.prev}|next={obj.next}|{'iv' if shown == TOMB else 'v'}"
 
     return "\n".join(map(line, seq.objects, seq.shown))
 
@@ -526,6 +590,19 @@ reference_actions = st.lists(
         ]),
         st.integers(-3, 30),
         st.integers(0, 30),
+    ),
+    max_size=40,
+)
+
+
+# Deletes outnumber inserts and positions stay small, so most deletes land:
+# blocks empty out and tombstones gather at block ends.
+tombstone_actions = st.lists(
+    st.tuples(
+        st.sampled_from(["local_delete"] * 3 + ["remote_delete"] * 2 + [
+            "local_insert", "remote_insert", "nth_visible_index", "visible_rank", "id_to_pos", "value"]),
+        st.integers(0, 8),
+        st.integers(0, 12),
     ),
     max_size=40,
 )
@@ -600,8 +677,23 @@ class TestReferenceScans:
         with block_size(2):
             self.test_engine_matches_linear_scans.hypothesis.inner_test(self, doc, actions)
 
+    @given(st.text(alphabet=["a", "b", NON_BMP], max_size=8), tombstone_actions)
+    # [@s a] [b c] [d e] [f @e]: [b c] all tombstones, stepped over and counted past
+    @example("abcdef", [("local_delete", 1, 0), ("local_delete", 1, 0), ("local_insert", 1, 0),
+                        ("nth_visible_index", 2, 0), ("visible_rank", 0, 7), ("id_to_pos", 1, 4), ("value", 0, 0)])
+    # [@s a] [b c] [d @e]: tombstones ending the first two blocks
+    @example("abcd", [("local_delete", 0, 0), ("local_delete", 1, 0), ("local_insert", 0, 0),
+                      ("local_insert", 2, 0), ("nth_visible_index", 1, 0), ("visible_rank", 0, 4)])
+    # [@s a] [@e]: a block that holds the end sentinel alone
+    @example("a", [("visible_rank", 0, 3), ("local_delete", 0, 0), ("nth_visible_index", 0, 0),
+                   ("local_insert", 0, 0), ("nth_visible_index", 0, 0), ("visible_rank", 0, 4)])
+    def test_tombstone_heavy_in_blocks_of_two(self, doc, actions):
+        """The lockstep run over delete-heavy histories with two slots per
+        block as built, and non-BMP characters in the blocks."""
+        with block_size(2):
+            self.test_engine_matches_linear_scans.hypothesis.inner_test(self, doc, actions)
 
-NON_BMP = "\U0001F600"
+
 dump_chars = st.sampled_from(["a", "b", " ", "\n", NON_BMP])
 dump_histories = st.lists(
     st.tuples(st.sampled_from(["insert", "delete", "remote_insert"]), st.integers(0, 40), st.integers(0, 40), dump_chars),
