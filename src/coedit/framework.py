@@ -232,7 +232,7 @@ class Engine(Protocol):
     counters to the run's one MetricsBundle, which every replica (and a
     sequencer server) folds into in turn."""
 
-    state: str  # the engine's mirror of the visible text
+    state: str  # the engine's view of the text: its own copy (OT), a scan of its sequence (WOOT)
     clock: VectorClock  # what it has delivered, for causal gating
 
     def local(self, eo: ExternalOp) -> WireMessage: ...
@@ -247,7 +247,8 @@ class Site:
 
     Local path: apply to external, then loh, then hand the message out.
     Remote path: roh, then apply the returned op to external.
-    After either, the engine's mirror must equal the visible text.
+    After either, unless the remote returned None (a sequencer echo, or the
+    `skip34` ablation), the engine's `state` must equal the visible text.
     """
 
     id: SiteId
@@ -266,9 +267,9 @@ class Site:
         eo = self.engine.remote(msg)
         if eo is not None:
             self.external = apply_external(self.external, eo)
-        self._check_mirror()
+            self._check_mirror()
         return eo
 
     def _check_mirror(self) -> None:
         if self.engine.state != self.external:
-            raise EngineInvariantError(f"site {self.id}: engine mirror {self.engine.state!r} != external {self.external!r}")
+            raise EngineInvariantError(f"site {self.id}: engine's text {self.engine.state!r} != visible text {self.external!r}")

@@ -93,6 +93,8 @@ class Scenario:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.fuzz is not None and self.fuzz.window is not None and self.fuzz.window < 1:
             raise ScenarioError(f"a fuzz window needs at least 1 op, got {self.fuzz.window}")
+        if self.fuzz is not None and not self.fuzz.alphabet:
+            raise ScenarioError("a fuzz alphabet needs at least 1 character")
         if NUL in self.initial or (self.fuzz is not None and NUL in self.fuzz.alphabet):
             raise ScenarioError("a document character is never NUL: not in the initial document, nor in the fuzz alphabet")
 

@@ -183,9 +183,12 @@ class OtSite(_Replica):
         if any(s != self.site and s != remote_op.origin for s in remote_op.clock.entries):
             raise ContextMismatchError(f"remote {remote_op.key()} names a third site: {remote_op.clock}")
         seen = remote_op.clock.get(self.site)
-        self.pending = [e for e in self.pending if e[2].seq > seen]
-        if any(happened_before(remote_op, e[2]) for e in self.pending):
+        if seen > self.clock.get(self.site):  # acking ops never made would drop pending ones unfolded
+            raise ContextMismatchError(f"remote {remote_op.key()} claims {seen} ops of site {self.site}, which made {self.clock.get(self.site)}")
+        pending = [e for e in self.pending if e[2].seq > seen]
+        if any(happened_before(remote_op, e[2]) for e in pending):
             raise ContextMismatchError(f"a pending op at site {self.site} is causally after remote {remote_op.key()}")
+        self.pending = pending
         return self._execute(remote_op)
 
 
@@ -264,12 +267,11 @@ class SequencerClient(_Replica):
             raise ContextMismatchError(
                 f"server stream out of order at site {self.site}: got {msg.index}, expected {self.delivered}"
             )
+        if msg.origin != self.site:
+            self.delivered += 1
+            return self._execute(msg)
+        if not self.pending or self.pending[0][2].key() != msg.key():
+            raise ContextMismatchError(f"echo {msg.key()} at site {self.site} is not of its oldest pending op")
+        del self.pending[0]
         self.delivered += 1
-        if msg.origin == self.site:
-            acked = self.pending.pop(0)[2]
-            if acked.key() != msg.key():
-                raise ContextMismatchError(
-                    f"echo mismatch at site {self.site}: {acked.key()} vs {msg.key()}"
-                )
-            return None
-        return self._execute(msg)
+        return None

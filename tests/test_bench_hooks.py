@@ -2,8 +2,15 @@
 library looks them up, read through `vars(owner)[attr]`. A refactor that
 inherits one of those methods or drops one of those imports breaks the
 benchmark; this runs fig1 on all three engine set-ups under every hook and
-checks that the hooks saw them and left the library as they found it."""
+checks that the hooks saw them and left the library as they found it.
 
+The benchmark also builds sites through the public constructors in a fresh
+interpreter (perfbench/setup_probe.py) and reads the run reports' cost
+fields (`measure.Exact`); both are run here on tiny inputs, as
+perfbench/selftest.py runs them at length."""
+
+import json
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -16,7 +23,9 @@ from coedit.netsim import Simulator
 from coedit.ot import OtSite, SequencerClient, SequencerServer
 from coedit.woot import ObjectSequence, WootSite
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import measure  # noqa: E402
 from tracing import OBJECT_SEQUENCE_METHODS, EventClock, Probe, Tracer, installed  # noqa: E402
 
 HOOKED = (
@@ -57,3 +66,32 @@ def test_hooks_observe_every_engine_and_undo():
                     *(f"woot.{name}" for name in OBJECT_SEQUENCE_METHODS)):
         assert tracer.counters[counter][0] > 0, counter
     assert {(owner, attr): vars(owner)[attr] for owner, attr in HOOKED} == before
+
+
+def test_setup_probe_builds_every_engine():
+    spec = {
+        "src": str(ROOT / "src"),
+        "sessions": [
+            {"engine": "woot", "mode": "causal", "sites": 2, "doc": "abe"},
+            {"engine": "ot", "mode": "sequencer", "sites": 3, "doc": "abe"},
+            {"engine": "ot", "mode": "causal", "sites": 2, "doc": "abe"},
+        ],
+    }
+    out = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py")], input=json.dumps(spec),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) > 0
+
+
+def test_exact_block_reads_every_engine_report():
+    fig1 = fig1_scenario()
+    probe, tally, exact = Probe(), measure.Tally(), measure.Exact()
+    with installed(probe):
+        measure.run_round([(fig1, "ot"), (replace(fig1, mode="sequencer"), "ot"), (fig1, "woot")], probe, tally, exact)
+    assert tally.failures == []
+    block = exact.block()
+    assert (block["sessions"], block["ops"]) == (3, 6)
+    assert (block["C"], block["C_t"]) == (3, 4)  # the WOOT session's "ace" and its tombstoned 'b'
+    assert block["woot_engine_calls"] == 4 and block["search_steps_total"] > 0
+    assert block["transform_total"] > 0 and block["ot.bridge_len_max"] == 1 and block["ot.buffer_len_max"] == 2
+    assert block["framework.bytes_per_op"] > 0 and len(block["trace_digests"]) == 3

@@ -3,6 +3,7 @@ decoding, call order, mirror invariant."""
 
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 
@@ -250,3 +251,25 @@ class TestSiteContainer:
         block.shown = block.shown[:1] + TOMB + block.shown[2:]
         with pytest.raises(EngineInvariantError):
             a.deliver(msg)
+
+    def test_woot_position_one_off_caught_on_deliver(self):
+        """A replica whose conversion to a position is one off replays the
+        insert one place right; the Site finds that on this op."""
+        a = Site(id=0, engine=WootSite.create(0, "ab"), external="ab")
+        b = Site(id=1, engine=WootSite.create(1, "ab"), external="ab")
+        msg = b.generate(Insert(1, "x"))
+        seq = a.engine.istate
+        to_pos = seq.id_to_pos
+        seq.id_to_pos = lambda op: replace(to_pos(op), position=to_pos(op).position + 1)
+        with pytest.raises(EngineInvariantError, match="'axb' != visible text 'abx'"):
+            a.deliver(msg)
+
+    def test_woot_anchors_one_off_caught_on_generate(self):
+        """A replica whose conversion to ids anchors an insert one slot right
+        places it there; the Site finds that on this op."""
+        a = Site(id=0, engine=WootSite.create(0, "ab"), external="ab")
+        seq = a.engine.istate
+        to_id = seq.pos_to_id
+        seq.pos_to_id = lambda eo, site, n: to_id(replace(eo, position=eo.position + 1), site, n)
+        with pytest.raises(EngineInvariantError, match="'axb' != visible text 'xab'"):
+            a.generate(Insert(0, "x"))

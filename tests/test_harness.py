@@ -88,6 +88,11 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="fuzz window"):
             Scenario("ab", 2, fuzz=FuzzSpec(n_ops=4, window=window))
 
+    def test_empty_fuzz_alphabet_rejected(self):
+        # an insert would draw from nothing
+        with pytest.raises(ScenarioError, match="fuzz alphabet"):
+            Scenario("ab", 2, fuzz=FuzzSpec(n_ops=5, alphabet=""))
+
     @pytest.mark.parametrize("initial, alphabet", [("a\x00b", "ab"), ("ab", "a\x00")], ids=["initial", "alphabet"])
     def test_nul_document_character_rejected(self, initial, alphabet):
         with pytest.raises(ScenarioError, match="never NUL"):

@@ -27,15 +27,15 @@ class TestCollect:
         assert report.metrics.init_cost == 3
 
     def test_c_t_dominates_c(self, monkeypatch):
-        # every replica's (C, C_t) after each of its ops, read as it folds
+        # every replica's (C, C_t) after each of its ops, read as it samples them
         samples = []
-        fold = WootSite.fold_metrics
+        sample = WootSite._sample
 
-        def recording(self, bundle):
-            samples.extend(zip(self.metrics.visible_counts, self.metrics.total_counts))
-            fold(self, bundle)
+        def recording(self, steps_before):
+            sample(self, steps_before)
+            samples.append((self.istate.n_visible, self.istate.total_count()))
 
-        monkeypatch.setattr(WootSite, "fold_metrics", recording)
+        monkeypatch.setattr(WootSite, "_sample", recording)
         run_scenario(fig1_scenario(), "woot")
         assert len(samples) == 4  # 2 sites, each making one op and receiving the other
         for c, t in samples:

@@ -26,6 +26,14 @@ from coedit.ot import (
 from conftest import both_orders, random_op, stamp
 
 
+def fields(replica) -> tuple:
+    """What a refused message must leave unchanged: text, clock, pending
+    entries (copied, as folds rebase them in place), buffer and, for a
+    sequencer client, how much of the stream it has delivered."""
+    return (replica.state, replica.clock, [list(e) for e in replica.pending], list(replica.buffer),
+            getattr(replica, "delivered", None))
+
+
 class TestTransformFunctions:
     # insert-insert -------------------------------------------------------
     def test_ii_left_of(self):
@@ -188,6 +196,30 @@ class TestOtSite:
         with pytest.raises(ContextMismatchError):
             a.remote(stamp(Insert(0, "q"), 1, 1, {2: 1}))
 
+    def test_ack_beyond_own_ops_refused(self):
+        """Site 0 has made one op. A peer op claiming five of them would drop
+        the pending insert and apply unfolded, giving 'xyab'; it is refused
+        with nothing changed, and the true clock gives 'xayb'."""
+        a = OtSite(site=0, state="ab")
+        a.local(Insert(0, "x"))
+        before = fields(a)
+        with pytest.raises(ContextMismatchError, match="claims 5 ops of site 0, which made 1"):
+            a.remote(stamp(Insert(1, "y"), 1, 1, {0: 5}))
+        assert fields(a) == before
+        assert a.remote(stamp(Insert(1, "y"), 1, 1)) == Insert(2, "y") and a.state == "xayb"
+
+    def test_causal_mismatch_refused_before_pruning(self):
+        """A remote claiming to have seen the pending insert, yet causally
+        before the pending delete, is refused before the insert is pruned."""
+        a = OtSite(site=0, state="ab")
+        a.local(Insert(0, "x"))
+        a.remote(stamp(Insert(0, "q"), 1, 1))  # had not seen the insert
+        a.local(Delete(0))  # causally after the peer's op
+        before = fields(a)
+        with pytest.raises(ContextMismatchError, match="causally after"):
+            a.remote(stamp(Insert(0, "q"), 1, 1, {0: 1}))
+        assert fields(a) == before
+
 
 class TestGc:
     def _two_site_session(self):
@@ -283,6 +315,24 @@ class TestSequencer:
         assert server.state == "xab"
         server.process(1, late)
         assert server.state == "xa"
+
+    @pytest.mark.parametrize("echo", ["nothing-pending", "not-oldest"])
+    def test_bad_echo_refused_before_any_change(self, echo):
+        """An echo of an own op must be of the oldest pending one; any other
+        is refused with every field as it was."""
+        client = SequencerClient(site=0, state="ab")
+        server = SequencerServer(client_ids=[0], state="ab")
+        if echo == "nothing-pending":
+            client.remote(server.process(0, client.local(Insert(2, "c"))))
+            bad = ServerOpMsg(Insert(0, "z"), 0, 2, VectorClock({0: 2}), 1)
+        else:
+            client.local(Insert(2, "c"))
+            second = client.local(Delete(0))
+            bad = ServerOpMsg(second.op, 0, second.seq, second.clock, 0)
+        before = fields(client)
+        with pytest.raises(ContextMismatchError, match="is not of its oldest pending op"):
+            client.remote(bad)
+        assert fields(client) == before
 
     def test_out_of_order_stream_rejected(self):
         client = SequencerClient(site=1, state="")

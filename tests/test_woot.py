@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from coedit import woot
-from coedit.model import BoundsError, Delete, Insert, NoOp, TimestampedOp, VectorClock
+from coedit.framework import Site
+from coedit.model import BoundsError, Delete, EngineInvariantError, Insert, NoOp, TimestampedOp, VectorClock
 from coedit.woot import (
     DeleteId,
     END,
@@ -354,11 +355,14 @@ class TestWootSite:
 
     def test_ablation_skips_external_update(self):
         _, b = self._fig_sites()
-        a = SkipConversionSite.create(0, "abe")
+        a = Site(id=0, engine=SkipConversionSite.create(0, "abe"), external="abe")
         o2 = b.local(Insert(2, "c"))
-        assert a.remote(o2) is None
-        assert a.state == "abe"  # visible text left stale
-        assert a.istate.value() == "abce"  # internal sequence did integrate
+        assert a.deliver(o2) is None
+        assert a.external == "abe"  # visible text left stale
+        assert a.engine.istate.value() == "abce"  # internal sequence did integrate
+        # the next local op meets the stale text, and the Site refuses it
+        with pytest.raises(EngineInvariantError, match="'xabce' != visible text 'xabe'"):
+            a.generate(Insert(0, "x"))
 
 
 class TestOrderInsensitivity:
@@ -426,13 +430,41 @@ class TestMetricsCounters:
         assert len(site.metrics.search_steps_per_op) == 2
         assert all(s > 0 for s in site.metrics.search_steps_per_op)
 
-    def test_tombstone_monotonicity(self):
+    def test_tombstone_monotonicity(self, monkeypatch):
+        totals = []  # the object count after each op, read as it is sampled
+        sample = WootSite._sample
+
+        def recording(self, steps_before):
+            sample(self, steps_before)
+            totals.append(self.istate.total_count())
+
+        monkeypatch.setattr(WootSite, "_sample", recording)
         site = WootSite.create(0, "abcd")
         site.local(Delete(1))
         site.local(Insert(0, "z"))
         site.local(Delete(3))
-        totals = site.metrics.total_counts
+        assert len(totals) == 3
         assert all(b >= a for a, b in zip(totals, totals[1:]))
+
+    def test_tombstone_count_falling_is_caught_at_the_op(self):
+        """A running visible count that drifts up for one op reads as one
+        tombstone fewer; the op that samples it fails, even if the drift is
+        undone before the end of the run."""
+        site = WootSite.create(0, "abcd")
+        site.local(Delete(1))
+        site.istate.n_visible += 1
+        with pytest.raises(AssertionError, match="site 0: tombstone count decreased"):
+            site.local(Insert(0, "z"))
+
+    def test_object_count_falling_is_caught_at_the_op(self):
+        """An object dropped from the id index lowers the object count; the
+        next op fails on it. A delete keeps the tombstone count as it was, so
+        only the object count falls."""
+        site = WootSite.create(0, "abcd")
+        site.local(Delete(1))
+        del site.istate.by_id[oid(INIT_SID, 4)]
+        with pytest.raises(AssertionError, match="site 0: object count decreased"):
+            site.local(Delete(0))
 
 
 class CountingList(list):
