@@ -29,7 +29,8 @@ p99 local and remote times and of `init.woot_init_ns`, and the rows'
 `search_steps_total`, `C` and `C_t`, each of which must be the same in every
 round on both sides (the scans' cost depends on the tombstone ratio).
 The times are the library's own summary keys; a revision whose summary lacks
-one reports it as None.
+one reports it as None. The output also records each checkout's line count
+of `src/coedit/*.py`, as `wc -l` totals it.
 Exit code 1 if a run fails, a pair's exact blocks differ or a sweep's
 counts differ.
 """
@@ -76,6 +77,11 @@ def build_checkouts(rev: str, scratch: Path) -> dict:
             dst.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dst)
     return dirs
+
+
+def source_lines(checkout: Path) -> int:
+    """Newlines in the checkout's `src/coedit/*.py`: the total of `wc -l`."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "coedit").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -239,6 +245,7 @@ def main(argv=None) -> int:
         "change": f"working tree on {git('rev-parse', '--short', 'HEAD').decode().strip()}"
         + (", with uncommitted changes" if git("status", "--porcelain", "--untracked-files=no").strip() else ""),
         "host": host(),
+        "src_coedit_lines": {side: source_lines(dirs[side]) for side in SIDES},
         "bounds": ", ".join(f"{m['name']} {m['bound']}" for m in spec["end_to_end"]),
         "workloads": {},
     }

@@ -404,12 +404,15 @@ class _Run:
             self.server.fold_metrics(bundle)
 
         finals = {i: s.external for i, s in self.sites.items()}
-        converged = len(set(finals.values())) <= 1 and len(set(dumps.values())) <= 1
+        server_text = set() if self.server is None else {self.server.state}
+        converged = len(set(finals.values()) | server_text) <= 1 and len(set(dumps.values())) <= 1
         self._check_intention()
         if converged:
             detail = "all replicas identical"
         else:
             detail = "replica mismatch: " + "; ".join(f"site {i}={t!r}" for i, t in sorted(finals.items()))
+            if server_text and server_text != set(finals.values()):
+                detail += f"; server={self.server.state!r}"
             if self.ablation or not self.intention.ok:
                 detail += " -- replicas are neither convergent nor intention preserving"
         return RunReport(

@@ -62,7 +62,7 @@ def test_hooks_observe_every_engine_and_undo():
     assert spans["framework.decode"]["n"] == spans["framework.encode"]["n"] > 0
     # fig1's WOOT run inserts, deletes and integrates both remotely, so every
     # traced ObjectSequence method must be on its call path
-    for counter in ("ot.transform", "model.happened_before", "model.apply_external",
+    for counter in ("ot.transform", "model.apply_external",
                     *(f"woot.{name}" for name in OBJECT_SEQUENCE_METHODS)):
         assert tracer.counters[counter][0] > 0, counter
     assert {(owner, attr): vars(owner)[attr] for owner, attr in HOOKED} == before

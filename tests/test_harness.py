@@ -4,6 +4,7 @@ ablation, shrinking, cross-engine comparison."""
 import ast
 import random
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from coedit import cli, harness, woot
 from coedit.model import BoundsError, Delete, Insert
 from coedit.netsim import FixedLatency, UniformLatency
+from coedit.ot import SequencerServer
 from coedit.woot import TOMB, Block, WootSite
 from coedit.harness import (
     FuzzSpec,
@@ -200,6 +202,21 @@ class TestRunScenario:
         monkeypatch.setattr(WootSite, "local", drifting)
         with pytest.raises(AssertionError, match=message):
             run_scenario(fig1_scenario(), "woot", ablation=ablation)
+
+    def test_server_text_is_checked(self, monkeypatch):
+        # the clients are never told the server's text, so only the
+        # convergence check can see it go wrong
+        process = SequencerServer.process
+
+        def corrupting(self, sender, msg):
+            out = process(self, sender, msg)
+            self.state += "!"
+            return out
+
+        monkeypatch.setattr(SequencerServer, "process", corrupting)
+        report = run_scenario(replace(fig1_scenario(), mode="sequencer"), "ot")
+        assert not report.converged and not report.ok
+        assert report.convergence_detail == "replica mismatch: site 0='ace'; site 1='ace'; server='ace!!'"
 
     def test_symmetric_ot_limited_to_two_sites(self):
         s = Scenario("ab", 3, "causal", FixedLatency(1), 0, fuzz=FuzzSpec(n_ops=4))

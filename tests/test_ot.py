@@ -6,7 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coedit.model
+import coedit.ot
+from coedit.harness import FuzzSpec, Scenario, run_scenario
 from coedit.model import Delete, Insert, NoOp, VectorClock, apply_external
+from coedit.netsim import UniformLatency
 from coedit.ot import (
     ClientOpMsg,
     ContextMismatchError,
@@ -216,9 +220,36 @@ class TestOtSite:
         a.remote(stamp(Insert(0, "q"), 1, 1))  # had not seen the insert
         a.local(Delete(0))  # causally after the peer's op
         before = fields(a)
-        with pytest.raises(ContextMismatchError, match="causally after"):
+        with pytest.raises(ContextMismatchError, match=r"remote \(1, 1\) is not the next op of site 1, which sent 1"):
             a.remote(stamp(Insert(0, "q"), 1, 1, {0: 1}))
         assert fields(a) == before
+
+    def test_duplicate_and_gap_refused(self):
+        """The peer's op must be its next: a second delivery of seq 1 (which
+        gave 'qqab') and then seq 3 before seq 2 are refused with nothing
+        changed; seq 2 then applies."""
+        a = OtSite(site=0, state="ab")
+        a.remote(stamp(Insert(0, "q"), 1, 1))
+        before = fields(a)
+        with pytest.raises(ContextMismatchError, match=r"remote \(1, 1\) is not the next op of site 1, which sent 1"):
+            a.remote(stamp(Insert(0, "q"), 1, 1))
+        assert fields(a) == before
+        with pytest.raises(ContextMismatchError, match=r"remote \(1, 3\) is not the next op of site 1, which sent 1"):
+            a.remote(stamp(Insert(0, "r"), 1, 3))
+        assert fields(a) == before
+        assert a.remote(stamp(Insert(2, "s"), 1, 2)) == Insert(2, "s") and a.state == "qasb"
+
+    def test_symmetric_session_never_compares_clocks(self, monkeypatch):
+        """Order is checked by one counter per peer: a fuzzed symmetric
+        session runs clean with `happened_before` unusable."""
+        def refuse(a, b):
+            raise AssertionError("happened_before called")
+
+        monkeypatch.setattr(coedit.ot, "happened_before", refuse)
+        monkeypatch.setattr(coedit.model, "happened_before", refuse)
+        scenario = Scenario("abcdef", 2, "causal", UniformLatency(1, 8), 3, fuzz=FuzzSpec(n_ops=80, window=4))
+        report = run_scenario(scenario, "ot")
+        assert report.ok and report.metrics.transform_total > 0
 
 
 class TestGc:
@@ -333,6 +364,36 @@ class TestSequencer:
         with pytest.raises(ContextMismatchError, match="is not of its oldest pending op"):
             client.remote(bad)
         assert fields(client) == before
+
+    @pytest.mark.parametrize("case", ["duplicate", "gap", "other-origin"])
+    def test_client_op_not_its_next_refused_before_any_change(self, case):
+        """The server sequences each client's ops once and in order, and only
+        from that client: a second delivery (which gave 'xxab'), a seq 2
+        whose seq 1 never arrived, or another client's op is refused with
+        the server's fields as they were."""
+        server = SequencerServer(client_ids=[0, 1], state="ab")
+        c0, c1 = SequencerClient(site=0, state="ab"), SequencerClient(site=1, state="ab")
+        first = c0.local(Insert(0, "x"))
+        server.process(1, c1.local(Insert(2, "y")))  # client 0's bridge holds one entry
+        if case == "duplicate":
+            server.process(0, first)
+            sender, bad = 0, first
+        elif case == "gap":
+            sender, bad = 0, c0.local(Delete(0))
+        else:  # client 0's seq 2, sent as client 1's next
+            sender, bad = 1, c0.local(Delete(0))
+
+        def snapshot():
+            return (server.state, server.history_len, {c: [list(e) for e in b] for c, b in server.bridges.items()},
+                    dict(server.sequenced))
+
+        before = snapshot()
+        with pytest.raises(ContextMismatchError, match=r"from client %d is not its next" % sender):
+            server.process(sender, bad)
+        assert snapshot() == before
+        if case != "duplicate":
+            server.process(0, first)
+        assert server.state == "xaby"
 
     def test_out_of_order_stream_rejected(self):
         client = SequencerClient(site=1, state="")

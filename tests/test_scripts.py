@@ -1,6 +1,7 @@
 """Smoke runs of the scripts under scripts/, each in its own interpreter
 from the repository root, as their docstrings say to run them."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -29,3 +30,12 @@ def test_cross_engine_agreement():
 
 def test_bench_pairs_help():
     assert "--parent" in run_script("scripts/bench_pairs.py", "--help")
+
+
+def test_bench_pairs_counts_source_lines_as_wc():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    wc = subprocess.run("wc -l src/coedit/*.py", shell=True, cwd=ROOT, capture_output=True, text=True, check=True)
+    total = wc.stdout.splitlines()[-1].split()
+    assert total[1] == "total" and bench_pairs.source_lines(ROOT) == int(total[0]) > 0
