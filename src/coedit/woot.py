@@ -17,12 +17,15 @@ n-th visible slot is a few counts in its block, and the visible text is the
 strings with the TOMBs taken out by `str.replace`, a full scan at C speed.
 Past one block, the sequence keeps each block's slot and visible counts, so
 a scan sums them in C to find its block and works inside it. An edit
-rebuilds its block's string. An id is located once per op: an id -> object
-dict gives its object, which names its block, and `list.index` by identity
-in that block finds it; its index is remembered until the next insert
-shifts the sequence. A running count answers how many are visible. Each
-scan is charged exactly the objects the linear walk would visit. A replica
-keeps no copy of the text: `WootSite.state` is a full scan of the sequence.
+rebuilds its block's string. A slot is addressed one way, by its block and
+its offset there: from a position, the one search for the n-th visible
+slot returns both; from an id, an id -> object dict gives its object, which
+names its block, and `list.index` by identity in that block gives the
+offset. An id is located once per op; its index is remembered until the
+next insert shifts the sequence. A running count answers how many are
+visible. Each scan is charged exactly the objects the linear walk would
+visit. A replica keeps no copy of the text: `WootSite.state` is a full scan
+of the sequence.
 """
 
 from __future__ import annotations
@@ -146,16 +149,21 @@ class ObjectSequence:
     tombstone or a sentinel; it is the only record of visibility, so the
     visible text is every block's `shown` with the TOMBs taken out.
 
-    A sequence of one block keeps no block counts: its scans work on that
-    block's `shown` or `objects` alone, `lens` is empty and the block's
-    `visible` is None. The first split starts the counts: `lens[b]` is block
-    b's slot count and each block keeps its visible count. A scan then sums
-    block counts in C to find its block and makes one call inside it; an
-    object's own `block` says which block to search for it. The fork is
-    measured: keeping the counts and `_at` for one block too read, over 10
-    fuzz_mixed pairs on a 2-vCPU VM (CPython 3.11), local p50 x1.078, remote
-    p50 x1.047 and ops/s x0.974, the fork winning every pair; woot_bigdoc
-    stayed flat."""
+    A slot is addressed by its block and its offset there. From a
+    position, the one search `_nth` returns both; from an id, the object's
+    own `block` names the block, and the offset is the index less the
+    slots of the blocks in front of it.
+
+    A sequence of one block keeps no block counts: `lens` is empty and the
+    block's `visible` is None, so its three searches (`_nth`,
+    `visible_rank`, `value`) work on that block alone and an edit updates
+    no count. The first split starts the counts: `lens[b]` is block b's
+    slot count and each block keeps its visible count; a search then sums
+    them in C to find its block and makes one call inside it. The fork is
+    measured on fuzz_mixed, whose sequences stay one block (2-vCPU VM,
+    CPython 3.11): keeping the counts for one block too read local p50
+    x1.155, remote p50 x1.077 and ops/s x0.949 over 6 pairs, losing every
+    one."""
 
     def __init__(self, doc: str = ""):
         """The sequence of `doc`'s characters, each made by INIT_SID, every
@@ -198,30 +206,16 @@ class ObjectSequence:
 
     # -- scans (each charged what a linear scan from the start would visit) --
 
-    def _at(self, i: int) -> tuple:
-        """The block holding slot `i` and the slot's offset in it (not charged);
-        for a sequence of more than one block."""
-        ends = list(accumulate(self.lens))
-        p = bisect_right(ends, i)
-        return self.blocks[p], i - ends[p] + self.lens[p]
-
-    def _locate(self, oid: ObjectId, start: int = 0) -> int:
+    def _locate(self, oid: ObjectId) -> int:
         """Index of `oid`, or -1 when it is absent; charged from the front.
-        In one block the search may begin at a `start` the id is known to
-        follow; past one block it is one search in the id's own block. The
-        index is remembered until the next insert."""
+        It is one search in the id's own block, and is remembered until the
+        next insert."""
         obj = self.by_id.get(oid)
         if obj is None:
             self.search_steps += len(self.by_id)
             return -1
-        if self.lens:
-            b = obj.block
-            i = sum(self.lens[: b.pos]) + b.objects.index(obj)
-        else:
-            try:
-                i = self.blocks[0].objects.index(obj, start)
-            except ValueError:
-                i = self.blocks[0].objects.index(obj)
+        b = obj.block
+        i = (b.pos and sum(self.lens[: b.pos])) + b.objects.index(obj)
         self.located[oid] = i
         self.search_steps += i + 1
         return i
@@ -246,13 +240,16 @@ class ObjectSequence:
     def is_visible(self, oid: ObjectId) -> bool:
         """Whether `oid` is visible, charged as `index_of`."""
         i = self.index_of(oid)
-        if self.lens:
-            b, i = self._at(i)
-            return b.shown[i] != TOMB
-        return self.blocks[0].shown[i] != TOMB
+        b = self.by_id[oid].block
+        return b.shown[i - (b.pos and sum(self.lens[: b.pos]))] != TOMB
 
     def nth_visible_index(self, n: int) -> int:
         """Index of the n-th (0-based) visible object."""
+        return self._nth(n)[2]
+
+    def _nth(self, n: int) -> tuple:
+        """The n-th (0-based) visible object's block, its offset there and
+        its index."""
         if not 0 <= n < self.n_visible:
             self.search_steps += len(self.by_id)
             raise BoundsError(f"visible index {n} out of range (only {self.n_visible} visible)")
@@ -271,7 +268,7 @@ class ObjectSequence:
             k = j if shown[j] != TOMB else len(shown) - len(shown[j:].lstrip(TOMB))
         i = base + k
         self.search_steps += i + 1
-        return i
+        return b, k, i
 
     def visible_rank(self, index: int) -> int:
         """Number of visible objects strictly before `index`."""
@@ -312,23 +309,15 @@ class ObjectSequence:
     def pos_to_id(self, eo: ExternalOp, site: SiteId, next_seq: int) -> Union[InsertId, DeleteId]:
         """Convert a position-based op (not yet applied here) to identifier form."""
         if isinstance(eo, Delete):
-            i = self.nth_visible_index(eo.position)
-            if self.lens:
-                b, k = self._at(i)
-                target = b.objects[k].id
-            else:
-                target = self.blocks[0].objects[i].id
+            b, k, i = self._nth(eo.position)
+            target = b.objects[k].id
             self.located[target] = i
             return DeleteId(target)
         if isinstance(eo, Insert):
             visible = self.n_visible
             if not 0 <= eo.position <= visible:
                 raise BoundsError(f"insert position {eo.position} out of range for {visible} visible objects")
-            i = 0 if eo.position == 0 else self.nth_visible_index(eo.position - 1)  # slot 0 is START
-            if self.lens:
-                b, k = self._at(i)
-            else:
-                b, k = self.blocks[0], i
+            b, k, i = self._nth(eo.position - 1) if eo.position else (self.blocks[0], 0, 0)  # slot 0 is START
             prev = b.objects[k].id
             if eo.position == visible:
                 j, nxt = len(self.by_id) - 1, END
@@ -370,7 +359,8 @@ class ObjectSequence:
     def integrate_delete(self, op: DeleteId) -> None:
         """Tombstone the target; idempotent."""
         i = self.index_of(op.target)
-        b, k = self._at(i) if self.lens else (self.blocks[0], i)
+        b = self.by_id[op.target].block
+        k = i - (b.pos and sum(self.lens[: b.pos]))
         shown = b.shown
         if shown[k] != TOMB:
             b.shown = f"{shown[:k]}{TOMB}{shown[k + 1:]}"
@@ -381,11 +371,11 @@ class ObjectSequence:
     def executable(self, op: Union[InsertId, DeleteId]) -> bool:
         if isinstance(op, DeleteId):
             return self._locate(op.target) >= 0
-        p = self._locate(op.prev)  # in one block, `next`'s search starts there
-        return p >= 0 and self._locate(op.next, p) >= 0
+        return self._locate(op.prev) >= 0 and self._locate(op.next) >= 0
 
-    def integrate_insert(self, op: InsertId) -> None:
-        """Place the new object between its anchors.
+    def integrate_insert(self, op: InsertId) -> bool:
+        """Place the new object between its anchors; False, with nothing
+        changed, when its id is already here.
 
         When other objects sit strictly between the anchors, the span is
         narrowed to the candidates whose own anchors enclose the whole span,
@@ -393,20 +383,19 @@ class ObjectSequence:
         chosen sub-span. All replicas resolve concurrent siblings identically.
         """
         if self.contains(op.id):  # duplicate delivery
-            return
+            return False
         prev, nxt = op.prev, op.next
         while True:
             p = self.index_of(prev)
             n = self.index_of(nxt)
             if p >= n:
                 raise NotExecutableError(f"anchor order violated for {op.id}: {prev} !< {nxt}")
-            if n == p + 1:
+            if n == p + 1:  # the new object takes `nxt`'s slot
+                b = self.by_id[nxt].block
+                k = n - (b.pos and sum(self.lens[: b.pos]))
                 if self.lens:
-                    b, k = self._at(n)
                     b.visible += 1
                     self.lens[b.pos] += 1
-                else:
-                    b, k = self.blocks[0], n
                 new = WObject(op.character, op.id, op.prev, op.next, b)
                 self.by_id[op.id] = new
                 self.located = {op.id: n}  # every index from n on has moved
@@ -416,19 +405,16 @@ class ObjectSequence:
                 b.shown = f"{shown[:k]}{op.character}{shown[k:]}"
                 if len(b.objects) > 2 * BLOCK:
                     self._split(b)
-                return
-            if self.lens:
-                b, k = self._at(p)
-                candidates = [b.objects[k]]
-                width = n - p - 1
-                span = b.objects[k + 1 : k + 1 + width]
-                while len(span) < width:
-                    b = self.blocks[b.pos + 1]
-                    span += b.objects[: width - len(span)]
-            else:
-                objects = self.blocks[0].objects
-                candidates = [objects[p]]
-                span = objects[p + 1 : n]
+                return True
+            left = self.by_id[prev]
+            b = left.block
+            k = p - (b.pos and sum(self.lens[: b.pos])) + 1
+            width = n - p - 1
+            span = b.objects[k : k + width]
+            while len(span) < width:
+                b = self.blocks[b.pos + 1]
+                span += b.objects[: width - len(span)]
+            candidates = [left]
             for obj in span:
                 self.search_steps += 1
                 o_prev, o_next = self._placement_anchors(obj)
@@ -577,14 +563,15 @@ class WootSite:
 
     def remote(self, idop: TimestampedOp) -> ExternalOp:
         """Integrate a remote identifier-based op; return its position-based form for the visible text."""
-        steps0, already_gone = self._integrate(idop)
-        eo = NoOp() if already_gone else self.istate.id_to_pos(idop.op)
+        steps0, unchanged = self._integrate(idop)
+        eo = NoOp() if unchanged else self.istate.id_to_pos(idop.op)
         self._sample(steps0)
         return eo
 
     def _integrate(self, idop: TimestampedOp) -> tuple:
         """Integrate into the internal sequence only; returns the search-step
-        count before it and whether a delete's target was already tombstoned."""
+        count before it and whether the op changed nothing: an insert whose
+        id is already here, or a delete whose target was already tombstoned."""
         if idop.origin == self.site:
             raise ValueError("a site never delivers its own message")
         op = idop.op
@@ -598,14 +585,13 @@ class WootSite:
                     raise ValueError(f"op {idop.key()} names {oid}, beyond the initial document")
             raise NotExecutableError(f"op {idop.key()} anchors not present yet")
         steps0 = self.istate.search_steps
-        already_gone = False
         if insert:
-            self.istate.integrate_insert(op)
+            unchanged = not self.istate.integrate_insert(op)
         else:
-            already_gone = not self.istate.is_visible(op.target)
+            unchanged = not self.istate.is_visible(op.target)
             self.istate.integrate_delete(op)
         self.clock = self.clock.merge(idop.clock)
-        return steps0, already_gone
+        return steps0, unchanged
 
 
 class SkipConversionSite(WootSite):

@@ -61,9 +61,11 @@ def test_hooks_observe_every_engine_and_undo():
     } <= set(spans)
     assert spans["framework.decode"]["n"] == spans["framework.encode"]["n"] > 0
     # fig1's WOOT run inserts, deletes and integrates both remotely, so every
-    # traced ObjectSequence method must be on its call path
+    # traced ObjectSequence method is on its call path except `nth_visible_index`,
+    # which the library never calls (`pos_to_id` uses `_nth`); it stays hooked,
+    # so its install and undo are still checked
     for counter in ("ot.transform", "model.apply_external",
-                    *(f"woot.{name}" for name in OBJECT_SEQUENCE_METHODS)):
+                    *(f"woot.{name}" for name in OBJECT_SEQUENCE_METHODS if name != "nth_visible_index")):
         assert tracer.counters[counter][0] > 0, counter
     assert {(owner, attr): vars(owner)[attr] for owner, attr in HOOKED} == before
 

@@ -252,6 +252,15 @@ class TestSiteContainer:
         with pytest.raises(EngineInvariantError):
             a.deliver(msg)
 
+    def test_woot_duplicate_insert_replays_nothing(self):
+        """The same insert delivered twice is placed once, and the visible
+        text takes it once."""
+        a = Site(id=0, engine=WootSite.create(0, "ab"), external="ab")
+        b = Site(id=1, engine=WootSite.create(1, "ab"), external="ab")
+        msg = b.generate(Insert(1, "x"))
+        assert a.deliver(msg) == Insert(1, "x")
+        assert a.deliver(msg) == NoOp() and a.external == a.engine.state == "axb"
+
     def test_woot_position_one_off_caught_on_deliver(self):
         """A replica whose conversion to a position is one off replays the
         insert one place right; the Site finds that on this op."""

@@ -5,6 +5,7 @@ import importlib.util
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,3 +40,16 @@ def test_bench_pairs_counts_source_lines_as_wc():
     wc = subprocess.run("wc -l src/coedit/*.py", shell=True, cwd=ROOT, capture_output=True, text=True, check=True)
     total = wc.stdout.splitlines()[-1].split()
     assert total[1] == "total" and bench_pairs.source_lines(ROOT) == int(total[0]) > 0
+
+
+def test_workload_lines_finds_unrun_bodies():
+    """The first two fuzz_mixed sessions (one OT, one WOOT) never split a
+    WOOT block, and the WOOT one makes local edits."""
+    t0 = time.perf_counter()
+    out = run_script("scripts/workload_lines.py", "--workloads", "fuzz_mixed", "--sessions", "2")
+    assert time.perf_counter() - t0 < 10
+    assert out.splitlines()[0] == "workloads fuzz_mixed  seed 7  sessions per batch 2"
+    entries = dict(re.findall(r"^  (\S+): (.*)$", out, re.M))
+    assert entries["ObjectSequence._split"].endswith("never run")
+    local = entries.get("WootSite.local", "")
+    assert "never run" not in local  # at most the NoOp refusal is unrun

@@ -3,6 +3,7 @@ order-insensitivity, and the conversion-skip ablation."""
 
 import itertools
 import random
+from bisect import bisect_right
 from contextlib import contextmanager
 
 import pytest
@@ -258,8 +259,8 @@ class TestIntegrate:
     def test_duplicate_insert_ignored(self):
         seq = ObjectSequence.from_text("ab")
         op = InsertId("x", oid(0, 1), START, oid(INIT_SID, 1))
-        seq.integrate_insert(op)
-        seq.integrate_insert(op)
+        assert seq.integrate_insert(op) is True
+        assert seq.integrate_insert(op) is False
         assert seq.value() == "xab" and seq.total_count() == 3
 
     def test_missing_anchor_not_executable(self):
@@ -352,6 +353,15 @@ class TestWootSite:
         db = b.local(Delete(1))
         assert a.remote(db) == NoOp()
         assert a.state == "ae" and a.istate.value() == "ae"
+
+    def test_duplicate_insert_yields_noop(self):
+        """An insert delivered twice changes the sequence once; the second
+        delivery hands back NoOp, so the visible text does not replay it."""
+        a, b = WootSite.create(0, "ab"), WootSite.create(1, "ab")
+        msg = b.local(Insert(1, "x"))
+        assert a.remote(msg) == Insert(1, "x") and a.state == "axb"
+        assert a.remote(msg) == NoOp() and a.state == "axb"
+        assert a.metrics.search_steps_per_op[-1] == 3  # the duplicate check's walk to slot 2
 
     def test_ablation_skips_external_update(self):
         _, b = self._fig_sites()
@@ -468,13 +478,12 @@ class TestMetricsCounters:
 
 
 class CountingList(list):
-    """A list that counts its `index` calls and records where each began."""
+    """A list that counts its `index` calls."""
 
     calls = 0
 
     def index(self, *args):
         self.calls += 1
-        self.starts = getattr(self, "starts", []) + [args[1] if len(args) > 1 else 0]
         return super().index(*args)
 
 
@@ -539,6 +548,33 @@ class TestLocateOnce:
             b.remote(ops[1])
             assert index_calls(b.istate) == 3
 
+    def test_one_block_search_per_conversion(self, monkeypatch):
+        """Past one block, `pos_to_id` finds its slot's block by one search
+        of the block counts; integration finds none, taking each block from
+        an object. Each step is charged as the linear walk."""
+        calls = []
+        monkeypatch.setattr(woot, "bisect_right", lambda *args: calls.append(args) or bisect_right(*args))
+        with block_size(2):
+            engine, oracle = ObjectSequence.from_text("abcdef"), LinearSequence.from_text("abcdef")
+            assert len(engine.blocks) == 4
+            for k, eo in enumerate([Delete(3), Insert(4, "x"), Delete(0), Insert(2, "y"), Insert(5, "z")], start=1):
+                calls.clear()
+                op = engine.pos_to_id(eo, site=0, next_seq=k)
+                assert len(calls) == 1, eo
+                assert oracle.pos_to_id(eo, site=0, next_seq=k) == op
+                assert engine.search_steps == oracle.search_steps
+                calls.clear()
+                for seq in (engine, oracle):
+                    (seq.integrate_insert if isinstance(op, InsertId) else seq.integrate_delete)(op)
+                assert calls == [] and engine.search_steps == oracle.search_steps
+            # a remote insert whose placement span crosses blocks
+            calls.clear()
+            op = InsertId("w", oid(1, 1), START, END)
+            for seq in (engine, oracle):
+                seq.integrate_insert(op)
+            assert calls == [] and engine.search_steps == oracle.search_steps
+            assert len(engine.blocks) > 4 and engine.dump() == oracle.dump()
+
     def test_objects_take_no_new_attributes(self):
         seq = ObjectSequence.from_text("ab")
         with pytest.raises(AttributeError):
@@ -550,7 +586,8 @@ class LinearSequence(ObjectSequence):
     are charged as. Each walks from the start (`objects` for an id, `shown`
     for visibility), counts every slot it visits and compares ids field by
     field; integration and the conversions are inherited, so they run on
-    these walks."""
+    these walks. The n-th visible walk goes block by block and names the
+    block and offset it stops at, as `pos_to_id` takes them."""
 
     def index_of(self, oid):
         for i, obj in enumerate(self.objects):
@@ -566,13 +603,14 @@ class LinearSequence(ObjectSequence):
                 return True
         return False
 
-    def nth_visible_index(self, n):
+    def _nth(self, n):
         count = 0
-        for i, ch in enumerate(self.shown):
+        slots = ((b, k, ch) for b in self.blocks for k, ch in enumerate(b.shown))
+        for i, (b, k, ch) in enumerate(slots):
             self.search_steps += 1
             if ch != TOMB:
                 if count == n:
-                    return i
+                    return b, k, i
                 count += 1
         raise BoundsError(f"visible index {n} out of range (only {count} visible)")
 
@@ -764,10 +802,9 @@ class TestDump:
 
 
 class TestAnchorSearch:
-    """`executable` charges each anchor's walk from the front. In one block
-    it looks for `next` from `prev`'s index on, and from the front when
-    `next` lies before it; past one block each anchor is one `list.index`
-    in its own block."""
+    """`executable` charges each anchor's walk from the front, whichever
+    order the anchors lie in. In one block as past it, each anchor is one
+    `list.index` in its own block."""
 
     def test_next_before_prev(self):
         for _ in block_sizes():
@@ -778,10 +815,7 @@ class TestAnchorSearch:
             for seq in (engine, oracle):
                 assert seq.executable(op)
                 assert seq.search_steps == (4 + 1) + (1 + 1)
-            if len(engine.blocks) == 1:  # prev, next from prev's index on, next from the front
-                assert index_calls(engine) == 3 and engine.blocks[0].objects.starts == [0, 4, 0]
-            else:  # prev, then next, each in its own block
-                assert index_calls(engine) == 2
+            assert index_calls(engine) == 2  # prev, then next, each in its own block
             assert engine.located == {ids[3]: 4, ids[0]: 1}
             for seq in (engine, oracle):
                 with pytest.raises(NotExecutableError):
@@ -797,8 +831,6 @@ class TestAnchorSearch:
                 assert seq.executable(op)
                 assert seq.search_steps == (2 + 1) + (4 + 1)
             assert index_calls(engine) == 2
-            if len(engine.blocks) == 1:
-                assert engine.blocks[0].objects.starts == [0, 2]
 
     def test_absent_anchor(self):
         present = oid(INIT_SID, 1)
