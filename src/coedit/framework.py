@@ -63,11 +63,21 @@ def op_token(op: ExternalOp) -> str:
     return format_op(op).replace(" ", "_")
 
 
+def _id_text(oid: ObjectId) -> str:
+    return f"ObjectId(sid={oid.sid},seq={oid.seq})"
+
+
 def message_text(msg: WireMessage) -> str:
-    """The op a message carries, as one trace-log token."""
-    if isinstance(msg.op, (InsertId, DeleteId)):
-        return str(msg.op).replace(" ", "")
-    return op_token(msg.op)
+    """The op a message carries, as one trace-log token. A WOOT op is spelled
+    field by field in the form the golden digests pin (its record's repr
+    with no space), so the records' own reprs may change."""
+    op = msg.op
+    if type(op) is InsertId:
+        char = repr(op.character).replace(" ", "")
+        return f"InsertId(character={char},id={_id_text(op.id)},prev={_id_text(op.prev)},next={_id_text(op.next)})"
+    if type(op) is DeleteId:
+        return f"DeleteId(target={_id_text(op.target)})"
+    return op_token(op)
 
 
 # ---------------------------------------------------------------------------

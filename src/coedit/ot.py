@@ -1,9 +1,11 @@
 """Operational-transformation engine: the four pairwise transformation
-functions over position-based insert/delete, one :func:`fold` of an op past
-concurrent ones, and the replicas built on it. An :class:`OtSite` (one of two
-symmetric peers) or a :class:`SequencerClient` folds each remote op past its
-`pending` unacknowledged local ops; the :class:`SequencerServer` folds each
-client op past that client's bridge.
+rules over position-based insert/delete, written once in pair form
+(:func:`xform`, Jupiter's: a concurrent pair is rebased each past the other
+in one step), one :func:`fold` of an op past concurrent ones, and the
+replicas built on it. An :class:`OtSite` (one of two symmetric peers) or a
+:class:`SequencerClient` folds each remote op past its `pending`
+unacknowledged local ops; the :class:`SequencerServer` folds each client op
+past that client's bridge.
 
 Tie-break for two inserts at the same position: the insert from the lower
 site id keeps the smaller position. Transforming a delete against a delete
@@ -32,48 +34,39 @@ class ContextMismatchError(RuntimeError):
     next, or it claims a context the replica never had."""
 
 
-def transform_insert_insert(a: Insert, b: Insert, a_site: SiteId, b_site: SiteId) -> Insert:
-    if a.position < b.position or (a.position == b.position and a_site < b_site):
-        return a
-    return Insert(a.position + 1, a.character)
-
-
-def transform_insert_delete(a: Insert, b: Delete) -> Insert:
-    if a.position <= b.position:
-        return a
-    return Insert(a.position - 1, a.character)
-
-
-def transform_delete_insert(a: Delete, b: Insert) -> Delete:
-    if a.position < b.position:
-        return a
-    return Delete(a.position + 1)
-
-
-def transform_delete_delete(a: Delete, b: Delete) -> ExternalOp:
-    if a.position < b.position:
-        return a
-    if a.position > b.position:
-        return Delete(a.position - 1)
-    return NoOp()
+def xform(a: ExternalOp, b: ExternalOp, a_site: SiteId, b_site: SiteId) -> tuple:
+    """Rebase a concurrent pair (same context) in one step, as Jupiter's xform:
+    returns (`a` past `b`, `b` past `a`), one branch per type pair. An op
+    that needs no rebase is returned as it is."""
+    ta, tb = type(a), type(b)
+    if ta is Insert:
+        if tb is Insert:  # at one position, the lower site's insert stays left
+            if a.position < b.position or (a.position == b.position and a_site < b_site):
+                return a, Insert(b.position + 1, b.character)
+            return Insert(a.position + 1, a.character), b
+        if tb is Delete:  # an insert at a delete's position stays before it
+            if a.position <= b.position:
+                return a, Delete(b.position + 1)
+            return Insert(a.position - 1, a.character), b
+    elif ta is Delete:
+        if tb is Insert:
+            if a.position < b.position:
+                return a, Insert(b.position - 1, b.character)
+            return Delete(a.position + 1), b
+        if tb is Delete:  # a target both deleted is deleted once
+            if a.position < b.position:
+                return a, Delete(b.position - 1)
+            if a.position > b.position:
+                return Delete(a.position - 1), b
+            return NoOp(), NoOp()
+    if ta is NoOp or tb is NoOp:
+        return a, b
+    raise TypeError(f"cannot transform {a!r} against {b!r}")
 
 
 def transform(a: ExternalOp, b: ExternalOp, a_site: SiteId, b_site: SiteId) -> ExternalOp:
     """Transform `a` to include the effect of concurrent `b` (same context)."""
-    ta, tb = type(a), type(b)
-    if ta is Insert:
-        if tb is Insert:
-            return transform_insert_insert(a, b, a_site, b_site)
-        if tb is Delete:
-            return transform_insert_delete(a, b)
-    elif ta is Delete:
-        if tb is Insert:
-            return transform_delete_insert(a, b)
-        if tb is Delete:
-            return transform_delete_delete(a, b)
-    if ta is NoOp or tb is NoOp:
-        return a
-    raise TypeError(f"cannot transform {a!r} against {b!r}")
+    return xform(a, b, a_site, b_site)[0]
 
 
 @dataclass
@@ -95,11 +88,10 @@ def fold(metrics: OtMetrics, op: ExternalOp, origin: SiteId, entries: list) -> E
     `op` in place. Returns `op` in the context that includes them all."""
     tie_seen = metrics.insert_tie_seen
     for entry in entries:
-        other, other_origin = entry[0], entry[1]
+        other = entry[0]
         if not tie_seen and type(op) is Insert and type(other) is Insert and op.position == other.position:
             tie_seen = metrics.insert_tie_seen = True
-        entry[0] = transform(other, op, other_origin, origin)
-        op = transform(op, other, origin, other_origin)
+        op, entry[0] = xform(op, other, origin, entry[1])
     metrics.transform_count += len(entries)
     metrics.concurrent_set_sizes.append(len(entries))
     return op
@@ -131,16 +123,6 @@ class _Replica:
         self.pending.append([eo, self.site, msg])
         self.metrics.buffer_length_samples.append(len(self.buffer))
         return msg
-
-    def _execute(self, remote_op: TimestampedOp) -> ExternalOp:
-        """Fold a remote op past the pending ops, execute and log it; returns
-        the position-based form the caller replays on the visible text."""
-        op = fold(self.metrics, remote_op.op, remote_op.origin, self.pending)
-        self.state = apply_external(self.state, op)
-        self.clock = self.clock.merge(remote_op.clock)
-        self.buffer.append(TimestampedOp(op, remote_op.origin, remote_op.seq, remote_op.clock))
-        self.metrics.buffer_length_samples.append(len(self.buffer))
-        return op
 
     def gc(self, stability: dict) -> int:
         """Drop logged ops already delivered everywhere per gossiped clocks.
@@ -178,17 +160,26 @@ class OtSite(_Replica):
     def remote(self, remote_op: TimestampedOp) -> ExternalOp:
         """Fold the peer's next op past the local ops it had not seen;
         returns the form to replay on the visible text."""
-        if remote_op.origin == self.site:
+        origin = remote_op.origin
+        if origin == self.site:
             raise ValueError("a site never delivers its own message")
-        if remote_op.seq != self.clock.get(remote_op.origin) + 1:  # a duplicate, or a gap before it
-            raise ContextMismatchError(f"remote {remote_op.key()} is not the next op of site {remote_op.origin}, which sent {self.clock.get(remote_op.origin)}")
-        if any(s != self.site and s != remote_op.origin for s in remote_op.clock.entries):
+        if remote_op.seq != self.clock.get(origin) + 1:  # a duplicate, or a gap before it
+            raise ContextMismatchError(f"remote {remote_op.key()} is not the next op of site {origin}, which sent {self.clock.get(origin)}")
+        if not remote_op.clock.entries.keys() <= {self.site, origin}:
             raise ContextMismatchError(f"remote {remote_op.key()} names a third site: {remote_op.clock}")
         seen = remote_op.clock.get(self.site)
         if seen > self.clock.get(self.site):  # acking ops never made would drop pending ones unfolded
             raise ContextMismatchError(f"remote {remote_op.key()} claims {seen} ops of site {self.site}, which made {self.clock.get(self.site)}")
-        self.pending = [e for e in self.pending if e[2].seq > seen]
-        return self._execute(remote_op)
+        pending = self.pending  # the acknowledged ops are a prefix of consecutive seqs
+        if pending and pending[0][2].seq <= seen:
+            del pending[: seen - pending[0][2].seq + 1]
+        op = fold(self.metrics, remote_op.op, origin, pending)
+        self.state = apply_external(self.state, op)
+        self.clock = self.clock.tick(origin)  # the merge of the two clocks, as the checks above pin it
+        # an op no pending op moved is logged as its message, which equals its record
+        self.buffer.append(remote_op if op is remote_op.op else TimestampedOp(op, origin, remote_op.seq, remote_op.clock))
+        self.metrics.buffer_length_samples.append(len(self.buffer))
+        return op
 
 
 @dataclass(frozen=True)
@@ -232,11 +223,11 @@ class SequencerServer:
             raise ContextMismatchError(f"op {msg.key()} from client {sender} is not its next: {self.sequenced.get(sender, 0)} sequenced")
         if msg.seen > self.history_len:  # a bridge cut there would drop ops the client never saw
             raise ContextMismatchError(f"client {sender} claims {msg.seen} of {self.history_len} sequenced ops")
-        bridge = [e for e in self.bridges[sender] if e[2] >= msg.seen]
+        bridge = [e[:] for e in self.bridges[sender] if e[2] >= msg.seen]  # copies: a refused op rebases none
         op = fold(self.metrics, msg.op, msg.origin, bridge)
+        self.state = apply_external(self.state, op)
         self.bridges[sender] = bridge
         self.sequenced[sender] = msg.seq
-        self.state = apply_external(self.state, op)
         index = self.history_len
         self.history_len += 1
         for c in self.client_ids:
@@ -255,6 +246,9 @@ class SequencerClient(_Replica):
     Local ops apply immediately and stay pending until their echo comes back
     in the server stream; every other server op is folded past the pending
     ops (rebasing them), which is the classic client half of server-based OT.
+    Each executed server op is logged as a fresh TimestampedOp: logging the
+    shared ServerOpMsg itself read faster remote ops but slower local ones
+    in paired benchmark runs.
     """
 
     delivered: int = 0
@@ -270,8 +264,13 @@ class SequencerClient(_Replica):
                 f"server stream out of order at site {self.site}: got {msg.index}, expected {self.delivered}"
             )
         if msg.origin != self.site:
-            self.delivered += 1
-            return self._execute(msg)
+            op = fold(self.metrics, msg.op, msg.origin, self.pending)
+            self.state = apply_external(self.state, op)
+            self.clock = self.clock.merge(msg.clock)
+            self.buffer.append(TimestampedOp(op, msg.origin, msg.seq, msg.clock))
+            self.metrics.buffer_length_samples.append(len(self.buffer))
+            self.delivered += 1  # only once the op has executed
+            return op
         if not self.pending or self.pending[0][2].key() != msg.key():
             raise ContextMismatchError(f"echo {msg.key()} at site {self.site} is not of its oldest pending op")
         del self.pending[0]

@@ -62,9 +62,13 @@ def test_hooks_observe_every_engine_and_undo():
     assert spans["framework.decode"]["n"] == spans["framework.encode"]["n"] > 0
     # fig1's WOOT run inserts, deletes and integrates both remotely, so every
     # traced ObjectSequence method is on its call path except `nth_visible_index`,
-    # which the library never calls (`pos_to_id` uses `_nth`); it stays hooked,
-    # so its install and undo are still checked
-    for counter in ("ot.transform", "model.apply_external",
+    # which the library never calls (`pos_to_id` uses `_nth`). Nor does `fold`
+    # call `transform` (it rebases each pair with `xform`), so that the OT runs
+    # folded something is read from their reports' `transform_total`, as the
+    # exact block below reads it. Both names stay hooked, so their install and
+    # undo are still checked
+    assert all(r.metrics.transform_total > 0 for r in reports[:2])
+    for counter in ("model.apply_external",
                     *(f"woot.{name}" for name in OBJECT_SEQUENCE_METHODS if name != "nth_visible_index")):
         assert tracer.counters[counter][0] > 0, counter
     assert {(owner, attr): vars(owner)[attr] for owner, attr in HOOKED} == before

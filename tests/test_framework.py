@@ -6,6 +6,7 @@ import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from coedit.model import Delete, Insert, NoOp, TimestampedOp, VectorClock
 from coedit.framework import (
@@ -17,11 +18,33 @@ from coedit.framework import (
     decode_envelope,
     encode_message,
     message_meta,
+    message_text,
 )
 from coedit.ot import ClientOpMsg, OtSite, SequencerClient, SequencerServer, ServerOpMsg
 from coedit.woot import DeleteId, InsertId, ObjectId, START, END, TOMB, WootSite
 
 from conftest import stamp
+
+
+TYPED = st.sampled_from([" ", "'", '"', "\n", "\t", "\\", "\U0001F600", "\U00010348", "\u00e9", "\x7f"])
+IDS = st.one_of(st.sampled_from([START, END]), st.builds(ObjectId, st.integers(-(2**40), 2**40), st.integers(0, 2**40)))
+
+
+class TestTraceToken:
+    """A WOOT op's trace token is spelled field by field; it must stay byte
+    for byte the records' repr with no space, which every golden digest of
+    a WOOT run hashes."""
+
+    @given(st.one_of(TYPED, st.characters(blacklist_characters="\x00")), IDS, IDS, IDS)
+    def test_insert_token_matches_the_record_repr(self, char, oid, prev, nxt):
+        op = InsertId(char, oid, prev, nxt)
+        token = message_text(TimestampedOp(op, 1, 1, VectorClock({1: 1})))
+        assert token == str(op).replace(" ", "") and " " not in token
+
+    @given(IDS)
+    def test_delete_token_matches_the_record_repr(self, target):
+        op = DeleteId(target)
+        assert message_text(TimestampedOp(op, 1, 1, VectorClock({1: 1}))) == str(op).replace(" ", "")
 
 
 class TestWireFormats:

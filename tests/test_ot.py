@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import coedit.model
 import coedit.ot
 from coedit.harness import FuzzSpec, Scenario, run_scenario
-from coedit.model import Delete, Insert, NoOp, VectorClock, apply_external
+from coedit.model import BoundsError, Delete, Insert, NoOp, TimestampedOp, VectorClock, apply_external
 from coedit.netsim import UniformLatency
 from coedit.ot import (
     ClientOpMsg,
@@ -21,10 +21,7 @@ from coedit.ot import (
     ServerOpMsg,
     fold,
     transform,
-    transform_delete_delete,
-    transform_delete_insert,
-    transform_insert_delete,
-    transform_insert_insert,
+    xform,
 )
 
 from conftest import both_orders, random_op, stamp
@@ -38,60 +35,71 @@ def fields(replica) -> tuple:
             getattr(replica, "delivered", None))
 
 
+def snapshot(server) -> tuple:
+    """What a refused client op must leave unchanged at the server: text,
+    history length, bridge entries (copied) and the per-client counts."""
+    return (server.state, server.history_len, {c: [list(e) for e in b] for c, b in server.bridges.items()},
+            dict(server.sequenced))
+
+
 class TestTransformFunctions:
+    """Each rule through the pair form: both rebased ops of the pair."""
+
     # insert-insert -------------------------------------------------------
     def test_ii_left_of(self):
-        assert transform_insert_insert(Insert(1, "x"), Insert(3, "y"), 1, 2) == Insert(1, "x")
+        assert xform(Insert(1, "x"), Insert(3, "y"), 1, 2) == (Insert(1, "x"), Insert(4, "y"))
 
     def test_ii_right_of(self):
-        assert transform_insert_insert(Insert(3, "x"), Insert(1, "y"), 1, 2) == Insert(4, "x")
+        assert xform(Insert(3, "x"), Insert(1, "y"), 1, 2) == (Insert(4, "x"), Insert(1, "y"))
         assert both_orders("abcde", Insert(3, "x"), Insert(1, "y"))[0] == both_orders("abcde", Insert(3, "x"), Insert(1, "y"))[1]
 
     def test_ii_tie_lower_site_wins(self):
-        assert transform_insert_insert(Insert(2, "x"), Insert(2, "y"), 1, 2) == Insert(2, "x")
-        assert transform_insert_insert(Insert(2, "y"), Insert(2, "x"), 2, 1) == Insert(3, "y")
+        assert xform(Insert(2, "x"), Insert(2, "y"), 1, 2) == (Insert(2, "x"), Insert(3, "y"))
+        assert xform(Insert(2, "y"), Insert(2, "x"), 2, 1) == (Insert(3, "y"), Insert(2, "x"))
 
     # insert-delete -------------------------------------------------------
     def test_id_figure_walkthrough(self):
-        assert transform_insert_delete(Insert(2, "c"), Delete(1)) == Insert(1, "c")
+        assert xform(Insert(2, "c"), Delete(1), 1, 2) == (Insert(1, "c"), Delete(1))
 
     def test_id_left_of_delete(self):
-        assert transform_insert_delete(Insert(0, "x"), Delete(5)) == Insert(0, "x")
+        assert xform(Insert(0, "x"), Delete(5), 1, 2) == (Insert(0, "x"), Delete(6))
 
     def test_id_boundary_equal(self):
-        assert transform_insert_delete(Insert(3, "x"), Delete(3)) == Insert(3, "x")
+        assert xform(Insert(3, "x"), Delete(3), 1, 2) == (Insert(3, "x"), Delete(4))
 
     # delete-insert -------------------------------------------------------
     def test_di_figure_walkthrough(self):
-        assert transform_delete_insert(Delete(1), Insert(2, "c")) == Delete(1)
+        assert xform(Delete(1), Insert(2, "c"), 1, 2) == (Delete(1), Insert(1, "c"))
 
     def test_di_shift_right(self):
-        assert transform_delete_insert(Delete(2), Insert(1, "x")) == Delete(3)
+        assert xform(Delete(2), Insert(1, "x"), 1, 2) == (Delete(3), Insert(1, "x"))
         one, two = both_orders("abcde", Delete(2), Insert(1, "x"))
         assert one == two
 
     def test_di_boundary_equal(self):
-        assert transform_delete_insert(Delete(1), Insert(1, "x")) == Delete(2)
+        assert xform(Delete(1), Insert(1, "x"), 1, 2) == (Delete(2), Insert(1, "x"))
         one, two = both_orders("abcde", Delete(1), Insert(1, "x"))
         assert one == two
 
     # delete-delete -------------------------------------------------------
     def test_dd_left(self):
-        assert transform_delete_delete(Delete(1), Delete(3)) == Delete(1)
+        assert xform(Delete(1), Delete(3), 1, 2) == (Delete(1), Delete(2))
 
     def test_dd_right_shifts(self):
-        assert transform_delete_delete(Delete(3), Delete(1)) == Delete(2)
+        assert xform(Delete(3), Delete(1), 1, 2) == (Delete(2), Delete(1))
         one, two = both_orders("abcde", Delete(3), Delete(1))
         assert one == two
 
     def test_dd_same_target_noop(self):
-        assert transform_delete_delete(Delete(2), Delete(2)) == NoOp()
+        assert xform(Delete(2), Delete(2), 1, 2) == (NoOp(), NoOp())
 
     def test_non_op_rejected(self):
         with pytest.raises(TypeError):
             transform("I 0 x", Insert(0, "y"), 1, 2)
         with pytest.raises(TypeError):
             transform(Delete(0), None, 1, 2)
+        with pytest.raises(TypeError):
+            xform(Insert(0, "y"), None, 1, 2)
 
     def test_fold_notes_insert_ties(self):
         metrics = OtMetrics()
@@ -104,6 +112,8 @@ class TestTransformFunctions:
     def test_noop_passthrough(self):
         assert transform(NoOp(), Insert(0, "x"), 1, 2) == NoOp()
         assert transform(Delete(1), NoOp(), 1, 2) == Delete(1)
+        assert xform(NoOp(), Insert(0, "x"), 1, 2) == (NoOp(), Insert(0, "x"))
+        assert xform(Delete(1), NoOp(), 1, 2) == (Delete(1), NoOp())
 
 
 @st.composite
@@ -135,6 +145,26 @@ class TestTP1:
                     b2 = Insert(b.position, "y") if isinstance(b, Insert) else b
                     one, two = both_orders(state, a, b2)
                     assert one == two, (state, a, b2)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_pair_form_is_symmetric(self, data):
+        """Over every type pair, NoOp included, with same-position ties and
+        both site orders: the pair of (b, a) is the pair of (a, b) reversed,
+        and TP1 holds."""
+        state = data.draw(st.text(alphabet="abc", max_size=4))
+        def op(char):
+            kinds = ["insert", "noop"] + (["delete"] if state else [])
+            kind = data.draw(st.sampled_from(kinds))
+            if kind == "insert":
+                return Insert(data.draw(st.integers(0, len(state))), char)
+            return Delete(data.draw(st.integers(0, len(state) - 1))) if kind == "delete" else NoOp()
+        a, b = op("x"), op("y")
+        s_a, s_b = data.draw(st.sampled_from([(1, 2), (2, 1)]))
+        assert xform(a, b, s_a, s_b) == xform(b, a, s_b, s_a)[::-1]
+        assert xform(a, b, s_a, s_b)[0] == transform(a, b, s_a, s_b)
+        one, two = both_orders(state, a, b, s_a, s_b)
+        assert one == two
 
 
 class TestOtSite:
@@ -250,6 +280,31 @@ class TestOtSite:
         scenario = Scenario("abcdef", 2, "causal", UniformLatency(1, 8), 3, fuzz=FuzzSpec(n_ops=80, window=4))
         report = run_scenario(scenario, "ot")
         assert report.ok and report.metrics.transform_total > 0
+
+
+    def test_remote_counts_the_peer_op_and_logs_its_record(self):
+        """In fuzzed 2-site sessions with random delivery, each delivery
+        leaves the clock at the old one merged with the message's, and logs
+        the record of the op as executed, with the message's stamp."""
+        for seed in range(40):
+            rng = random.Random(seed)
+            sites = [OtSite(site=0, state="abc"), OtSite(site=1, state="abc")]
+            in_flight = {0: [], 1: []}  # messages to site i, in sending order
+            for _ in range(60):
+                i = rng.randrange(2)
+                if in_flight[i] and rng.random() < 0.5:
+                    msg = in_flight[i].pop(0)
+                    before = sites[i].clock
+                    op = sites[i].remote(msg)
+                    assert sites[i].clock == before.merge(msg.clock), seed
+                    logged = sites[i].buffer[-1]
+                    assert type(logged) is TimestampedOp and logged == TimestampedOp(op, msg.origin, msg.seq, msg.clock), seed
+                else:
+                    in_flight[1 - i].append(sites[i].local(random_op(rng, len(sites[i].state))))
+            for i in (0, 1):
+                for msg in in_flight[i]:
+                    sites[i].remote(msg)
+            assert sites[0].state == sites[1].state, seed
 
 
 class TestGc:
@@ -383,17 +438,42 @@ class TestSequencer:
         else:  # client 0's seq 2, sent as client 1's next
             sender, bad = 1, c0.local(Delete(0))
 
-        def snapshot():
-            return (server.state, server.history_len, {c: [list(e) for e in b] for c, b in server.bridges.items()},
-                    dict(server.sequenced))
-
-        before = snapshot()
+        before = snapshot(server)
         with pytest.raises(ContextMismatchError, match=r"from client %d is not its next" % sender):
             server.process(sender, bad)
-        assert snapshot() == before
+        assert snapshot(server) == before
         if case != "duplicate":
             server.process(0, first)
         assert server.state == "xaby"
+
+    def test_client_refused_op_is_not_delivered(self):
+        """A server op the client cannot execute is refused with every field
+        as it was, `delivered` included, so the stream's correct op at that
+        index is then accepted."""
+        client = SequencerClient(site=0, state="ab")
+        before = fields(client)
+        with pytest.raises(BoundsError):
+            client.remote(ServerOpMsg(Insert(9, "x"), 1, 1, VectorClock({1: 1}), 0))
+        assert fields(client) == before
+        assert client.remote(ServerOpMsg(Insert(1, "x"), 1, 1, VectorClock({1: 1}), 0)) == Insert(1, "x")
+        assert client.state == "axb" and client.delivered == 1
+
+    @pytest.mark.parametrize("bridged", [False, True])
+    def test_server_refused_op_is_not_sequenced(self, bridged):
+        """A client op the server cannot apply is refused with its fields as
+        they were, bridge entries included (the fold would rebase a bridged
+        insert past it), so the client's correct op at that seq is then
+        sequenced."""
+        server = SequencerServer(client_ids=[0, 1], state="ab")
+        if bridged:
+            server.process(1, SequencerClient(site=1, state="ab").local(Insert(2, "y")))  # client 0's bridge: I(2, y)
+        before = snapshot(server)
+        with pytest.raises(BoundsError):
+            server.process(0, ClientOpMsg(Insert(-1 if bridged else 9, "x"), 0, 1, VectorClock({0: 1}), 0))
+        assert snapshot(server) == before
+        out = server.process(0, ClientOpMsg(Insert(1, "x"), 0, 1, VectorClock({0: 1}), 0))
+        assert out.index == int(bridged) and server.sequenced == ({0: 1, 1: 1} if bridged else {0: 1})
+        assert server.state == ("axby" if bridged else "axb")
 
     def test_out_of_order_stream_rejected(self):
         client = SequencerClient(site=1, state="")
