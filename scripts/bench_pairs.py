@@ -14,8 +14,14 @@ the change. Each pair records both runs' end-to-end metrics and whether both
 printed the same exact-count block, with each run's reference-routine time
 and its figures before calibration. Per workload and metric the output holds
 both sides' quartiles (inclusive method), the ratio of the medians, the
-parent's IQR over its median and how many pairs each side won; the metrics
-and their directions come from BENCHMARK.json.
+parent's IQR over its median, how many pairs each side won and a verdict;
+the metrics, their directions and their bounds come from BENCHMARK.json.
+The verdict is `worse` when the change's median is worse than the parent's
+by more than the metric's bound, `unresolved` when the parent's IQR over its
+median exceeds the bound and not every change run beats every parent run,
+and `within bound` otherwise. The top-level `no_regression` is false if any
+verdict is `worse`, else null if any is `unresolved` (or a workload has no
+pair with every session correct), else true; each flagged metric is printed.
 
 --claim names the claimed metric; its block also says whether the median
 gain exceeds the parent's IQR. --profile adds a cProfile of one pass over
@@ -155,19 +161,35 @@ def sweep(dirs: dict, doc_len: int) -> dict:
     return out
 
 
-def summarize(pairs: list, name: str, higher_better: bool) -> dict:
+def summarize(pairs: list, name: str, higher_better: bool, bound: float) -> dict:
     values = {side: [p[side][name] for p in pairs] for side in SIDES}
     q = {side: statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3 for side, v in values.items()}
     better = sum((c > p) if higher_better else (c < p) for p, c in zip(values["parent"], values["change"]))
     worse = sum((c < p) if higher_better else (c > p) for p, c in zip(values["parent"], values["change"]))
+    ratio = q["change"][1] / q["parent"][1]
+    spread = (q["parent"][2] - q["parent"][0]) / q["parent"][1]
+    if higher_better:
+        loss, all_better = 1 - ratio, min(values["change"]) > max(values["parent"])
+    else:
+        loss, all_better = ratio - 1, max(values["change"]) < min(values["parent"])
     return {
         "parent_q1_median_q3": [round(x, 6) for x in q["parent"]],
         "change_q1_median_q3": [round(x, 6) for x in q["change"]],
-        "change_over_parent_median": round(q["change"][1] / q["parent"][1], 4),
-        "parent_iqr_over_median": round((q["parent"][2] - q["parent"][0]) / q["parent"][1], 4),
+        "change_over_parent_median": round(ratio, 4),
+        "parent_iqr_over_median": round(spread, 4),
         "pairs_change_better": better,
         "pairs_parent_better": worse,
+        "verdict": "worse" if loss > bound else "unresolved" if spread > bound and not all_better else "within bound",
     }
+
+
+def no_regression(workloads: dict) -> bool | None:
+    """False if any verdict is `worse`, else None if any is `unresolved` or
+    a workload has no summary, else True."""
+    verdicts = {s["verdict"] for w in workloads.values() for s in w["summary"].values()}
+    if not all(w["summary"] for w in workloads.values()):
+        verdicts.add("unresolved")
+    return False if "worse" in verdicts else None if "unresolved" in verdicts else True
 
 
 PROFILE = """
@@ -235,6 +257,7 @@ def main(argv=None) -> int:
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     directions = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     workloads, seeds = [w for w in args.workloads.split(",") if w], parse_seeds(args.seeds)
     dirs = build_checkouts(args.parent, args.scratch.resolve())
     parent_rev = git("rev-parse", "--short", args.parent).decode().strip()
@@ -268,9 +291,16 @@ def main(argv=None) -> int:
             "pairs_run": len(pairs),
             "all_sessions_correct": len(timed) == len(pairs),
             "exact_block_identical_in_every_pair": all(p["exact_identical"] for p in pairs),
-            "summary": {name: summarize(timed, name, hi) for name, hi in directions.items()} if timed else {},
+            "summary": {name: summarize(timed, name, hi, bounds[name]) for name, hi in directions.items()} if timed else {},
             "pairs": pairs,
         }
+    out["no_regression"] = no_regression(out["workloads"])
+    for workload, w in out["workloads"].items():
+        for name, s in w["summary"].items():
+            if s["verdict"] != "within bound":
+                print(f"{workload} {name}: {s['verdict']}, median x{s['change_over_parent_median']}, "
+                      f"parent IQR/median {s['parent_iqr_over_median']}, bound {bounds[name]}", flush=True)
+    print(f"no_regression: {json.dumps(out['no_regression'])}", flush=True)
     if args.claim:
         workload, metric = args.claim.split(":")
         s = out["workloads"][workload]["summary"][metric]

@@ -25,8 +25,9 @@ encoding. The decoders raise WireFormatError (a ValueError) on a short field,
 trailing bytes, an unknown kind, bad UTF-8, a clock entry that is zero or out
 of order, a seq below 1 or other than the clock's entry for the origin, a
 WOOT insert whose id is not its message's (origin, seq), a WOOT anchor or
-delete target outside the message's causal past, or a value the op types
-reject.
+delete target outside the message's causal past, a WOOT insert that can
+never run (its prev is END, its next is START, or both anchors are one id),
+a WOOT delete of START or END, or a value the op types reject.
 """
 
 from __future__ import annotations
@@ -173,11 +174,15 @@ def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock)
                 raise ValueError(f"insert id {oid} is not the message's {origin}.{seq}")
             prev, off = _decode_id(payload, off)
             nxt, off = _decode_id(payload, off)
+            if prev == END or nxt == START or prev == nxt:  # no slot can ever lie between them
+                raise ValueError(f"insert anchors {prev} and {nxt} can never enclose a slot")
             _check_past(prev, origin, seq, clock)
             _check_past(nxt, origin, seq, clock)
             msg = TimestampedOp(InsertId(char, oid, prev, nxt), origin, seq, clock)
         elif kind == b"X":
             target, off = _decode_id(payload, off)
+            if target == START or target == END:  # a sentinel is never shown, so never deleted
+                raise ValueError(f"delete target {target} is a sentinel")
             _check_past(target, origin, seq, clock)
             msg = TimestampedOp(DeleteId(target), origin, seq, clock)
         else:

@@ -171,10 +171,11 @@ class OtSite(_Replica):
         if seen > self.clock.get(self.site):  # acking ops never made would drop pending ones unfolded
             raise ContextMismatchError(f"remote {remote_op.key()} claims {seen} ops of site {self.site}, which made {self.clock.get(self.site)}")
         pending = self.pending  # the acknowledged ops are a prefix of consecutive seqs
-        if pending and pending[0][2].seq <= seen:
-            del pending[: seen - pending[0][2].seq + 1]
-        op = fold(self.metrics, remote_op.op, origin, pending)
+        acked = seen - pending[0][2].seq + 1 if pending else 0
+        op = fold(self.metrics, remote_op.op, origin, pending[acked:] if acked > 0 else pending)
         self.state = apply_external(self.state, op)
+        if acked > 0:  # dropped only once the op has executed
+            del pending[:acked]
         self.clock = self.clock.tick(origin)  # the merge of the two clocks, as the checks above pin it
         # an op no pending op moved is logged as its message, which equals its record
         self.buffer.append(remote_op if op is remote_op.op else TimestampedOp(op, origin, remote_op.seq, remote_op.clock))

@@ -138,8 +138,16 @@ class TestStrictDecoding:
         b"C" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",
         b"S" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",
         b"W" + struct.pack(">I", 1) + b"\x00" + _woot_ids(0, 1),
+        # WOOT ops that can never run: no slot lies after END, before START
+        # or between an id and itself, and a sentinel is never shown
+        b"W" + struct.pack(">I", 1) + b"q" + struct.pack(">qQqQqQ", 0, 1, 2**31, 0, -1, 1),
+        b"W" + struct.pack(">I", 1) + b"q" + struct.pack(">qQqQqQ", 0, 1, -1, 1, -(2**31), 0),
+        b"W" + struct.pack(">I", 1) + b"q" + struct.pack(">qQqQqQ", 0, 1, -1, 1, -1, 1),
+        b"X" + struct.pack(">qQ", -(2**31), 0),
+        b"X" + struct.pack(">qQ", 2**31, 0),
     ], ids=["payload-kind", "op-kind", "utf8", "two-chars", "woot-no-char", "woot-two-chars", "woot-foreign-id",
-            "nul", "client-nul", "server-nul", "woot-nul"])
+            "nul", "client-nul", "server-nul", "woot-nul",
+            "woot-prev-end", "woot-next-start", "woot-prev-is-next", "woot-delete-start", "woot-delete-end"])
     def test_bad_payload_rejected(self, payload):
         with pytest.raises(WireFormatError):
             decode_message(_envelope(payload))

@@ -242,6 +242,19 @@ class TestOtSite:
         assert fields(a) == before
         assert a.remote(stamp(Insert(1, "y"), 1, 1)) == Insert(2, "y") and a.state == "xayb"
 
+    def test_refused_op_drops_no_acknowledged_op(self):
+        """A peer op that acknowledges the pending insert but lies beyond the
+        text is refused with every field as it was, the pending insert
+        included; had it been dropped, the correct op would replay unfolded
+        as Insert(1, 'y'), giving 'xyab'."""
+        a = OtSite(site=0, state="ab")
+        a.local(Insert(0, "x"))
+        before = fields(a)
+        with pytest.raises(BoundsError):
+            a.remote(stamp(Insert(9, "y"), 1, 1, {0: 1}))
+        assert fields(a) == before
+        assert a.remote(stamp(Insert(1, "y"), 1, 1)) == Insert(2, "y") and a.state == "xayb"
+
     def test_causal_mismatch_refused_before_pruning(self):
         """A remote claiming to have seen the pending insert, yet causally
         before the pending delete, is refused before the insert is pruned."""

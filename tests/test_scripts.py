@@ -33,13 +33,61 @@ def test_bench_pairs_help():
     assert "--parent" in run_script("scripts/bench_pairs.py", "--help")
 
 
-def test_bench_pairs_counts_source_lines_as_wc():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_counts_source_lines_as_wc():
+    bench_pairs = load_bench_pairs()
     wc = subprocess.run("wc -l src/coedit/*.py", shell=True, cwd=ROOT, capture_output=True, text=True, check=True)
     total = wc.stdout.splitlines()[-1].split()
     assert total[1] == "total" and bench_pairs.source_lines(ROOT) == int(total[0]) > 0
+
+
+def synthetic_pairs(parent, change):
+    return [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+
+
+TIGHT = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]  # parent IQR/median 0.015
+NOISY = [6.0, 14.0, 8.0, 12.0, 10.0, 7.0, 13.0, 9.0, 11.0, 10.0]  # parent IQR/median 0.35
+
+
+def test_bench_pairs_verdict_on_synthetic_pairs():
+    """`worse` beyond the bound whatever the spread; `unresolved` when the
+    parent's spread exceeds the bound unless every change run beats every
+    parent run; `within bound` otherwise. Both directions."""
+    summarize = load_bench_pairs().summarize
+    cases = [
+        (TIGHT, [x * 1.3 for x in TIGHT], False, "worse"),
+        (TIGHT, [x * 1.2 for x in TIGHT], False, "within bound"),
+        (TIGHT, [x * 0.5 for x in TIGHT], False, "within bound"),
+        (NOISY, [x * 1.3 for x in NOISY], False, "worse"),
+        (NOISY, [x * 1.1 for x in NOISY], False, "unresolved"),
+        (NOISY, [x * 0.9 for x in NOISY], False, "unresolved"),  # better in the median, not in every run
+        (NOISY, [5.0] * 10, False, "within bound"),  # every change run beats every parent run
+        (TIGHT, [x * 0.7 for x in TIGHT], True, "worse"),
+        (TIGHT, [x * 0.8 for x in TIGHT], True, "within bound"),
+        (NOISY, [x * 0.9 for x in NOISY], True, "unresolved"),
+        (NOISY, [15.0] * 10, True, "within bound"),
+    ]
+    for parent, change, higher_better, verdict in cases:
+        assert summarize(synthetic_pairs(parent, change), "m", higher_better, 0.25)["verdict"] == verdict, \
+            (parent, change, higher_better)
+
+
+def test_bench_pairs_no_regression():
+    no_regression = load_bench_pairs().no_regression
+
+    def workloads(*verdicts):
+        return {f"w{k}": {"summary": {"m": {"verdict": v}, "n": {"verdict": "within bound"}}} for k, v in enumerate(verdicts)}
+
+    assert no_regression(workloads("within bound", "within bound")) is True
+    assert no_regression(workloads("within bound", "unresolved")) is None
+    assert no_regression(workloads("unresolved", "worse")) is False
+    assert no_regression({**workloads("within bound"), "empty": {"summary": {}}}) is None  # no correct pair
 
 
 def test_workload_lines_finds_unrun_bodies():

@@ -498,6 +498,35 @@ def index_calls(seq):
     return sum(getattr(b.objects, "calls", 0) for b in seq.blocks)
 
 
+class CountingDict(dict):
+    """A dict that records every key it is read at."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return super().__contains__(key)
+
+
+def assert_slots_fresh(seq):
+    """Every remembered (block, offset, index) names its id's object: the
+    block is in the sequence at its `pos`, holds the object at that offset,
+    and the object is at that index of the flat view."""
+    objects = seq.objects
+    for key, (b, k, i) in seq.located.items():
+        assert seq.blocks[b.pos] is b and b.objects[k].id == key and objects[i] is b.objects[k], key
+
+
 @contextmanager
 def block_size(size):
     """`woot.BLOCK` set to `size` inside the block."""
@@ -515,9 +544,9 @@ def block_sizes():
 
 
 class TestLocateOnce:
-    """`index_of`/`contains` remember an id's index until the next insert
-    moves it, at the same charge as a fresh walk; a fresh one is one
-    `list.index` in the id's own block."""
+    """An id's slot (block, offset, index) is remembered until the next
+    insert or split moves it, at the same charge as a fresh walk; a fresh
+    one is one `list.index` in the id's own block."""
 
     def test_memo_follows_inserts_and_survives_deletes(self):
         for _ in block_sizes():
@@ -531,7 +560,8 @@ class TestLocateOnce:
             assert seq.index_of(c) == 4
             assert seq.search_steps - steps == 3 + 2  # the old index + 2
             seq.integrate_delete(DeleteId(a))
-            assert seq.located[c] == 4
+            assert seq.located[c][2] == 4
+            assert_slots_fresh(seq)
             calls, steps = index_calls(seq), seq.search_steps
             assert seq.index_of(c) == 4
             assert seq.search_steps - steps == 5 and index_calls(seq) == calls
@@ -551,7 +581,8 @@ class TestLocateOnce:
     def test_one_block_search_per_conversion(self, monkeypatch):
         """Past one block, `pos_to_id` finds its slot's block by one search
         of the block counts; integration finds none, taking each block from
-        an object. Each step is charged as the linear walk."""
+        a remembered slot or an object. Each step is charged as the linear
+        walk."""
         calls = []
         monkeypatch.setattr(woot, "bisect_right", lambda *args: calls.append(args) or bisect_right(*args))
         with block_size(2):
@@ -575,6 +606,59 @@ class TestLocateOnce:
             assert calls == [] and engine.search_steps == oracle.search_steps
             assert len(engine.blocks) > 4 and engine.dump() == oracle.dump()
 
+    def test_located_ids_read_no_id_index(self):
+        """Once `pos_to_id` or `executable` has located an id, `is_visible`,
+        `integrate_delete` and `integrate_insert` take its block and offset
+        from the remembered slot: none of them reads its `by_id` entry."""
+        def integrate(seq, op):
+            located = [op.target] if isinstance(op, DeleteId) else [op.prev, op.next]
+            seq.by_id = CountingDict(seq.by_id)
+            if isinstance(op, DeleteId):
+                assert seq.is_visible(op.target)
+                seq.integrate_delete(op)
+            else:
+                assert seq.integrate_insert(op)
+            assert not set(seq.by_id.reads) & set(located), op
+            seq.by_id = dict(seq.by_id)
+            assert_slots_fresh(seq)
+
+        for _ in block_sizes():
+            seq = ObjectSequence.from_text("abcdef")
+            for k, eo in enumerate([Delete(1), Insert(3, "x")], start=1):
+                integrate(seq, seq.pos_to_id(eo, site=0, next_seq=k))
+            for op in (InsertId("y", oid(1, 1), oid(INIT_SID, 5), END), DeleteId(oid(INIT_SID, 4))):
+                assert seq.executable(op)
+                integrate(seq, op)
+            assert seq.value() == "acxefy"
+
+    def test_split_at_the_default_block(self):
+        """Typing at one place grows the first block of a 200-character
+        sequence past 2 * BLOCK slots; it splits, and the typed object moves
+        to the new block. Every op matches the oracle's charge, the dumps
+        agree, and no remembered slot names a block it has left."""
+        doc = "".join(random.Random(200).choice("ab ") for _ in range(200))
+        engine, oracle = ObjectSequence.from_text(doc), LinearSequence.from_text(doc)
+        assert [len(b.objects) for b in engine.blocks] == [woot.BLOCK, 202 - woot.BLOCK]
+        for k in range(woot.BLOCK + 1):
+            eo = Insert(100 + k, "xyz"[k % 3])
+            op = engine.pos_to_id(eo, site=0, next_seq=k + 1)
+            assert oracle.pos_to_id(eo, site=0, next_seq=k + 1) == op
+            for seq in (engine, oracle):
+                seq.integrate_insert(op)
+            assert engine.search_steps == oracle.search_steps
+            assert_slots_fresh(engine)
+        assert [len(b.objects) for b in engine.blocks] == [woot.BLOCK, woot.BLOCK + 1, 202 - woot.BLOCK]
+        assert engine.by_id[op.id].block is engine.blocks[1]
+        assert engine.dump() == oracle.dump() and engine.value() == oracle.value()
+        # the typed object, its anchors and a delete past the split, as a remote op would find them
+        for seq in (engine, oracle):
+            assert seq.id_to_pos(op) == Insert(100 + woot.BLOCK, "xyz"[woot.BLOCK % 3])
+            assert seq.executable(DeleteId(op.prev)) and seq.is_visible(op.prev)
+            seq.integrate_delete(DeleteId(op.prev))
+        assert engine.search_steps == oracle.search_steps
+        assert engine.dump() == oracle.dump()
+        assert_slots_fresh(engine)
+
     def test_objects_take_no_new_attributes(self):
         seq = ObjectSequence.from_text("ab")
         with pytest.raises(AttributeError):
@@ -583,25 +667,20 @@ class TestLocateOnce:
 
 class LinearSequence(ObjectSequence):
     """Oracle: the engine with its scans replaced by the linear walks they
-    are charged as. Each walks from the start (`objects` for an id, `shown`
-    for visibility), counts every slot it visits and compares ids field by
-    field; integration and the conversions are inherited, so they run on
-    these walks. The n-th visible walk goes block by block and names the
-    block and offset it stops at, as `pos_to_id` takes them."""
+    are charged as. Each walks from the start, block by block, counts every
+    slot it visits and names the block and offset it stops at, as the
+    engine's callers take them. The id walk compares ids field by field and
+    never reads the remembered slots, so every id lookup of the inherited
+    integration, conversions, `index_of`, `contains` and `executable` is a
+    walk; visibility walks `shown`."""
 
-    def index_of(self, oid):
-        for i, obj in enumerate(self.objects):
+    def _find(self, oid):
+        slots = ((b, k, obj) for b in self.blocks for k, obj in enumerate(b.objects))
+        for i, (b, k, obj) in enumerate(slots):
             self.search_steps += 1
-            if obj.id == oid:
-                return i
-        raise UnknownTargetError(f"object id {oid} not in sequence")
-
-    def contains(self, oid):
-        for obj in self.objects:
-            self.search_steps += 1
-            if obj.id == oid:
-                return True
-        return False
+            if obj.id.sid == oid.sid and obj.id.seq == oid.seq:
+                return b, k, i
+        return None
 
     def _nth(self, n):
         count = 0
@@ -621,11 +700,6 @@ class LinearSequence(ObjectSequence):
             if ch != TOMB:
                 rank += 1
         return rank
-
-    def executable(self, op):
-        if isinstance(op, DeleteId):
-            return self.contains(op.target)
-        return self.contains(op.prev) and self.contains(op.next)
 
     def value(self):
         return "".join(o.character for o, ch in zip(self.objects, self.shown) if ch != TOMB)
@@ -737,7 +811,7 @@ class TestReferenceScans:
             assert engine.value() == oracle.value()
             assert len(engine.by_id) == len(engine.objects) == len(engine.shown)
             assert all(engine.by_id[o.id] is o for o in engine.objects)
-            assert all(engine.objects[i].id == k for k, i in engine.located.items())
+            assert_slots_fresh(engine)
 
     @given(st.text(alphabet="abc", max_size=6), reference_actions)
     def test_engine_matches_linear_scans_in_blocks_of_two(self, doc, actions):
@@ -816,7 +890,8 @@ class TestAnchorSearch:
                 assert seq.executable(op)
                 assert seq.search_steps == (4 + 1) + (1 + 1)
             assert index_calls(engine) == 2  # prev, then next, each in its own block
-            assert engine.located == {ids[3]: 4, ids[0]: 1}
+            assert {key: i for key, (_, _, i) in engine.located.items()} == {ids[3]: 4, ids[0]: 1}
+            assert_slots_fresh(engine)
             for seq in (engine, oracle):
                 with pytest.raises(NotExecutableError):
                     seq.integrate_insert(op)
