@@ -10,9 +10,15 @@ DIR, replacing any earlier ones there: DIR/parent from `git archive REV`,
 DIR/change from the working tree's tracked and untracked, not ignored files.
 For each workload and seed, `perfbench/run.py --trace 0` runs once in each
 checkout, one process at a time; odd seeds run the parent first, even seeds
-the change. Each pair records both runs' end-to-end metrics and whether both
-printed the same exact-count block, with each run's reference-routine time
-and its figures before calibration. Per workload and metric the output holds
+the change. Each pair records both runs' end-to-end metrics, whether both
+printed the same exact-count block and `exact_diff_keys`, the keys whose
+values differ between the two blocks (None when a run printed none), with
+each run's reference-routine time and its figures before calibration. A pair
+is flagged `reference_slow` when either run's reference time is more than
+25% above the median over all that workload's runs: calibration then
+over-corrects a slow host spell. The flag is a report only; every pair still
+counts. Per workload the output also holds the union of the pairs'
+`exact_diff_keys` and the flagged seeds, and per metric it holds
 both sides' quartiles (inclusive method), the ratio of the medians, the
 parent's IQR over its median, how many pairs each side won and a verdict;
 the metrics, their directions and their bounds come from BENCHMARK.json.
@@ -88,6 +94,26 @@ def build_checkouts(rev: str, scratch: Path) -> dict:
 def source_lines(checkout: Path) -> int:
     """Newlines in the checkout's `src/coedit/*.py`: the total of `wc -l`."""
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "coedit").glob("*.py"))
+
+
+def exact_diff_keys(parent: str | None, change: str | None) -> list | None:
+    """The keys whose values differ between two `exact {...}` lines."""
+    if parent is None or change is None:
+        return None
+    a, b = (json.loads(line.split(" ", 1)[1]) for line in (parent, change))
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+REFERENCE_SLOW = 1.25  # a run's reference time over the workload's median
+
+
+def flag_reference_slow(pairs: list) -> list:
+    """Set each pair's `reference_slow`; returns the flagged pairs' seeds."""
+    times = [t for p in pairs for t in p["reference_ns"].values() if t is not None]
+    limit = REFERENCE_SLOW * statistics.median(times) if times else float("inf")
+    for p in pairs:
+        p["reference_slow"] = any(t is not None and t > limit for t in p["reference_ns"].values())
+    return [p["seed"] for p in pairs if p["reference_slow"]]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -280,17 +306,24 @@ def main(argv=None) -> int:
             runs = {side: run_once(dirs[side], workload, seed, args.seconds) for side in order}
             same = runs["parent"]["exact"] is not None and runs["parent"]["exact"] == runs["change"]["exact"]
             ok &= same and all(r["correct"] for r in runs.values())
-            pairs.append({"seed": seed, "first": order[0], "exact_identical": same, **{s: runs[s]["metrics"] for s in SIDES},
+            pairs.append({"seed": seed, "first": order[0], "exact_identical": same,
+                          "exact_diff_keys": exact_diff_keys(runs["parent"]["exact"], runs["change"]["exact"]),
+                          **{s: runs[s]["metrics"] for s in SIDES},
                           "correct": {s: runs[s]["correct"] for s in SIDES},
                           "reference_ns": {s: runs[s]["reference_ns"] for s in SIDES},
                           "uncalibrated": {s: runs[s]["uncalibrated"] for s in SIDES}})
             print(f"{workload} seed {seed}: " + "  ".join(
                 f"{s} {runs[s]['metrics'].get('ops_per_s', 0):.0f} ops/s" for s in SIDES) + f"  exact same: {same}", flush=True)
         timed = [p for p in pairs if all(p["correct"].values())]
+        slow = flag_reference_slow(pairs)
+        if slow:
+            print(f"{workload}: reference time over x{REFERENCE_SLOW} the median in the pairs of seeds {slow}", flush=True)
         out["workloads"][workload] = {
             "pairs_run": len(pairs),
             "all_sessions_correct": len(timed) == len(pairs),
             "exact_block_identical_in_every_pair": all(p["exact_identical"] for p in pairs),
+            "exact_diff_keys": sorted({k for p in pairs for k in p["exact_diff_keys"] or ()}),
+            "pairs_reference_slow": slow,
             "summary": {name: summarize(timed, name, hi, bounds[name]) for name, hi in directions.items()} if timed else {},
             "pairs": pairs,
         }

@@ -8,13 +8,13 @@ the harness can run identical scenarios against any of them.
 Every wire message is a TimestampedOp, whose origin, seq and clock the
 envelope carries. 'W' and 'X' are the payloads of one whose op is an
 identifier op (WOOT's InsertId or DeleteId), 'T' of one whose op is
-position-based, and 'C' and 'S' of the sequencer's ClientOpMsg and ServerOpMsg.
+position-based (a sequencer client's op among them: its clock says what it
+saw), and 'S' of the sequencer's ServerOpMsg.
 
 Wire layout (big-endian, length-prefixed; nothing may follow the payload):
   envelope  = origin u32 | seq u64 | nclock u32 | nclock * (site u32, count u64)
               | payload_len u32 | payload
-  payloads  = 'T' op                           symmetric OT op
-              'C' seen u64, op                 OT client -> sequencer
+  payloads  = 'T' op                           OT op: a peer's, or a client's to the sequencer
               'S' index u64, op                sequencer -> OT clients
               'W' text, id, prev, next         WOOT insert (id = sid i64, seq u64)
               'X' target id                    WOOT delete
@@ -48,7 +48,7 @@ from .model import (
     apply_external,
     format_op,
 )
-from .ot import ClientOpMsg, ServerOpMsg
+from .ot import ServerOpMsg
 from .woot import END, INIT_SID, START, DeleteId, InsertId, ObjectId
 
 WireMessage = TimestampedOp
@@ -150,8 +150,6 @@ def encode_payload(msg: WireMessage) -> bytes:
         if type(op) is DeleteId:
             return b"X" + _encode_id(op.target)
         return b"T" + _encode_op(op)
-    if kind is ClientOpMsg:
-        return b"C" + struct.pack(">Q", msg.seen) + _encode_op(op)
     if kind is ServerOpMsg:
         return b"S" + struct.pack(">Q", msg.index) + _encode_op(op)
     raise TypeError(f"not a wire message: {msg!r}")
@@ -163,10 +161,10 @@ def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock)
         if kind == b"T":
             op, off = _decode_op(payload, off)
             msg = TimestampedOp(op, origin, seq, clock)
-        elif kind == b"C" or kind == b"S":
-            (n,) = struct.unpack_from(">Q", payload, off)
+        elif kind == b"S":
+            (index,) = struct.unpack_from(">Q", payload, off)
             op, off = _decode_op(payload, off + 8)
-            msg = (ClientOpMsg if kind == b"C" else ServerOpMsg)(op, origin, seq, clock, n)
+            msg = ServerOpMsg(op, origin, seq, clock, index)
         elif kind == b"W":
             char, off = _decode_text(payload, off)
             oid, off = _decode_id(payload, off)

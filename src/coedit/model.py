@@ -134,7 +134,7 @@ class TimestampedOp:
     """An op plus the metadata needed for causal replay: the one wire record
     of every engine. The op is position-based (an ExternalOp, for the OT
     engines) or an identifier op (WOOT's InsertId or DeleteId); the
-    sequencer's messages subclass this record with one field each."""
+    sequencer's stream message subclasses it with the op's stream index."""
 
     op: object
     origin: SiteId

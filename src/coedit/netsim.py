@@ -92,7 +92,8 @@ class Simulator:
     returns the position-based op actually applied (or None).
     `clock_of(site)` exposes the site's delivery clock for causal gating.
     Sequencer mode needs `sequencer_server`, whose `process(sender, msg)`
-    returns the message to broadcast, carrying its stream index as `index`.
+    returns the message to broadcast, carrying its stream index as `index`,
+    and whose `sequenced[site]` counts the site's ops it has processed.
     """
 
     def __init__(
@@ -123,7 +124,6 @@ class Simulator:
         self.seq_hold: Dict[SiteId, dict] = {s: {} for s in site_ids}  # index -> message
         self.seq_next: Dict[SiteId, int] = {s: 0 for s in site_ids}
         self.seq_fifo: Dict[SiteId, dict] = {s: {} for s in site_ids}  # per-origin seq hold-back
-        self.seq_expected: Dict[SiteId, int] = {s: 1 for s in site_ids}
 
     # -- scheduling ---------------------------------------------------------
 
@@ -162,12 +162,12 @@ class Simulator:
 
     def _handle_sequencer(self, msg: WireMessage) -> None:
         origin, seq, _ = message_meta(msg)
-        # client -> server links are logically FIFO: process in per-origin seq order
-        self.seq_fifo[origin][seq] = msg
-        while self.seq_expected[origin] in self.seq_fifo[origin]:
-            ready = self.seq_fifo[origin].pop(self.seq_expected[origin])
-            self.seq_expected[origin] += 1
-            out = self.sequencer_server.process(origin, ready)
+        # client -> server links are logically FIFO: process in per-origin seq
+        # order, each op the one after those the server has sequenced
+        fifo, sequenced = self.seq_fifo[origin], self.sequencer_server.sequenced
+        fifo[seq] = msg
+        while sequenced[origin] + 1 in fifo:
+            out = self.sequencer_server.process(origin, fifo.pop(sequenced[origin] + 1))
             self.broadcast(out, self.site_ids)
 
     def _handle_arrival(self, dst: int, env: Envelope) -> None:

@@ -5,7 +5,7 @@ in one step), one :func:`fold` of an op past concurrent ones, and the
 replicas built on it. An :class:`OtSite` (one of two symmetric peers) or a
 :class:`SequencerClient` folds each remote op past its `pending`
 unacknowledged local ops; the :class:`SequencerServer` folds each client op
-past that client's bridge.
+past the entries of that client's bridge which the op's clock does not cover.
 
 Tie-break for two inserts at the same position: the insert from the lower
 site id keeps the smaller position. Transforming a delete against a delete
@@ -71,8 +71,7 @@ def transform(a: ExternalOp, b: ExternalOp, a_site: SiteId, b_site: SiteId) -> E
 
 @dataclass
 class OtMetrics:
-    transform_count: int = 0
-    concurrent_set_sizes: list = field(default_factory=list)
+    concurrent_set_sizes: list = field(default_factory=list)  # per executed remote op
     buffer_length_samples: list = field(default_factory=list)
     insert_tie_seen: bool = False  # two inserts at one position were folded
 
@@ -81,19 +80,22 @@ class OtMetrics:
         bundle.transform_total += self.transform_count
         bundle.insert_tie_seen |= self.insert_tie_seen
 
+    @property
+    def transform_count(self) -> int:  # one transform per op folded past
+        return sum(self.concurrent_set_sizes)
+
 
 def fold(metrics: OtMetrics, op: ExternalOp, origin: SiteId, entries: list) -> ExternalOp:
     """Fold `op` from `origin` past `entries`, concurrent ops in the same
-    context held as lists `[op, origin, ...]`, and rebase each entry past
-    `op` in place. Returns `op` in the context that includes them all."""
+    context held as lists `[op, origin, seq]`, and rebase each entry past
+    `op` in place. Returns `op` in the context that includes them all; the
+    caller counts the entries once the op has executed."""
     tie_seen = metrics.insert_tie_seen
     for entry in entries:
         other = entry[0]
         if not tie_seen and type(op) is Insert and type(other) is Insert and op.position == other.position:
             tie_seen = metrics.insert_tie_seen = True
         op, entry[0] = xform(op, other, origin, entry[1])
-    metrics.transform_count += len(entries)
-    metrics.concurrent_set_sizes.append(len(entries))
     return op
 
 
@@ -102,7 +104,7 @@ class _Replica:
     """What both OT replicas hold: a mirror of the visible text, a clock,
     the `buffer` log of every op in the form it was executed here, and the
     `pending` local ops no remote has acknowledged yet, as entries
-    `[op rebased to the current text, site, its message]`."""
+    `[op rebased to the current text, site, seq]`."""
 
     site: SiteId
     state: str = ""
@@ -111,16 +113,14 @@ class _Replica:
     pending: list = field(default_factory=list)
     metrics: OtMetrics = field(default_factory=OtMetrics)
 
-    def _stamp(self, eo: ExternalOp, message: type, *extra) -> TimestampedOp:
-        """Execute, timestamp, log and hold a local op as one `message` (a
-        TimestampedOp or a subclass, given its `extra` fields); no
-        transformation runs. The visible text already shows the edit; the
-        mirror follows here."""
+    def _stamp(self, eo: ExternalOp) -> TimestampedOp:
+        """Execute, timestamp, log and hold a local op; no transformation runs.
+        The visible text already shows the edit; the mirror follows here."""
         self.state = apply_external(self.state, eo)
         self.clock = self.clock.tick(self.site)
-        msg = message(eo, self.site, self.clock.get(self.site), self.clock, *extra)
+        msg = TimestampedOp(eo, self.site, self.clock.get(self.site), self.clock)
         self.buffer.append(msg)
-        self.pending.append([eo, self.site, msg])
+        self.pending.append([eo, self.site, msg.seq])
         self.metrics.buffer_length_samples.append(len(self.buffer))
         return msg
 
@@ -155,7 +155,7 @@ class OtSite(_Replica):
     """
 
     def local(self, eo: ExternalOp) -> TimestampedOp:
-        return self._stamp(eo, TimestampedOp)
+        return self._stamp(eo)
 
     def remote(self, remote_op: TimestampedOp) -> ExternalOp:
         """Fold the peer's next op past the local ops it had not seen;
@@ -171,23 +171,17 @@ class OtSite(_Replica):
         if seen > self.clock.get(self.site):  # acking ops never made would drop pending ones unfolded
             raise ContextMismatchError(f"remote {remote_op.key()} claims {seen} ops of site {self.site}, which made {self.clock.get(self.site)}")
         pending = self.pending  # the acknowledged ops are a prefix of consecutive seqs
-        acked = seen - pending[0][2].seq + 1 if pending else 0
+        acked = seen - pending[0][2] + 1 if pending else 0
         op = fold(self.metrics, remote_op.op, origin, pending[acked:] if acked > 0 else pending)
         self.state = apply_external(self.state, op)
         if acked > 0:  # dropped only once the op has executed
             del pending[:acked]
+        self.metrics.concurrent_set_sizes.append(len(pending))  # the ops it was folded past
         self.clock = self.clock.tick(origin)  # the merge of the two clocks, as the checks above pin it
         # an op no pending op moved is logged as its message, which equals its record
         self.buffer.append(remote_op if op is remote_op.op else TimestampedOp(op, origin, remote_op.seq, remote_op.clock))
         self.metrics.buffer_length_samples.append(len(self.buffer))
         return op
-
-
-@dataclass(frozen=True)
-class ClientOpMsg(TimestampedOp):
-    """Client -> sequencer: a stamped op plus how much of the server stream it saw."""
-
-    seen: int
 
 
 @dataclass(frozen=True)
@@ -202,39 +196,45 @@ class ServerOpMsg(TimestampedOp):
 class SequencerServer:
     """Total-order relay that rebases every client op into one linear history.
 
-    Keeps a per-client bridge of sequenced ops that client has not yet seen;
-    an incoming client op is folded through its bridge (rebasing the bridge
-    entries in the process) before being applied and broadcast. Clients then
-    only need to fold server messages against their own pending local ops,
-    which keeps pairwise transformation sufficient at any site count.
+    Keeps a per-client bridge of sequenced ops that client may not have
+    seen, as entries `[op, origin, seq]`. A client delivers a prefix of the
+    stream and merges each op's clock, so its clock counts each other site's
+    ops in that prefix: a client op is folded past the bridge entries its
+    clock does not cover (rebasing them in place) before being applied and
+    broadcast. Clients then only fold server messages past their own pending
+    ops, which keeps pairwise transformation sufficient at any site count.
     """
 
     client_ids: list
     state: str = ""
-    history_len: int = 0
-    bridges: dict = field(init=False)  # SiteId -> list of [ExternalOp, origin SiteId, index]
-    sequenced: dict = field(init=False, default_factory=dict)  # SiteId -> how many of its ops are sequenced
+    history_len: int = 0  # the next stream index
+    bridges: dict = field(init=False)  # SiteId -> list of [ExternalOp, origin SiteId, seq]
+    sequenced: dict = field(init=False)  # SiteId -> how many of its ops are sequenced
     metrics: OtMetrics = field(default_factory=OtMetrics)
 
     def __post_init__(self):
         self.bridges = {c: [] for c in self.client_ids}
+        self.sequenced = dict.fromkeys(self.client_ids, 0)
 
-    def process(self, sender: SiteId, msg: ClientOpMsg) -> ServerOpMsg:
-        if msg.origin != sender or msg.seq != self.sequenced.get(sender, 0) + 1:  # a duplicate, a gap or another's op
-            raise ContextMismatchError(f"op {msg.key()} from client {sender} is not its next: {self.sequenced.get(sender, 0)} sequenced")
-        if msg.seen > self.history_len:  # a bridge cut there would drop ops the client never saw
-            raise ContextMismatchError(f"client {sender} claims {msg.seen} of {self.history_len} sequenced ops")
-        bridge = [e[:] for e in self.bridges[sender] if e[2] >= msg.seen]  # copies: a refused op rebases none
-        op = fold(self.metrics, msg.op, msg.origin, bridge)
+    def process(self, sender: SiteId, msg: TimestampedOp) -> ServerOpMsg:
+        sequenced, seen = self.sequenced, msg.clock.entries
+        if msg.origin != sender or msg.seq != sequenced.get(sender, 0) + 1:  # a duplicate, a gap or another's op
+            raise ContextMismatchError(f"op {msg.key()} from client {sender} is not its next: {sequenced.get(sender, 0)} sequenced")
+        for s, n in seen.items():  # a bridge cut there would drop ops the client never saw
+            if n > sequenced.get(s, 0) and s != sender:
+                raise ContextMismatchError(f"op {msg.key()} from client {sender} claims {n} ops of site {s}, of which {sequenced.get(s, 0)} are sequenced")
+        bridge = [e[:] for e in self.bridges[sender] if e[2] > seen.get(e[1], 0)]  # copies: a refused op rebases none
+        op = fold(self.metrics, msg.op, sender, bridge)
         self.state = apply_external(self.state, op)
+        self.metrics.concurrent_set_sizes.append(len(bridge))
         self.bridges[sender] = bridge
-        self.sequenced[sender] = msg.seq
+        sequenced[sender] = msg.seq
         index = self.history_len
         self.history_len += 1
         for c in self.client_ids:
             if c != sender:
-                self.bridges[c].append([op, msg.origin, index])
-        return ServerOpMsg(op, msg.origin, msg.seq, msg.clock, index)
+                self.bridges[c].append([op, sender, msg.seq])
+        return ServerOpMsg(op, sender, msg.seq, msg.clock, index)
 
     def fold_metrics(self, bundle) -> None:
         self.metrics.fold_into(bundle)
@@ -254,8 +254,8 @@ class SequencerClient(_Replica):
 
     delivered: int = 0
 
-    def local(self, eo: ExternalOp) -> ClientOpMsg:
-        return self._stamp(eo, ClientOpMsg, self.delivered)
+    def local(self, eo: ExternalOp) -> TimestampedOp:
+        return self._stamp(eo)
 
     def remote(self, msg: ServerOpMsg):
         """Handle the next server-stream message; returns the EO_out to replay
@@ -267,12 +267,13 @@ class SequencerClient(_Replica):
         if msg.origin != self.site:
             op = fold(self.metrics, msg.op, msg.origin, self.pending)
             self.state = apply_external(self.state, op)
+            self.metrics.concurrent_set_sizes.append(len(self.pending))
             self.clock = self.clock.merge(msg.clock)
             self.buffer.append(TimestampedOp(op, msg.origin, msg.seq, msg.clock))
             self.metrics.buffer_length_samples.append(len(self.buffer))
             self.delivered += 1  # only once the op has executed
             return op
-        if not self.pending or self.pending[0][2].key() != msg.key():
+        if not self.pending or self.pending[0][2] != msg.seq:
             raise ContextMismatchError(f"echo {msg.key()} at site {self.site} is not of its oldest pending op")
         del self.pending[0]
         self.delivered += 1

@@ -20,7 +20,7 @@ from coedit.framework import (
     message_meta,
     message_text,
 )
-from coedit.ot import ClientOpMsg, OtSite, SequencerClient, SequencerServer, ServerOpMsg
+from coedit.ot import OtSite, SequencerClient, SequencerServer, ServerOpMsg
 from coedit.woot import DeleteId, InsertId, ObjectId, START, END, TOMB, WootSite
 
 from conftest import stamp
@@ -56,7 +56,10 @@ class TestWireFormats:
         self.roundtrip(stamp(Delete(0), 2, 4, {0: 1, 1: 2}))
 
     def test_client_op(self):
-        self.roundtrip(ClientOpMsg(Insert(0, "x"), 1, 1, VectorClock({1: 1}), seen=7))
+        """A sequencer client's op is a plain 'T' message: its clock says what it saw."""
+        msg = SequencerClient(site=1, clock=VectorClock({0: 7})).local(Insert(0, "x"))
+        assert type(msg) is TimestampedOp and decode_envelope(encode_message(msg))[3][:1] == b"T"
+        self.roundtrip(msg)
 
     def test_server_op(self):
         self.roundtrip(ServerOpMsg(Delete(2), 1, 3, VectorClock({0: 5, 1: 3}), index=12))
@@ -73,7 +76,7 @@ class TestWireFormats:
     def test_unicode_character(self):
         for ch in ("é", " ", "\n", "\t", "\U0001f600"):
             self.roundtrip(stamp(Insert(0, ch), 0, 1))
-            self.roundtrip(ClientOpMsg(Insert(1, ch), 1, 1, VectorClock({1: 1}), seen=2))
+            self.roundtrip(stamp(Insert(1, ch), 1, 1, {0: 2}))
             self.roundtrip(ServerOpMsg(Insert(2, ch), 1, 1, VectorClock({1: 1}), index=3))
         self.roundtrip(TimestampedOp(InsertId("世", ObjectId(0, 1), START, END), 0, 1, VectorClock({0: 1})))
 
@@ -85,17 +88,18 @@ class TestWireFormats:
         assert hash(clock) == hash(VectorClock({1: 2, 3: 7}))
 
     def test_message_meta(self):
-        msg = ClientOpMsg(Insert(0, "x"), 2, 5, VectorClock({0: 1, 2: 5}), seen=3)
+        msg = ServerOpMsg(Insert(0, "x"), 2, 5, VectorClock({0: 1, 2: 5}), index=3)
         assert message_meta(msg) == (2, 5, VectorClock({0: 1, 2: 5}))
 
 
 SAMPLES = [
     stamp(Insert(3, "c"), 0, 1, {1: 2}),
-    ClientOpMsg(Delete(4), 1, 2, VectorClock({1: 2}), seen=7),
+    stamp(Delete(4), 1, 2, {0: 7}),  # a sequencer client's op
     ServerOpMsg(NoOp(), 2, 1, VectorClock({0: 3, 2: 1}), index=9),
     TimestampedOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2})),
     TimestampedOp(DeleteId(ObjectId(1, 1)), 0, 9, VectorClock({0: 9, 1: 1})),
 ]
+SAMPLE_IDS = ["T", "T-client", "S", "W", "X"]  # payload kinds
 
 
 def _woot_ids(sid: int, seq: int) -> bytes:
@@ -114,12 +118,12 @@ class TestStrictDecoding:
     def test_error_is_a_value_error(self):
         assert issubclass(WireFormatError, ValueError)
 
-    @pytest.mark.parametrize("msg", SAMPLES, ids=list("TCSWX"))
+    @pytest.mark.parametrize("msg", SAMPLES, ids=SAMPLE_IDS)
     def test_trailing_bytes_rejected(self, msg):
         with pytest.raises(WireFormatError):
             decode_message(encode_message(msg) + b"junk")
 
-    @pytest.mark.parametrize("msg", SAMPLES, ids=list("TCSWX"))
+    @pytest.mark.parametrize("msg", SAMPLES, ids=SAMPLE_IDS)
     def test_every_truncation_rejected(self, msg):
         data = encode_message(msg)
         for n in range(len(data)):
@@ -135,7 +139,7 @@ class TestStrictDecoding:
         b"W" + struct.pack(">I", 2) + b"ab" + _WOOT_IDS,
         b"W" + struct.pack(">I", 1) + b"q" + _woot_ids(7, 1),  # an insert's id is its message's origin.seq
         b"TI" + struct.pack(">II", 0, 1) + b"\x00",  # no document character is NUL
-        b"C" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",
+        b"S" + struct.pack(">Q", 5) + b"I" + struct.pack(">II", 0, 1) + b"\x00",  # in the op a client receives
         b"S" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",
         b"W" + struct.pack(">I", 1) + b"\x00" + _woot_ids(0, 1),
         # WOOT ops that can never run: no slot lies after END, before START
@@ -150,6 +154,13 @@ class TestStrictDecoding:
             "woot-prev-end", "woot-next-start", "woot-prev-is-next", "woot-delete-start", "woot-delete-end"])
     def test_bad_payload_rejected(self, payload):
         with pytest.raises(WireFormatError):
+            decode_message(_envelope(payload))
+
+    def test_client_kind_is_unknown(self):
+        """'C', once a client's op with the length of stream it saw, is no
+        payload kind: a client's op is a 'T' message whose clock says that."""
+        payload = b"C" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"x"
+        with pytest.raises(WireFormatError, match="unknown payload kind b'C'"):
             decode_message(_envelope(payload))
 
     @pytest.mark.parametrize("payload", [

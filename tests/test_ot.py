@@ -2,17 +2,17 @@
 and the sequencer (server-based) control path."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import coedit.model
 import coedit.ot
-from coedit.harness import FuzzSpec, Scenario, run_scenario
+from coedit.harness import FuzzSpec, Scenario, fuzz, run_scenario
 from coedit.model import BoundsError, Delete, Insert, NoOp, TimestampedOp, VectorClock, apply_external
 from coedit.netsim import UniformLatency
 from coedit.ot import (
-    ClientOpMsg,
     ContextMismatchError,
     OtMetrics,
     OtSite,
@@ -102,12 +102,14 @@ class TestTransformFunctions:
             xform(Insert(0, "y"), None, 1, 2)
 
     def test_fold_notes_insert_ties(self):
+        """fold notes an insert tie; counting the entries is left to the
+        caller, once the folded op has executed."""
         metrics = OtMetrics()
-        fold(metrics, Insert(1, "x"), 0, [[Delete(1), 1], [Insert(2, "y"), 1]])
-        assert not metrics.insert_tie_seen and metrics.transform_count == 2
-        fold(metrics, Insert(1, "x"), 0, [[Insert(1, "y"), 1]])
-        assert metrics.insert_tie_seen and metrics.transform_count == 3
-        assert metrics.concurrent_set_sizes == [2, 1]
+        fold(metrics, Insert(1, "x"), 0, [[Delete(1), 1, 1], [Insert(2, "y"), 1, 2]])
+        assert not metrics.insert_tie_seen
+        fold(metrics, Insert(1, "x"), 0, [[Insert(1, "y"), 1, 3]])
+        assert metrics.insert_tie_seen
+        assert metrics.transform_count == 0 and metrics.concurrent_set_sizes == []
 
     def test_noop_passthrough(self):
         assert transform(NoOp(), Insert(0, "x"), 1, 2) == NoOp()
@@ -220,7 +222,7 @@ class TestOtSite:
         b.remote(o1)
         assert len(a.pending) == 2
         a.remote(b.local(Insert(0, "y")))  # b had seen o1 only
-        assert [e[2] for e in a.pending] == [o2]
+        assert a.pending == [[Delete(3), 0, o2.seq]]  # rebased past b's insert
         b.remote(o2)
         a.remote(b.local(Delete(0)))
         assert a.pending == [] and a.state == b.state
@@ -320,6 +322,29 @@ class TestOtSite:
             assert sites[0].state == sites[1].state, seed
 
 
+class TestRefusedOpCounts:
+    @pytest.mark.parametrize("replica", ["symmetric", "client", "server"])
+    def test_refused_op_is_not_counted(self, replica):
+        """An op whose apply is refused, after a fold past one entry, leaves
+        the C samples and the transform count as they were."""
+        if replica == "symmetric":
+            engine = OtSite(site=0, state="ab")
+            engine.local(Insert(0, "x"))
+            refuse = lambda: engine.remote(stamp(Insert(9, "y"), 1, 1))
+        elif replica == "client":
+            engine = SequencerClient(site=0, state="ab")
+            engine.local(Insert(0, "x"))
+            refuse = lambda: engine.remote(ServerOpMsg(Insert(9, "y"), 1, 1, VectorClock({1: 1}), 0))
+        else:
+            engine = SequencerServer(client_ids=[0, 1], state="ab")
+            engine.process(1, stamp(Insert(2, "y"), 1, 1))  # client 0's bridge: I(2, y)
+            refuse = lambda: engine.process(0, stamp(Insert(9, "x"), 0, 1))
+        before = (list(engine.metrics.concurrent_set_sizes), engine.metrics.transform_count)
+        with pytest.raises(BoundsError):
+            refuse()
+        assert (engine.metrics.concurrent_set_sizes, engine.metrics.transform_count) == before
+
+
 class TestGc:
     def _two_site_session(self):
         a = OtSite(site=0, state="abe")
@@ -392,26 +417,30 @@ class TestSequencer:
         assert client.pending == []
 
     def test_local_op_is_one_message(self):
-        """The client logs and holds the very ClientOpMsg it sends; the server
-        answers with one ServerOpMsg carrying the same stamp."""
+        """The client logs the very TimestampedOp it sends and holds it as a
+        pending entry; the server answers with one ServerOpMsg carrying the
+        same stamp."""
         client = SequencerClient(site=0, state="ab")
         msg = client.local(Insert(2, "c"))
-        assert type(msg) is ClientOpMsg and msg.seen == 0
-        assert client.buffer[-1] is msg and client.pending[-1][2] is msg
+        assert type(msg) is TimestampedOp and msg.clock == VectorClock({0: 1})
+        assert client.buffer[-1] is msg and client.pending[-1] == [Insert(2, "c"), 0, msg.seq]
         out = SequencerServer(client_ids=[0], state="ab").process(0, msg)
         assert type(out) is ServerOpMsg
         assert (out.op, out.key(), out.clock, out.index) == (Insert(2, "c"), (0, 1), msg.clock, 0)
 
     def test_seen_beyond_history_rejected(self):
-        """A client op that claims more of the stream than the server has
-        sequenced is refused; cutting the bridge there would fold it past
-        nothing."""
+        """A client op whose clock counts an op the server has not sequenced
+        (client 0's second) or an op of a site that is no client is refused
+        with every field as it was; cutting the bridge there would fold it
+        past nothing."""
         server = SequencerServer(client_ids=[0, 1], state="ab")
         server.process(0, SequencerClient(site=0, state="ab").local(Insert(0, "x")))
         late = SequencerClient(site=1, state="ab").local(Delete(1))  # of 'b', before 'x' was seen
-        with pytest.raises(ContextMismatchError):
-            server.process(1, ClientOpMsg(late.op, late.origin, late.seq, late.clock, 5))
-        assert server.state == "xab"
+        before = snapshot(server)
+        for entries, claim in [({0: 2}, "2 ops of site 0, of which 1"), ({2: 1}, "1 ops of site 2, of which 0")]:
+            with pytest.raises(ContextMismatchError, match=f"from client 1 claims {claim} are sequenced"):
+                server.process(1, stamp(late.op, 1, 1, entries))
+            assert snapshot(server) == before
         server.process(1, late)
         assert server.state == "xa"
 
@@ -482,11 +511,44 @@ class TestSequencer:
             server.process(1, SequencerClient(site=1, state="ab").local(Insert(2, "y")))  # client 0's bridge: I(2, y)
         before = snapshot(server)
         with pytest.raises(BoundsError):
-            server.process(0, ClientOpMsg(Insert(-1 if bridged else 9, "x"), 0, 1, VectorClock({0: 1}), 0))
+            server.process(0, stamp(Insert(-1 if bridged else 9, "x"), 0, 1))
         assert snapshot(server) == before
-        out = server.process(0, ClientOpMsg(Insert(1, "x"), 0, 1, VectorClock({0: 1}), 0))
-        assert out.index == int(bridged) and server.sequenced == ({0: 1, 1: 1} if bridged else {0: 1})
+        out = server.process(0, stamp(Insert(1, "x"), 0, 1))
+        assert out.index == int(bridged) and server.sequenced == {0: 1, 1: int(bridged)}
         assert server.state == ("axby" if bridged else "axb")
+
+    def test_bridge_cut_by_clock_is_the_stream_cut(self, monkeypatch):
+        """Over a sequencer fuzz batch, each `process` keeps exactly the
+        bridge entries whose stream index is at least the sender's
+        `delivered` when it made the op: cutting by the op's clock drops
+        what cutting by the stream length it saw dropped. Budget: 2 s."""
+        # (origin, seq) -> the maker's `delivered` then, and -> its stream index;
+        # keys repeat across sessions, but each is set before it is read
+        made_at, index_of, checked = {}, {}, [0, 0]
+        local, process = SequencerClient.local, SequencerServer.process
+
+        def recording_local(self, eo):
+            msg = local(self, eo)
+            made_at[msg.key()] = self.delivered
+            return msg
+
+        def checking_process(self, sender, msg):
+            before = [(e[1], e[2]) for e in self.bridges[sender]]
+            out = process(self, sender, msg)
+            index_of[out.key()] = out.index
+            cut = made_at[msg.key()]
+            assert [(e[1], e[2]) for e in self.bridges[sender]] == [k for k in before if index_of[k] >= cut]
+            checked[0] += 1
+            checked[1] += len(before) - len(self.bridges[sender])
+            return out
+
+        monkeypatch.setattr(SequencerClient, "local", recording_local)
+        monkeypatch.setattr(SequencerServer, "process", checking_process)
+        t0 = time.perf_counter()
+        result = fuzz(50, base_seed=4100, engines=("ot",))
+        assert time.perf_counter() - t0 < 2.0
+        assert result["ok"], result["failures"][:1]
+        assert checked[0] > 1000 and checked[1] > 1000  # ops processed, bridge entries cut
 
     def test_out_of_order_stream_rejected(self):
         client = SequencerClient(site=1, state="")

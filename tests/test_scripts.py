@@ -90,6 +90,29 @@ def test_bench_pairs_no_regression():
     assert no_regression({**workloads("within bound"), "empty": {"summary": {}}}) is None  # no correct pair
 
 
+def test_bench_pairs_exact_diff_keys():
+    """The keys whose values differ between two exact blocks, a key in one
+    block only among them; None when a run printed no block."""
+    exact_diff_keys = load_bench_pairs().exact_diff_keys
+    parent = 'exact {"ops": 1500, "framework.bytes_per_op": 122.204, "digests": ["a", "b"], "gone": 1}'
+    change = 'exact {"ops": 1500, "framework.bytes_per_op": 114.204, "digests": ["a", "b"]}'
+    assert exact_diff_keys(parent, change) == ["framework.bytes_per_op", "gone"]
+    assert exact_diff_keys(parent, parent) == []
+    assert exact_diff_keys(None, change) is None
+
+
+def test_bench_pairs_flags_slow_reference():
+    """A pair is flagged when either run's reference time is more than 25%
+    above the median over the workload's runs, a missing time never."""
+    flag_reference_slow = load_bench_pairs().flag_reference_slow
+    times = [(39.0, 40.0), (58.0, 38.0), (40.0, 39.5), (38.5, 50.0), (40.5, None), (39.0, 48.0)]
+    pairs = [{"seed": k, "reference_ns": {"parent": p, "change": c}} for k, (p, c) in enumerate(times)]
+    assert flag_reference_slow(pairs) == [1]  # median 40.0: 58.0 is flagged, 50.0 and 48.0 are not
+    assert [p["reference_slow"] for p in pairs] == [False, True, False, False, False, False]
+    pairs[3]["reference_ns"]["change"] = 50.1
+    assert flag_reference_slow(pairs) == [1, 3] and pairs[3]["reference_slow"]
+
+
 def test_workload_lines_finds_unrun_bodies():
     """The first two fuzz_mixed sessions (one OT, one WOOT) never split a
     WOOT block, and the WOOT one makes local edits."""
