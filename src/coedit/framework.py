@@ -5,8 +5,9 @@ through two calls: loh (local op -> wire message) and roh (wire message ->
 position-based op to replay). Every engine plugs in here the same way, so
 the harness can run identical scenarios against any of them.
 
-Every wire message is a TimestampedOp, whose origin, seq and clock the
-envelope carries. 'W' and 'X' are the payloads of one whose op is an
+Every wire message is a TimestampedOp, or the sequencer's ServerOpMsg (the
+same fields plus a stream index); the envelope carries its origin, seq and
+clock. 'W' and 'X' are the payloads of one whose op is an
 identifier op (WOOT's InsertId or DeleteId), 'T' of one whose op is
 position-based (a sequencer client's op among them: its clock says what it
 saw), and 'S' of the sequencer's ServerOpMsg.
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import Optional, Protocol, Union
 
 from .model import (
     Delete,
@@ -51,7 +52,7 @@ from .model import (
 from .ot import ServerOpMsg
 from .woot import END, INIT_SID, START, DeleteId, InsertId, ObjectId
 
-WireMessage = TimestampedOp
+WireMessage = Union[TimestampedOp, ServerOpMsg]
 
 
 def message_meta(msg: WireMessage) -> tuple:

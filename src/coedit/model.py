@@ -1,13 +1,19 @@
 """Shared document/operation model: position-based ops, vector clocks, timestamps.
 
-The visible document is a plain Python string; operations are immutable
-dataclass values. Everything in this module is pure, so sites on different
-threads can share these values freely.
+The visible document is a plain Python string. Ops, clocks and timestamps
+are immutable tuple records: a `namedtuple` with no instance dict, whose
+`__new__` checks the fields, as do `_make` and `_replace`. Everything in
+this module is pure, so sites on different threads can share these values
+freely.
+
+Being tuples, the records compare as tuples, so a record equals a plain
+tuple of its fields (`Delete(3) == (3,)`), and `NoOp()` is falsy; ask an op
+for its type, not its truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Mapping, Union
 
 SiteId = int
@@ -25,24 +31,33 @@ class EngineInvariantError(RuntimeError):
     """An engine's own view of the document disagrees with the visible text."""
 
 
-@dataclass(frozen=True)
-class Insert:
-    position: int
-    character: str
+class CheckedRecord:
+    """Mixin for a checking tuple record: `_make` (and so `_replace`, which
+    calls it) goes through the record's checking `__new__`, which a plain
+    namedtuple's `_make` skips."""
 
-    def __post_init__(self):
-        if len(self.character) != 1 or self.character == NUL:
-            raise ValueError(f"Insert carries exactly one character other than NUL, got {self.character!r}")
+    __slots__ = ()
 
-
-@dataclass(frozen=True)
-class Delete:
-    position: int
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class NoOp:
-    pass
+class Insert(CheckedRecord, namedtuple("Insert", "position character")):
+    __slots__ = ()
+
+    def __new__(cls, position: int, character: str):
+        if len(character) != 1 or character == NUL:
+            raise ValueError(f"Insert carries exactly one character other than NUL, got {character!r}")
+        return tuple.__new__(cls, (position, character))
+
+
+class Delete(namedtuple("Delete", "position")):
+    __slots__ = ()
+
+
+class NoOp(namedtuple("NoOp", ())):
+    __slots__ = ()
 
 
 ExternalOp = Union[Insert, Delete, NoOp]
@@ -86,23 +101,21 @@ def parse_op(line: str) -> ExternalOp:
     raise ValueError(f"unparseable operation line: {line!r}")
 
 
-@dataclass(frozen=True)
-class VectorClock:
-    """Per-site operation counters; a missing entry means 0."""
+class VectorClock(CheckedRecord, namedtuple("VectorClock", "entries")):
+    """Per-site operation counters; a missing entry means 0. The constructor
+    drops zero counts, so each clock has one set of entries."""
 
-    entries: Mapping[SiteId, int] = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", {s: n for s, n in self.entries.items() if n != 0})
+    def __new__(cls, entries: Mapping[SiteId, int] = {}):  # the default is only read
+        return tuple.__new__(cls, ({s: n for s, n in entries.items() if n != 0},))
 
     @classmethod
     def _zero_free(cls, entries: dict) -> "VectorClock":
         """A clock over `entries` as they are, without the strip, for callers
         that guarantee no zero count: merge and tick (zero-free inputs, only
         raised) and the wire decoder (which rejects a zero count)."""
-        clock = object.__new__(cls)
-        object.__setattr__(clock, "entries", entries)
-        return clock
+        return tuple.__new__(cls, (entries,))
 
     def get(self, site: SiteId) -> int:
         return self.entries.get(site, 0)
@@ -129,23 +142,26 @@ class VectorClock:
         return tuple(sorted(self.entries.items()))
 
 
-@dataclass(frozen=True)
-class TimestampedOp:
-    """An op plus the metadata needed for causal replay: the one wire record
-    of every engine. The op is position-based (an ExternalOp, for the OT
+def check_stamp(origin: SiteId, seq: int, clock: VectorClock) -> None:
+    """Raise ValueError unless `seq` is at least 1 and is `clock`'s count for
+    `origin`: the stamp every message of an op carries."""
+    if seq < 1:
+        raise ValueError(f"seq must be >= 1, got {seq}")
+    if clock.entries.get(origin) != seq:
+        raise ValueError(f"clock entry for origin {origin} must equal seq {seq}, got {clock.get(origin)}")
+
+
+class TimestampedOp(CheckedRecord, namedtuple("TimestampedOp", "op origin seq clock")):
+    """An op plus the metadata needed for causal replay: the wire record of
+    every engine's op. The op is position-based (an ExternalOp, for the OT
     engines) or an identifier op (WOOT's InsertId or DeleteId); the
-    sequencer's stream message subclasses it with the op's stream index."""
+    sequencer's stream message (`ot.ServerOpMsg`) adds the op's stream index."""
 
-    op: object
-    origin: SiteId
-    seq: int
-    clock: VectorClock
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.seq < 1:
-            raise ValueError(f"seq must be >= 1, got {self.seq}")
-        if self.clock.get(self.origin) != self.seq:
-            raise ValueError(f"clock entry for origin {self.origin} must equal seq {self.seq}, got {self.clock.get(self.origin)}")
+    def __new__(cls, op: object, origin: SiteId, seq: int, clock: VectorClock):
+        check_stamp(origin, seq, clock)
+        return tuple.__new__(cls, (op, origin, seq, clock))
 
     def key(self) -> tuple:
         return (self.origin, self.seq)

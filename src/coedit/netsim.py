@@ -6,7 +6,7 @@ ordering (tick, insertion order) make every run a pure function of
 the byte formats are exercised on every run: each envelope is encoded once
 when it is sent and decoded once, on its first arrival, and every
 destination (and the sequencer) shares that decoded message. Messages are
-frozen dataclasses that no engine changes, so sharing one is safe.
+immutable tuple records, so sharing one is safe.
 
 Two modes:
   causal    - every message is broadcast to all other sites and held at each

@@ -14,9 +14,11 @@ of the same character yields NoOp (the target is already gone).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .model import (
+    CheckedRecord,
     Delete,
     ExternalOp,
     Insert,
@@ -25,8 +27,13 @@ from .model import (
     TimestampedOp,
     VectorClock,
     apply_external,
+    check_stamp,
     happened_before,  # unused here; perfbench/tracing.py patches this module's name
 )
+
+
+_new = tuple.__new__  # builds a record without its checks: for rebased ops only
+_NOOP = NoOp()
 
 
 class ContextMismatchError(RuntimeError):
@@ -37,28 +44,31 @@ class ContextMismatchError(RuntimeError):
 def xform(a: ExternalOp, b: ExternalOp, a_site: SiteId, b_site: SiteId) -> tuple:
     """Rebase a concurrent pair (same context) in one step, as Jupiter's xform:
     returns (`a` past `b`, `b` past `a`), one branch per type pair. An op
-    that needs no rebase is returned as it is."""
+    that needs no rebase is returned as it is. A rebased op only moves the
+    position of an op that was checked when it was made, so it is built
+    without the constructor's check; a target both deleted becomes one
+    shared NoOp."""
     ta, tb = type(a), type(b)
     if ta is Insert:
         if tb is Insert:  # at one position, the lower site's insert stays left
             if a.position < b.position or (a.position == b.position and a_site < b_site):
-                return a, Insert(b.position + 1, b.character)
-            return Insert(a.position + 1, a.character), b
+                return a, _new(Insert, (b.position + 1, b.character))
+            return _new(Insert, (a.position + 1, a.character)), b
         if tb is Delete:  # an insert at a delete's position stays before it
             if a.position <= b.position:
-                return a, Delete(b.position + 1)
-            return Insert(a.position - 1, a.character), b
+                return a, _new(Delete, (b.position + 1,))
+            return _new(Insert, (a.position - 1, a.character)), b
     elif ta is Delete:
         if tb is Insert:
             if a.position < b.position:
-                return a, Insert(b.position - 1, b.character)
-            return Delete(a.position + 1), b
+                return a, _new(Insert, (b.position - 1, b.character))
+            return _new(Delete, (a.position + 1,)), b
         if tb is Delete:  # a target both deleted is deleted once
             if a.position < b.position:
-                return a, Delete(b.position - 1)
+                return a, _new(Delete, (b.position - 1,))
             if a.position > b.position:
-                return Delete(a.position - 1), b
-            return NoOp(), NoOp()
+                return _new(Delete, (a.position - 1,)), b
+            return _NOOP, _NOOP
     if ta is NoOp or tb is NoOp:
         return a, b
     raise TypeError(f"cannot transform {a!r} against {b!r}")
@@ -184,12 +194,19 @@ class OtSite(_Replica):
         return op
 
 
-@dataclass(frozen=True)
-class ServerOpMsg(TimestampedOp):
+class ServerOpMsg(CheckedRecord, namedtuple("ServerOpMsg", TimestampedOp._fields + ("index",))):
     """Sequencer -> all clients: the op rebased into the server's linear
-    history, at stream position `index`."""
+    history, at stream position `index`. It carries a TimestampedOp's
+    fields and checks, plus `index`; it is its own record, so it never
+    equals a TimestampedOp."""
 
-    index: int
+    __slots__ = ()
+
+    def __new__(cls, op: ExternalOp, origin: SiteId, seq: int, clock: VectorClock, index: int):
+        check_stamp(origin, seq, clock)
+        return tuple.__new__(cls, (op, origin, seq, clock, index))
+
+    key = TimestampedOp.key
 
 
 @dataclass
@@ -218,8 +235,11 @@ class SequencerServer:
 
     def process(self, sender: SiteId, msg: TimestampedOp) -> ServerOpMsg:
         sequenced, seen = self.sequenced, msg.clock.entries
-        if msg.origin != sender or msg.seq != sequenced.get(sender, 0) + 1:  # a duplicate, a gap or another's op
-            raise ContextMismatchError(f"op {msg.key()} from client {sender} is not its next: {sequenced.get(sender, 0)} sequenced")
+        made = sequenced.get(sender)
+        if made is None:
+            raise ContextMismatchError(f"op {msg.key()} from site {sender}, which is not a client of this server")
+        if msg.origin != sender or msg.seq != made + 1:  # a duplicate, a gap or another's op
+            raise ContextMismatchError(f"op {msg.key()} from client {sender} is not its next: {made} sequenced")
         for s, n in seen.items():  # a bridge cut there would drop ops the client never saw
             if n > sequenced.get(s, 0) and s != sender:
                 raise ContextMismatchError(f"op {msg.key()} from client {sender} claims {n} ops of site {s}, of which {sequenced.get(s, 0)} are sequenced")
@@ -247,9 +267,9 @@ class SequencerClient(_Replica):
     Local ops apply immediately and stay pending until their echo comes back
     in the server stream; every other server op is folded past the pending
     ops (rebasing them), which is the classic client half of server-based OT.
-    Each executed server op is logged as a fresh TimestampedOp: logging the
-    shared ServerOpMsg itself read faster remote ops but slower local ones
-    in paired benchmark runs.
+    A server op that no pending op moved is logged as the shared ServerOpMsg
+    itself, as :class:`OtSite` logs a peer's message; a rebased one as a
+    fresh TimestampedOp.
     """
 
     delivered: int = 0
@@ -269,7 +289,8 @@ class SequencerClient(_Replica):
             self.state = apply_external(self.state, op)
             self.metrics.concurrent_set_sizes.append(len(self.pending))
             self.clock = self.clock.merge(msg.clock)
-            self.buffer.append(TimestampedOp(op, msg.origin, msg.seq, msg.clock))
+            # an op no pending op moved is logged as its message, which carries its record's fields
+            self.buffer.append(msg if op is msg.op else TimestampedOp(op, msg.origin, msg.seq, msg.clock))
             self.metrics.buffer_length_samples.append(len(self.buffer))
             self.delivered += 1  # only once the op has executed
             return op

@@ -311,7 +311,7 @@ class TestSiteContainer:
         msg = b.generate(Insert(1, "x"))
         seq = a.engine.istate
         to_pos = seq.id_to_pos
-        seq.id_to_pos = lambda op: replace(to_pos(op), position=to_pos(op).position + 1)
+        seq.id_to_pos = lambda op: to_pos(op)._replace(position=to_pos(op).position + 1)
         with pytest.raises(EngineInvariantError, match="'axb' != visible text 'abx'"):
             a.deliver(msg)
 
@@ -321,6 +321,6 @@ class TestSiteContainer:
         a = Site(id=0, engine=WootSite.create(0, "ab"), external="ab")
         seq = a.engine.istate
         to_id = seq.pos_to_id
-        seq.pos_to_id = lambda eo, site, n: to_id(replace(eo, position=eo.position + 1), site, n)
+        seq.pos_to_id = lambda eo, site, n: to_id(eo._replace(position=eo.position + 1), site, n)
         with pytest.raises(EngineInvariantError, match="'axb' != visible text 'xab'"):
             a.generate(Insert(0, "x"))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coedit.model import (
+    NUL,
     BoundsError,
     Delete,
     Insert,
@@ -19,6 +20,7 @@ from coedit.model import (
     happened_before,
     parse_op,
 )
+from coedit.ot import ServerOpMsg
 
 from conftest import stamp
 
@@ -116,6 +118,59 @@ class TestVectorClock:
             TimestampedOp(Delete(0), origin=0, seq=2, clock=VectorClock({0: 1}))
         with pytest.raises(ValueError):
             TimestampedOp(Delete(0), origin=0, seq=0, clock=VectorClock({}))
+
+
+CLOCK = VectorClock({0: 1})
+RECORDS = [
+    Insert(0, "x"),
+    Delete(0),
+    NoOp(),
+    CLOCK,
+    TimestampedOp(Insert(0, "x"), 0, 1, CLOCK),
+    ServerOpMsg(Insert(0, "x"), 0, 1, CLOCK, 0),
+]
+
+
+class TestRecords:
+    """Ops, clocks and stamps are immutable tuple records whose every public
+    constructor checks its fields."""
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_fields_cannot_be_set(self, record):
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1)
+        assert record == type(record)._make(record)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Insert(0, "ab"),
+        lambda: Insert(0, NUL),
+        lambda: Insert._make((0, "ab")),
+        lambda: Insert(0, "x")._replace(character="ab"),
+        lambda: TimestampedOp(Insert(0, "x"), 0, 0, CLOCK),
+        lambda: TimestampedOp._make((Insert(0, "x"), 0, 0, CLOCK)),
+        lambda: ServerOpMsg(Insert(0, "x"), 0, 1, CLOCK, 0)._replace(seq=2),
+    ], ids=["insert-two-chars", "insert-nul", "insert-make", "insert-replace", "stamp-seq-0", "stamp-make", "server-op-replace"])
+    def test_every_constructor_checks(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_clock_make_and_replace_drop_zero_counts(self):
+        assert VectorClock._make(({0: 1, 1: 0},)).entries == {0: 1}
+        assert CLOCK._replace(entries={2: 0, 3: 4}).entries == {3: 4}
+
+    def test_server_op_repr_shows_index(self):
+        assert repr(RECORDS[5]).endswith(", index=0)")
+
+    def test_server_op_never_equals_its_stamp(self):
+        stamped, served = RECORDS[4], RECORDS[5]
+        assert stamped == served[:4] and stamped != served and served != stamped
+
+    def test_records_compare_as_tuples(self):
+        """What the model docstring warns of: equality is the tuple's, and
+        the field-less NoOp is falsy."""
+        assert Delete(3) == (3,) and Insert(0, "x") == (0, "x")
+        assert not NoOp() and Delete(0) and Insert(0, "x")
 
 
 class TestCausality:

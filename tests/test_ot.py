@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import coedit.model
 import coedit.ot
-from coedit.harness import FuzzSpec, Scenario, fuzz, run_scenario
+from coedit.harness import FuzzSpec, Scenario, ScenarioError, fuzz, run_scenario
 from coedit.model import BoundsError, Delete, Insert, NoOp, TimestampedOp, VectorClock, apply_external
-from coedit.netsim import UniformLatency
+from coedit.netsim import FixedLatency, UniformLatency
 from coedit.ot import (
     ContextMismatchError,
     OtMetrics,
@@ -148,6 +148,25 @@ class TestTP1:
                     one, two = both_orders(state, a, b2)
                     assert one == two, (state, a, b2)
 
+    def test_rebased_ops_are_exact_checked_records(self):
+        """xform builds rebased ops without the constructor's check; on the
+        grid above, each result is of the exact type its rule gives (NoOp
+        only for one target deleted twice, always the same one) and equals
+        the record the checking constructor builds from its fields."""
+        noops = set()
+        for length in range(0, 6):
+            inserts = [Insert(p, "x") for p in range(length + 1)]
+            deletes = [Delete(p) for p in range(length)]
+            for a in inserts + deletes:
+                for b in [Insert(p, "y") for p in range(length + 1)] + deletes:
+                    for op, other, rebased in zip((a, b), (b, a), xform(a, b, 1, 2)):
+                        twice_deleted = type(op) is type(other) is Delete and op.position == other.position
+                        assert type(rebased) is (NoOp if twice_deleted else type(op)), (a, b)
+                        assert rebased == type(rebased)(*rebased), (a, b)
+                        if twice_deleted:
+                            noops.add(id(rebased))
+        assert len(noops) == 1
+
     @settings(max_examples=400, deadline=None)
     @given(st.data())
     def test_pair_form_is_symmetric(self, data):
@@ -167,6 +186,24 @@ class TestTP1:
         assert xform(a, b, s_a, s_b)[0] == transform(a, b, s_a, s_b)
         one, two = both_orders(state, a, b, s_a, s_b)
         assert one == two
+
+
+class TestTP2:
+    def test_counterexample_is_why_symmetric_ot_stops_at_two_sites(self):
+        """TP2 asks that transforming an op past two concurrent ops gives one
+        result in either order. xform breaks it: with I(1,'x') from site 1,
+        D(0) from site 2 and I(0,'x') from site 3, site 3's insert lands at
+        position 0 past site 1's op then site 2's, and at 1 the other way.
+        Two symmetric sites only ever fold past one peer's ops, so they need
+        TP1 alone; a third site would need TP2, so symmetric OT refuses it
+        and larger sessions go through the sequencer."""
+        a, b, c = Insert(1, "x"), Delete(0), Insert(0, "x")
+        past_a_then_b = transform(transform(c, a, 3, 1), transform(b, a, 2, 1), 3, 2)
+        past_b_then_a = transform(transform(c, b, 3, 2), transform(a, b, 1, 2), 3, 1)
+        assert (past_a_then_b, past_b_then_a) == (Insert(0, "x"), Insert(1, "x"))
+        three = Scenario("ab", 3, "causal", FixedLatency(1), 0, fuzz=FuzzSpec(n_ops=4))
+        with pytest.raises(ScenarioError, match="symmetric ot supports 2 sites"):
+            run_scenario(three, "ot")
 
 
 class TestOtSite:
@@ -443,6 +480,30 @@ class TestSequencer:
             assert snapshot(server) == before
         server.process(1, late)
         assert server.state == "xa"
+
+    def test_op_from_a_site_that_is_no_client_refused(self):
+        """An op from a site outside `client_ids` is refused with every field
+        as it was (it raised KeyError from the bridge lookup)."""
+        server = SequencerServer(client_ids=[0, 1], state="ab")
+        server.process(0, stamp(Insert(0, "x"), 0, 1))
+        before = snapshot(server)
+        with pytest.raises(ContextMismatchError, match="site 5, which is not a client"):
+            server.process(5, stamp(Insert(0, "y"), 5, 1))
+        assert snapshot(server) == before
+
+    def test_client_logs_an_unmoved_server_op_as_its_message(self):
+        """A server op that no pending op moves is logged as the message
+        itself; one the fold rebases is logged as a TimestampedOp of the
+        executed form, with the message's stamp."""
+        client = SequencerClient(site=0, state="ab")
+        unmoved = ServerOpMsg(Insert(0, "y"), 1, 1, VectorClock({1: 1}), 0)
+        client.remote(unmoved)
+        assert client.buffer[-1] is unmoved
+        client.local(Insert(0, "x"))  # pending, before the server op below
+        moved = ServerOpMsg(Delete(2), 1, 2, VectorClock({1: 2}), 1)
+        assert client.remote(moved) == Delete(3) and client.state == "xya"
+        logged = client.buffer[-1]
+        assert type(logged) is TimestampedOp and logged == TimestampedOp(Delete(3), 1, 2, moved.clock)
 
     @pytest.mark.parametrize("echo", ["nothing-pending", "not-oldest"])
     def test_bad_echo_refused_before_any_change(self, echo):
