@@ -49,6 +49,7 @@ from .model import (
     apply_external,
     format_op,
 )
+from .metrics import MetricsBundle
 from .ot import ServerOpMsg
 from .woot import END, INIT_SID, START, DeleteId, InsertId, ObjectId
 
@@ -241,17 +242,15 @@ class Engine(Protocol):
     when there is nothing to replay, and rejects a message from the engine's
     own site. `quiesce` ends a run: given each site's delivered clock and the
     counts of character instances created and (distinct) deleted, it checks
-    its own state and returns (ops collected or None, dump or None); dumps
-    must match across replicas. `fold_metrics` then adds the replica's cost
-    counters to the run's one MetricsBundle, which every replica (and a
-    sequencer server) folds into in turn."""
+    its own state, sets its end-of-run values in `metrics` and returns (ops
+    collected or None, dump or None); dumps must match across replicas."""
 
     state: str  # the engine's view of the text: its own copy (OT), a scan of its sequence (WOOT)
     clock: VectorClock  # what it has delivered, for causal gating
+    metrics: MetricsBundle  # the run's one cost record; every replica (and a sequencer server) counts into it
 
     def local(self, eo: ExternalOp) -> WireMessage: ...
     def remote(self, msg: WireMessage) -> Optional[ExternalOp]: ...
-    def fold_metrics(self, bundle) -> None: ...
     def quiesce(self, stability: dict, created: int, deleted: int) -> tuple: ...
 
 

@@ -35,8 +35,10 @@ from .model import (
     NoOp,
     NUL,
     SiteId,
+    escape_text,
     format_op,
     parse_op,
+    unescape_text,
 )
 from .framework import Site, WireMessage
 from .netsim import (
@@ -157,28 +159,14 @@ class RunReport:
 # scenario files
 
 
-def _escape(text: str) -> str:
-    """A text field (the doc, an inserted character) as one ASCII token with
-    no whitespace: Python string escapes, and \\x20 for a space."""
-    return text.encode("unicode_escape").decode("ascii").replace(" ", "\\x20")
-
-
-def _unescape(token: str) -> str:
-    try:
-        return token.encode("ascii", "backslashreplace").decode("unicode_escape")
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"bad escape in {token!r}: {exc}") from exc
-
-
 def _entry_to_text(e: ScriptEntry) -> str:
-    op = f"I {e.op.position} {_escape(e.op.character)}" if isinstance(e.op, Insert) else format_op(e.op)
-    return f"@{e.tick} s{e.site} {op}"
+    return f"@{e.tick} s{e.site} {format_op(e.op)}"
 
 
 def scenario_to_text(s: Scenario) -> str:
     if s.script is None:
         raise ScenarioError("only scripted scenarios have a file form")
-    lines = [f"sites {s.sites}", f"doc {_escape(s.initial)}", f"mode {s.mode}", f"seed {s.seed}"]
+    lines = [f"sites {s.sites}", f"doc {escape_text(s.initial)}", f"mode {s.mode}", f"seed {s.seed}"]
     if isinstance(s.latency, FixedLatency):
         lines.append(f"latency fixed {s.latency.ticks}")
     else:
@@ -192,12 +180,11 @@ def _line_from_text(line: str, fields: dict, script: List[ScriptEntry]) -> None:
     if line.startswith("@"):
         if len(parts) < 3 or not parts[1].startswith("s"):
             raise ValueError("expected '@tick sN op'")
-        op = Insert(int(parts[3]), _unescape(parts[4])) if parts[2] == "I" and len(parts) == 5 else parse_op(" ".join(parts[2:]))
-        script.append(ScriptEntry(int(parts[0][1:]), int(parts[1][1:]), op))
+        script.append(ScriptEntry(int(parts[0][1:]), int(parts[1][1:]), parse_op(" ".join(parts[2:]))))
     elif parts[0] in ("sites", "seed") and len(parts) == 2:
         fields[parts[0]] = int(parts[1])
     elif parts[0] == "doc" and len(parts) <= 2:
-        fields["initial"] = _unescape(parts[1]) if len(parts) == 2 else ""
+        fields["initial"] = unescape_text(parts[1]) if len(parts) == 2 else ""
     elif parts[0] == "mode" and len(parts) == 2:
         if parts[1] not in MODES:
             raise ValueError(f"unknown mode {parts[1]!r}")
@@ -245,26 +232,27 @@ def fig1_scenario() -> Scenario:
 # run
 
 
-def _ot_engines(scenario: Scenario, ablation: bool) -> tuple:
+def _ot_engines(scenario: Scenario, ablation: bool, metrics: MetricsBundle) -> tuple:
     if ablation:
         raise ScenarioError("the conversion-skip ablation only applies to the woot engine")
-    ids = list(range(scenario.sites))
+    ids, doc = list(range(scenario.sites)), scenario.initial
     if scenario.mode == "sequencer":
-        return {i: SequencerClient(site=i, state=scenario.initial) for i in ids}, SequencerServer(client_ids=ids, state=scenario.initial)
+        return {i: SequencerClient(site=i, state=doc, metrics=metrics) for i in ids}, SequencerServer(client_ids=ids, state=doc, metrics=metrics)
     if scenario.sites > 2:
         raise ScenarioError("symmetric ot supports 2 sites; use sequencer mode for more")
-    return {i: OtSite(site=i, state=scenario.initial) for i in ids}, None
+    return {i: OtSite(site=i, state=doc, metrics=metrics) for i in ids}, None
 
 
-def _woot_engines(scenario: Scenario, ablation: bool) -> tuple:
+def _woot_engines(scenario: Scenario, ablation: bool, metrics: MetricsBundle) -> tuple:
     if scenario.mode == "sequencer":
         raise ScenarioError("sequencer mode is only wired to the ot engine")
-    return {i: (SkipConversionSite if ablation else WootSite).create(i, scenario.initial) for i in range(scenario.sites)}, None
+    return {i: (SkipConversionSite if ablation else WootSite).create(i, scenario.initial, metrics) for i in range(scenario.sites)}, None
 
 
 # name -> (the mode that works at any site count, builder). A builder maps
-# (scenario, ablation) to (engines by site id, sequencer server or None), or
-# raises ScenarioError. perfbench/tracing.py patches the classes it reads here.
+# (scenario, ablation, the run's MetricsBundle) to (engines by site id,
+# sequencer server or None), each counting into that bundle, or raises
+# ScenarioError. perfbench/tracing.py patches the classes it reads here.
 ENGINES = {"ot": ("sequencer", _ot_engines), "woot": ("causal", _woot_engines)}
 
 
@@ -274,9 +262,9 @@ class _Run:
     def __init__(self, scenario: Scenario, engine: str, ablation: bool):
         if engine not in ENGINES:
             raise ScenarioError(f"unknown engine {engine!r}")
-        engines, self.server = ENGINES[engine][1](scenario, ablation)
+        self.metrics = MetricsBundle(engine=engine)
+        engines, self.server = ENGINES[engine][1](scenario, ablation, self.metrics)
         self.scenario = scenario
-        self.engine_name = engine
         self.ablation = ablation
         ids = list(engines)
         self.sites = {i: Site(id=i, engine=e, external=scenario.initial) for i, e in engines.items()}
@@ -288,8 +276,6 @@ class _Run:
         self.insert_tags: set = set()
         self.delete_targets: Dict[tuple, tuple] = {}  # delete op key -> tag
         self.intention = IntentionVerdict()
-        self.local_ns: List[int] = []
-        self.remote_ns: List[int] = []
         self.generated: List[ScriptEntry] = []
 
         # generation plan
@@ -345,7 +331,7 @@ class _Run:
             if not scripted:
                 raise
             raise ScenarioError(f"script entry {_entry_to_text(ScriptEntry(tick, site_id, eo))!r}: {exc}") from exc
-        self.local_ns.append(time.perf_counter_ns() - t0)
+        self.metrics.local_ns.append(time.perf_counter_ns() - t0)
         self.generated.append(ScriptEntry(tick, site_id, eo))
         self._track_local(site_id, eo, msg)
         return msg
@@ -364,7 +350,7 @@ class _Run:
     def _deliver(self, site_id: SiteId, msg: WireMessage, tick: int) -> Optional[ExternalOp]:
         t0 = time.perf_counter_ns()
         eo = self.sites[site_id].deliver(msg)
-        self.remote_ns.append(time.perf_counter_ns() - t0)
+        self.metrics.remote_ns.append(time.perf_counter_ns() - t0)
         if eo is None:
             return eo
         key = (msg.origin, msg.seq)
@@ -390,18 +376,14 @@ class _Run:
         stability = {i: s.engine.clock for i, s in self.sites.items()}
         created = len(self.scenario.initial) + len(self.insert_tags)
         deleted = len(set(self.delete_targets.values()))  # distinct instances deleted
-        bundle = MetricsBundle(engine=self.engine_name, local_ns=self.local_ns, remote_ns=self.remote_ns)
         dumps = {}
         for i, site in self.sites.items():
             collected, dump = site.engine.quiesce(stability, created, deleted)
             if collected is not None:
-                bundle.gc_total += collected
+                self.metrics.gc_total += collected
                 self.sim.log_gc(i, collected)
             if dump is not None:
                 dumps[i] = dump
-            site.engine.fold_metrics(bundle)
-        if self.server is not None:
-            self.server.fold_metrics(bundle)
 
         finals = {i: s.external for i, s in self.sites.items()}
         server_text = set() if self.server is None else {self.server.state}
@@ -416,7 +398,7 @@ class _Run:
             if self.ablation or not self.intention.ok:
                 detail += " -- replicas are neither convergent nor intention preserving"
         return RunReport(
-            engine=self.engine_name,
+            engine=self.metrics.engine,
             ablation=self.ablation,
             seed=self.scenario.seed,
             initial=self.scenario.initial,
@@ -427,8 +409,8 @@ class _Run:
             convergence_detail=detail,
             intention=self.intention,
             quiescent=quiescent,
-            gc_total=bundle.gc_total,
-            metrics=bundle,
+            gc_total=self.metrics.gc_total,
+            metrics=self.metrics,
             trace=trace,
             script=tuple(self.generated),
         )
@@ -524,6 +506,8 @@ def fuzz(n_runs: int, base_seed: int = 0, engines: Optional[Tuple[str, ...]] = N
                 if report is not None:
                     shrunk = shrink_script(scenario, report.script, engine)
                     artifact["script"] = [_entry_to_text(e) for e in shrunk]
+                    # a scenario file that replays the shrunk failure on its own
+                    artifact["scenario"] = scenario_to_text(replace(scenario, script=shrunk, fuzz=None))
                 failures.append(artifact)
     return {"runs": n_runs * len(engines), "failures": failures, "ok": not failures}
 

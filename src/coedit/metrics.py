@@ -33,18 +33,25 @@ CSV_COLUMNS = [
 
 @dataclass
 class MetricsBundle:
-    engine: str
-    c_samples: List[int] = field(default_factory=list)
-    search_steps_per_op: List[int] = field(default_factory=list)
+    """A run's one cost record: every replica and a sequencer server count into
+    it, and the harness times each op into it. An engine alone gets its own."""
+
+    engine: str = ""  # named by the run
+    c_samples: List[int] = field(default_factory=list)  # OT: per executed remote op, the ops it was folded past
+    buffer_length_samples: List[int] = field(default_factory=list)  # OT: a replica's log length after each op
+    search_steps_per_op: List[int] = field(default_factory=list)  # WOOT
     local_ns: List[int] = field(default_factory=list)
     remote_ns: List[int] = field(default_factory=list)
     final_visible: int = 0  # C at quiescence
     final_total: int = 0  # C_t at quiescence
     init_cost: int = 0
     gc_total: int = 0
-    transform_total: int = 0
     buffer_final: int = 0
-    insert_tie_seen: bool = False
+    insert_tie_seen: bool = False  # OT: two inserts at one position were folded
+
+    @property
+    def transform_total(self) -> int:  # one transform per op folded past
+        return sum(self.c_samples)
 
     @property
     def max_c(self) -> int:

@@ -78,10 +78,25 @@ def apply_external(text: str, op: ExternalOp) -> str:
     raise TypeError(f"not an ExternalOp: {op!r}")
 
 
+def escape_text(text: str) -> str:
+    """Text as one ASCII token with no whitespace: Python string escapes and
+    \\x20 for a space; a letter or a digit stays as it is."""
+    if text.isalnum() and text.isascii():  # the common case: nothing to escape
+        return text
+    return text.encode("unicode_escape").decode("ascii").replace(" ", "\\x20")
+
+
+def unescape_text(token: str) -> str:
+    """Inverse of :func:`escape_text`; a bad escape raises UnicodeDecodeError,
+    a ValueError."""
+    return token.encode("ascii", "backslashreplace").decode("unicode_escape")
+
+
 def format_op(op: ExternalOp) -> str:
-    """Canonical one-line text form: `I <pos> <char>`, `D <pos>`, `N`."""
+    """Canonical one-line text form: `I <pos> <char>` (the character
+    escaped, see :func:`escape_text`), `D <pos>`, `N`."""
     if isinstance(op, Insert):
-        return f"I {op.position} {op.character}"
+        return f"I {op.position} {escape_text(op.character)}"
     if isinstance(op, Delete):
         return f"D {op.position}"
     if isinstance(op, NoOp):
@@ -90,10 +105,10 @@ def format_op(op: ExternalOp) -> str:
 
 
 def parse_op(line: str) -> ExternalOp:
-    """Inverse of :func:`format_op`."""
+    """Inverse of :func:`format_op`; raises ValueError on a malformed line."""
     parts = line.split()
-    if parts and parts[0] == "I" and len(parts) == 3 and len(parts[2]) == 1:
-        return Insert(int(parts[1]), parts[2])
+    if parts and parts[0] == "I" and len(parts) == 3:  # Insert checks the character
+        return Insert(int(parts[1]), unescape_text(parts[2]))
     if parts and parts[0] == "D" and len(parts) == 2:
         return Delete(int(parts[1]))
     if parts == ["N"]:

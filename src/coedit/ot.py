@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 
+from .metrics import MetricsBundle
 from .model import (
     CheckedRecord,
     Delete,
@@ -79,23 +80,7 @@ def transform(a: ExternalOp, b: ExternalOp, a_site: SiteId, b_site: SiteId) -> E
     return xform(a, b, a_site, b_site)[0]
 
 
-@dataclass
-class OtMetrics:
-    concurrent_set_sizes: list = field(default_factory=list)  # per executed remote op
-    buffer_length_samples: list = field(default_factory=list)
-    insert_tie_seen: bool = False  # two inserts at one position were folded
-
-    def fold_into(self, bundle) -> None:
-        bundle.c_samples.extend(self.concurrent_set_sizes)
-        bundle.transform_total += self.transform_count
-        bundle.insert_tie_seen |= self.insert_tie_seen
-
-    @property
-    def transform_count(self) -> int:  # one transform per op folded past
-        return sum(self.concurrent_set_sizes)
-
-
-def fold(metrics: OtMetrics, op: ExternalOp, origin: SiteId, entries: list) -> ExternalOp:
+def fold(metrics: MetricsBundle, op: ExternalOp, origin: SiteId, entries: list) -> ExternalOp:
     """Fold `op` from `origin` past `entries`, concurrent ops in the same
     context held as lists `[op, origin, seq]`, and rebase each entry past
     `op` in place. Returns `op` in the context that includes them all; the
@@ -121,7 +106,7 @@ class _Replica:
     clock: VectorClock = field(default_factory=VectorClock)
     buffer: list = field(default_factory=list)
     pending: list = field(default_factory=list)
-    metrics: OtMetrics = field(default_factory=OtMetrics)
+    metrics: MetricsBundle = field(default_factory=MetricsBundle)
 
     def _stamp(self, eo: ExternalOp) -> TimestampedOp:
         """Execute, timestamp, log and hold a local op; no transformation runs.
@@ -147,11 +132,9 @@ class _Replica:
         return collected
 
     def quiesce(self, stability: dict, created: int, deleted: int) -> tuple:
-        return self.gc(stability), None
-
-    def fold_metrics(self, bundle) -> None:
-        self.metrics.fold_into(bundle)
-        bundle.buffer_final = max(bundle.buffer_final, len(self.buffer))
+        collected = self.gc(stability)
+        self.metrics.buffer_final = max(self.metrics.buffer_final, len(self.buffer))
+        return collected, None
 
 
 @dataclass
@@ -186,7 +169,7 @@ class OtSite(_Replica):
         self.state = apply_external(self.state, op)
         if acked > 0:  # dropped only once the op has executed
             del pending[:acked]
-        self.metrics.concurrent_set_sizes.append(len(pending))  # the ops it was folded past
+        self.metrics.c_samples.append(len(pending))  # the ops it was folded past
         self.clock = self.clock.tick(origin)  # the merge of the two clocks, as the checks above pin it
         # an op no pending op moved is logged as its message, which equals its record
         self.buffer.append(remote_op if op is remote_op.op else TimestampedOp(op, origin, remote_op.seq, remote_op.clock))
@@ -227,7 +210,7 @@ class SequencerServer:
     history_len: int = 0  # the next stream index
     bridges: dict = field(init=False)  # SiteId -> list of [ExternalOp, origin SiteId, seq]
     sequenced: dict = field(init=False)  # SiteId -> how many of its ops are sequenced
-    metrics: OtMetrics = field(default_factory=OtMetrics)
+    metrics: MetricsBundle = field(default_factory=MetricsBundle)
 
     def __post_init__(self):
         self.bridges = {c: [] for c in self.client_ids}
@@ -246,7 +229,7 @@ class SequencerServer:
         bridge = [e[:] for e in self.bridges[sender] if e[2] > seen.get(e[1], 0)]  # copies: a refused op rebases none
         op = fold(self.metrics, msg.op, sender, bridge)
         self.state = apply_external(self.state, op)
-        self.metrics.concurrent_set_sizes.append(len(bridge))
+        self.metrics.c_samples.append(len(bridge))
         self.bridges[sender] = bridge
         sequenced[sender] = msg.seq
         index = self.history_len
@@ -255,9 +238,6 @@ class SequencerServer:
             if c != sender:
                 self.bridges[c].append([op, sender, msg.seq])
         return ServerOpMsg(op, sender, msg.seq, msg.clock, index)
-
-    def fold_metrics(self, bundle) -> None:
-        self.metrics.fold_into(bundle)
 
 
 @dataclass
@@ -287,7 +267,7 @@ class SequencerClient(_Replica):
         if msg.origin != self.site:
             op = fold(self.metrics, msg.op, msg.origin, self.pending)
             self.state = apply_external(self.state, op)
-            self.metrics.concurrent_set_sizes.append(len(self.pending))
+            self.metrics.c_samples.append(len(self.pending))
             self.clock = self.clock.merge(msg.clock)
             # an op no pending op moved is logged as its message, which carries its record's fields
             self.buffer.append(msg if op is msg.op else TimestampedOp(op, msg.origin, msg.seq, msg.clock))

@@ -36,6 +36,7 @@ from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Dict, List, NamedTuple, Optional, Union
 
+from .metrics import MetricsBundle
 from .model import (
     BoundsError,
     Delete,
@@ -462,25 +463,22 @@ class ObjectSequence:
 
 
 @dataclass
-class WootMetrics:
-    search_steps_per_op: list = field(default_factory=list)
-    init_cost: int = 0
-
-
-@dataclass
 class WootSite:
     """One WOOT replica: an object sequence and a clock; `state` reads the text from the sequence."""
 
     site: SiteId
     istate: ObjectSequence
     clock: VectorClock = field(default_factory=VectorClock)
-    metrics: WootMetrics = field(default_factory=WootMetrics)
+    metrics: MetricsBundle = field(default_factory=MetricsBundle)
     counts: tuple = field(default=(0, 0), init=False)  # (tombstones, objects) at the last op; neither may fall
 
     @classmethod
-    def create(cls, site: SiteId, doc: str) -> "WootSite":
+    def create(cls, site: SiteId, doc: str, metrics: Optional[MetricsBundle] = None) -> "WootSite":
+        """A replica of `doc` counting into `metrics`, a fresh record by default."""
         istate = ObjectSequence.from_text(doc)
-        return cls(site=site, istate=istate, metrics=WootMetrics(init_cost=istate.total_count()))
+        metrics = MetricsBundle() if metrics is None else metrics
+        metrics.init_cost = istate.total_count()
+        return cls(site=site, istate=istate, metrics=metrics)
 
     @property
     def state(self) -> str:
@@ -498,16 +496,10 @@ class WootSite:
             raise AssertionError(f"site {self.site}: object count decreased")
         self.counts = tombstones, total
 
-    def fold_metrics(self, bundle) -> None:
-        m = self.metrics
-        # quiesce has held every replica to the same counts
-        bundle.final_visible, bundle.final_total = self.istate.n_visible, self.istate.total_count()
-        bundle.search_steps_per_op.extend(m.search_steps_per_op)
-        bundle.init_cost = max(bundle.init_cost, m.init_cost)
-
     def quiesce(self, stability: dict, created: int, deleted: int) -> tuple:
         """End of run: check the sequence's accounting against the session's
-        instance counts; returns (no gc, the dump of the sequence)."""
+        instance counts and record C and C_t; returns (no gc, the dump of
+        the sequence)."""
         i, seq = self.site, self.istate
         slots = sum(len(b.objects) for b in seq.blocks)
         if len(seq.by_id) != slots:
@@ -538,6 +530,8 @@ class WootSite:
         # C and the per-op tombstone checks read the running count
         if seq.n_visible != seq.visible_count():
             raise AssertionError(f"site {i}: running visible count {seq.n_visible} != {seq.visible_count()}")
+        # the checks above hold every replica to the same C and C_t
+        self.metrics.final_visible, self.metrics.final_total = seq.n_visible, seq.total_count()
         return None, seq.dump()
 
     def local(self, eo: ExternalOp) -> TimestampedOp:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import coedit.ot
 from coedit import cli, harness, woot
 from coedit.model import BoundsError, Delete, Insert
 from coedit.netsim import FixedLatency, UniformLatency
@@ -26,6 +27,7 @@ from coedit.harness import (
     scenario_from_text,
     scenario_to_text,
     shrink_script,
+    _entry_to_text,
     _failure_reason,
     _Run,
 )
@@ -49,6 +51,19 @@ class TestScenarioFiles:
         assert len(text.splitlines()) == 7  # 5 headers, 2 ops
         assert scenario_from_text(text) == s
         assert run_scenario(scenario_from_text(text), "ot").ok
+
+    def test_trace_tokens_escape_characters(self):
+        """An op's trace token is its one text form: a newline stays inside
+        its line, and a space and an underscore read differently."""
+        typed = (" ", "_", "\n")
+        s = Scenario("ab", 2, "causal", FixedLatency(1), 0, script=tuple(
+            ScriptEntry(1 + k, 0, Insert(0, c)) for k, c in enumerate(typed)
+        ))
+        report = run_scenario(s, "ot")
+        assert report.ok and report.final_states[1] == "\n_ ab"
+        assert not any("\n" in line for line in report.trace)
+        ops = {re.search(r"kind=deliver op=(\S+)", line).group(1) for line in report.trace if "kind=deliver" in line}
+        assert len(ops) == len(typed)
 
     def test_bad_escape_rejected(self):
         for doc in ("a\\", "a\\u00", "a\\x2"):
@@ -331,6 +346,28 @@ class TestFuzz:
 
         shrunk = shrink_script(scenario, scenario.script, "ot", reason_fn=wants_q)
         assert len(shrunk) == 1 and shrunk[0].op == Insert(3, "q")
+
+    def test_failure_replays_from_its_scenario_text(self, monkeypatch):
+        """A fuzz failure's `scenario` is a scenario file that fails again on
+        its own. The fault is planted in the OT pair rule: two inserts never
+        shift each other. Budget: 3 runs of at most 12 ops, on OT alone."""
+        xform = coedit.ot.xform
+
+        def faulty(a, b, a_site, b_site):
+            if type(a) is Insert and type(b) is Insert:
+                return a, b
+            return xform(a, b, a_site, b_site)
+
+        monkeypatch.setattr(coedit.ot, "xform", faulty)
+        failures = fuzz(3, base_seed=0, engines=("ot",), max_ops=12)["failures"]
+        replayed = [f for f in failures if "scenario" in f]
+        assert replayed, failures
+        for f in replayed:
+            scenario = scenario_from_text(f["scenario"])
+            assert [_entry_to_text(e) for e in scenario.script] == f["script"]
+            assert _failure_reason(run_scenario(scenario, "ot")) is not None
+        monkeypatch.undo()
+        assert all(run_scenario(scenario_from_text(f["scenario"]), "ot").ok for f in replayed)
 
     def test_failure_reason_none_on_clean_run(self):
         assert _failure_reason(run_scenario(fig1_scenario(), "ot")) is None

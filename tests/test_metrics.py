@@ -9,8 +9,10 @@ import pytest
 
 from coedit import metrics
 from coedit.cli import main
-from coedit.harness import FuzzSpec, Scenario, ScenarioError, fig1_scenario, run_scenario
+from coedit.harness import FuzzSpec, Scenario, ScenarioError, _Run, fig1_scenario, run_scenario
 from coedit.metrics import CSV_COLUMNS, Workload, csv_row, measure_init, rows_to_csv
+from coedit.netsim import UniformLatency
+from coedit.ot import OtSite, SequencerClient, SequencerServer
 from coedit.woot import WootSite
 
 
@@ -44,6 +46,33 @@ class TestCollect:
     def test_run_without_ops_reports_the_document(self):
         report = run_scenario(Scenario("abc", 2, fuzz=FuzzSpec(n_ops=0)), "woot")
         assert (report.metrics.final_visible, report.metrics.final_total) == (3, 3)
+
+
+class TestOneRecord:
+    """Every replica, and a sequencer server, counts into the run's one
+    MetricsBundle; an engine built alone counts into its own."""
+
+    @pytest.mark.parametrize("engine,mode,sites", [("ot", "causal", 2), ("ot", "sequencer", 3), ("woot", "causal", 3)])
+    def test_every_engine_counts_into_the_report(self, engine, mode, sites):
+        scenario = Scenario("abcd", sites, mode, UniformLatency(1, 4), 3, fuzz=FuzzSpec(n_ops=30))
+        run = _Run(scenario, engine, ablation=False)
+        report = run.finish()
+        assert report.ok
+        counted = [s.engine.metrics for s in run.sites.values()]
+        if run.server is not None:
+            counted.append(run.server.metrics)
+        assert all(m is report.metrics for m in counted)
+        assert report.metrics.engine == engine
+        assert report.metrics.transform_total == sum(report.metrics.c_samples)
+        assert len(report.metrics.local_ns) == len(report.script)
+
+    def test_engines_built_alone_do_not_share(self):
+        for a, b in [
+            (OtSite(site=0), OtSite(site=1)),
+            (SequencerClient(site=0), SequencerServer(client_ids=[0])),
+            (WootSite.create(0, "ab"), WootSite.create(1, "ab")),
+        ]:
+            assert a.metrics is not b.metrics
 
 
 class TestPercentiles:

@@ -61,7 +61,10 @@ class TestOpText:
     def test_format(self, op, line):
         assert format_op(op) == line
 
-    @pytest.mark.parametrize("op", [Insert(0, "x"), Insert(12, "z"), Delete(7), NoOp()])
+    @pytest.mark.parametrize("op", [
+        Insert(0, "x"), Insert(12, "z"), Delete(7), NoOp(),
+        *(Insert(3, c) for c in (" ", "\t", "\n", "\\", "_", "\u00e9", "\U0001F600")),
+    ])
     def test_roundtrip(self, op):
         assert parse_op(format_op(op)) == op
 

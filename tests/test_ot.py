@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 import coedit.model
 import coedit.ot
 from coedit.harness import FuzzSpec, Scenario, ScenarioError, fuzz, run_scenario
+from coedit.metrics import MetricsBundle
 from coedit.model import BoundsError, Delete, Insert, NoOp, TimestampedOp, VectorClock, apply_external
 from coedit.netsim import FixedLatency, UniformLatency
 from coedit.ot import (
     ContextMismatchError,
-    OtMetrics,
     OtSite,
     SequencerClient,
     SequencerServer,
@@ -104,12 +104,12 @@ class TestTransformFunctions:
     def test_fold_notes_insert_ties(self):
         """fold notes an insert tie; counting the entries is left to the
         caller, once the folded op has executed."""
-        metrics = OtMetrics()
+        metrics = MetricsBundle()
         fold(metrics, Insert(1, "x"), 0, [[Delete(1), 1, 1], [Insert(2, "y"), 1, 2]])
         assert not metrics.insert_tie_seen
         fold(metrics, Insert(1, "x"), 0, [[Insert(1, "y"), 1, 3]])
         assert metrics.insert_tie_seen
-        assert metrics.transform_count == 0 and metrics.concurrent_set_sizes == []
+        assert metrics.transform_total == 0 and metrics.c_samples == []
 
     def test_noop_passthrough(self):
         assert transform(NoOp(), Insert(0, "x"), 1, 2) == NoOp()
@@ -213,7 +213,7 @@ class TestOtSite:
         assert a.state == "ae"
         assert o1.origin == 0 and o1.seq == 1 and o1.clock == VectorClock({0: 1})
         assert a.buffer == [o1]
-        assert a.metrics.transform_count == 0
+        assert a.metrics.transform_total == 0
 
     def test_second_local_op_increments_seq(self):
         a = OtSite(site=0, state="abe")
@@ -239,7 +239,7 @@ class TestOtSite:
         o1 = a.local(Insert(2, "c"))
         later = stamp(Delete(0), 1, 1, {0: 1})
         assert a.remote(later) == Delete(0)
-        assert a.metrics.transform_count == 0
+        assert a.metrics.transform_total == 0
 
     def test_context_mismatch_detected(self):
         """A pending local op causally *after* the remote op breaks the
@@ -376,10 +376,10 @@ class TestRefusedOpCounts:
             engine = SequencerServer(client_ids=[0, 1], state="ab")
             engine.process(1, stamp(Insert(2, "y"), 1, 1))  # client 0's bridge: I(2, y)
             refuse = lambda: engine.process(0, stamp(Insert(9, "x"), 0, 1))
-        before = (list(engine.metrics.concurrent_set_sizes), engine.metrics.transform_count)
+        before = (list(engine.metrics.c_samples), engine.metrics.transform_total)
         with pytest.raises(BoundsError):
             refuse()
-        assert (engine.metrics.concurrent_set_sizes, engine.metrics.transform_count) == before
+        assert (engine.metrics.c_samples, engine.metrics.transform_total) == before
 
 
 class TestGc:
