@@ -348,9 +348,11 @@ class _Run:
     # -- delivery -----------------------------------------------------------
 
     def _deliver(self, site_id: SiteId, msg: WireMessage, tick: int) -> Optional[ExternalOp]:
+        site = self.sites[site_id]
         t0 = time.perf_counter_ns()
-        eo = self.sites[site_id].deliver(msg)
+        eo = site.deliver(msg)
         self.metrics.remote_ns.append(time.perf_counter_ns() - t0)
+        site.engine.collect()  # untimed: what the delivery made stable
         if eo is None:
             return eo
         key = (msg.origin, msg.seq)
@@ -504,10 +506,11 @@ def fuzz(n_runs: int, base_seed: int = 0, engines: Optional[Tuple[str, ...]] = N
             if reason is not None:
                 artifact = {"seed": seed, "engine": engine, "reason": reason}
                 if report is not None:
-                    shrunk = shrink_script(scenario, report.script, engine)
-                    artifact["script"] = [_entry_to_text(e) for e in shrunk]
-                    # a scenario file that replays the shrunk failure on its own
-                    artifact["scenario"] = scenario_to_text(replace(scenario, script=shrunk, fuzz=None))
+                    shrunk = replace(scenario, script=shrink_script(scenario, report.script, engine), fuzz=None)
+                    artifact["script"] = [_entry_to_text(e) for e in shrunk.script]
+                    # a scenario file that replays the shrunk failure on its own, and why that fails
+                    artifact["scenario"] = scenario_to_text(shrunk)
+                    artifact["reason"] = _failure_reason(run_scenario(shrunk, engine))
                 failures.append(artifact)
     return {"runs": n_runs * len(engines), "failures": failures, "ok": not failures}
 

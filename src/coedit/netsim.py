@@ -16,6 +16,8 @@ Two modes:
               hands each op, in per-origin order, to the sequencer server,
               which rebases it and assigns a consecutive index, and
               broadcasts the result to all sites, which deliver in index order.
+              A site that has delivered ACK_EVERY stream messages since it
+              last sent anything sends the server an Ack of its bare clock.
 
 A site failing to handle a message is an invariant failure and propagates
 out of `Simulator.run`; nothing is held back for a retry.
@@ -30,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Union
 
 from .model import SiteId, VectorClock
 from .framework import (
+    Ack,
     WireMessage,
     decode_message,
     encode_message,
@@ -58,6 +61,13 @@ LatencyModel = Union[FixedLatency, UniformLatency]
 
 SEQUENCER_NODE = -1
 MODES = ("causal", "sequencer")
+
+# A sequencer client acks after this many stream messages delivered since it
+# last sent anything (an op's clock acks too). The server cuts the client's
+# bridge by the ack and counts it in the stability clock from which clients
+# collect their logs, so a bridge and a log hold about this many ops beyond
+# those in flight; a read-only client sends one ack per ACK_EVERY messages.
+ACK_EVERY = 32
 
 
 @dataclass(frozen=True)
@@ -93,7 +103,8 @@ class Simulator:
     `clock_of(site)` exposes the site's delivery clock for causal gating.
     Sequencer mode needs `sequencer_server`, whose `process(sender, msg)`
     returns the message to broadcast, carrying its stream index as `index`,
-    and whose `sequenced[site]` counts the site's ops it has processed.
+    whose `ack(sender, ack)` takes a site's Ack, and whose `sequenced[site]`
+    counts the site's ops it has processed.
     """
 
     def __init__(
@@ -124,6 +135,8 @@ class Simulator:
         self.seq_hold: Dict[SiteId, dict] = {s: {} for s in site_ids}  # index -> message
         self.seq_next: Dict[SiteId, int] = {s: 0 for s in site_ids}
         self.seq_fifo: Dict[SiteId, dict] = {s: {} for s in site_ids}  # per-origin seq hold-back
+        self.unacked: Dict[SiteId, int] = dict.fromkeys(site_ids, 0)  # stream messages delivered since the site last sent
+        self.link_free: Dict[SiteId, int] = dict.fromkeys(site_ids, 0)  # the last tick a site's message reaches the sequencer
 
     # -- scheduling ---------------------------------------------------------
 
@@ -156,7 +169,10 @@ class Simulator:
         origin, seq, clock = message_meta(msg)
         self.trace.append(f"tick={self.now} site={site} kind=gen op={message_text(msg)} key={origin}:{seq}")
         if self.config.mode == "sequencer":
-            self.broadcast(msg, [SEQUENCER_NODE])
+            self.unacked[site] = 0  # the op's clock acks what the site has delivered
+            tick = self.now + self._draw_latency()
+            self._push(tick, "net", (SEQUENCER_NODE, Envelope(encode_message(msg))))
+            self.link_free[site] = max(self.link_free[site], tick)
         else:
             self.broadcast(msg, [s for s in self.site_ids if s != site])
 
@@ -190,6 +206,17 @@ class Simulator:
             ready = self.seq_hold[dst].pop(self.seq_next[dst])
             self.seq_next[dst] += 1
             self._deliver(dst, ready)
+            self.unacked[dst] += 1
+            if self.unacked[dst] == ACK_EVERY:
+                self._send_ack(dst)
+
+    def _send_ack(self, site: SiteId) -> None:
+        """Send the sequencer `site`'s bare clock. The ack draws no latency:
+        it arrives one tick on, or behind the last message on the site's
+        link, so the server has sequenced the ops it counts by then."""
+        self.unacked[site] = 0
+        tick = self.link_free[site] = max(self.now + 1, self.link_free[site])
+        self._push(tick, "ack", encode_message(Ack(site, self.clock_of(site))))
 
     def _deliver(self, dst: int, msg: WireMessage) -> None:
         origin, seq, _ = message_meta(msg)
@@ -214,6 +241,10 @@ class Simulator:
     def run(self) -> List[str]:
         while self.events:
             tick, _, kind, data = heapq.heappop(self.events)
+            if kind == "ack":  # writes no trace line, so it leaves `now`, the tick of the last one, as it is
+                ack = decode_message(data)
+                self.sequencer_server.ack(ack.origin, ack)
+                continue
             self.now = tick
             if kind == "gen":
                 self._handle_generation(data)

@@ -7,6 +7,13 @@ replicas built on it. An :class:`OtSite` (one of two symmetric peers) or a
 unacknowledged local ops; the :class:`SequencerServer` folds each client op
 past the entries of that client's bridge which the op's clock does not cover.
 
+A replica's log and the server's bridges hold only what some site may not
+have delivered yet, so they follow the ops in flight, not the session: an
+OtSite collects from its own clock and pending ops, a SequencerClient from
+the stability clock each server message carries, and the server cuts a
+bridge by the client's clock, which every op and every :class:`Ack` of that
+client carries (Nichols et al., UIST 1995).
+
 Tie-break for two inserts at the same position: the insert from the lower
 site id keeps the smaller position. Transforming a delete against a delete
 of the same character yields NoOp (the target is already gone).
@@ -35,6 +42,9 @@ from .model import (
 
 _new = tuple.__new__  # builds a record without its checks: for rebased ops only
 _NOOP = NoOp()
+_NO_CLOCK = VectorClock()
+
+COLLECT_EVERY = 8  # `collect` looks at a log once it has grown by this many ops since the last look
 
 
 class ContextMismatchError(RuntimeError):
@@ -80,6 +90,21 @@ def transform(a: ExternalOp, b: ExternalOp, a_site: SiteId, b_site: SiteId) -> E
     return xform(a, b, a_site, b_site)[0]
 
 
+def floor_clock(clocks) -> VectorClock:
+    """For each site, the least count among `clocks`: the ops all of them
+    cover (none, for no clocks)."""
+    first, *rest = [c.entries for c in clocks] or [{}]
+    floor = {}
+    for s, n in first.items():  # a site missing from the first clock has a floor of 0
+        for entries in rest:
+            m = entries.get(s, 0)
+            if m < n:
+                n = m
+        if n:
+            floor[s] = n
+    return VectorClock._zero_free(floor)
+
+
 def fold(metrics: MetricsBundle, op: ExternalOp, origin: SiteId, entries: list) -> ExternalOp:
     """Fold `op` from `origin` past `entries`, concurrent ops in the same
     context held as lists `[op, origin, seq]`, and rebase each entry past
@@ -97,9 +122,16 @@ def fold(metrics: MetricsBundle, op: ExternalOp, origin: SiteId, entries: list) 
 @dataclass
 class _Replica:
     """What both OT replicas hold: a mirror of the visible text, a clock,
-    the `buffer` log of every op in the form it was executed here, and the
-    `pending` local ops no remote has acknowledged yet, as entries
-    `[op rebased to the current text, site, seq]`."""
+    the `buffer` log of the ops in the form they were executed here, and
+    the `pending` local ops no remote has acknowledged yet, as entries
+    `[op rebased to the current text, site, seq]`.
+
+    No fold reads the log. An op leaves it once it is stable, that is, once
+    every site has delivered it: `collect` drops the longest prefix of the
+    log that this replica knows to be stable (see `_stable_prefix`), and
+    `quiesce` drops the rest by the clocks of every site. `collected`
+    counts the ops dropped over the run.
+    """
 
     site: SiteId
     state: str = ""
@@ -107,6 +139,8 @@ class _Replica:
     buffer: list = field(default_factory=list)
     pending: list = field(default_factory=list)
     metrics: MetricsBundle = field(default_factory=MetricsBundle)
+    collected: int = field(default=0, init=False)
+    collect_at: int = field(default=COLLECT_EVERY, init=False)  # the log length at which `collect` looks next
 
     def _stamp(self, eo: ExternalOp) -> TimestampedOp:
         """Execute, timestamp, log and hold a local op; no transformation runs.
@@ -125,16 +159,32 @@ class _Replica:
         `stability` maps every site id to a lower bound on that site's
         delivered clock. Returns the number of ops collected.
         """
-        floor = {o: min(clk.get(o) for clk in stability.values()) for o in {b.origin for b in self.buffer}}
-        keep = [b for b in self.buffer if b.seq > floor[b.origin]]
+        floor = floor_clock(stability.values()).entries
+        keep = [b for b in self.buffer if b.seq > floor.get(b.origin, 0)]
         collected = len(self.buffer) - len(keep)
         self.buffer = keep
+        self.collected += collected
         return collected
 
+    def collect(self) -> int:
+        """Drop the longest prefix of the log that this replica knows every
+        site has delivered. It looks once the log has grown by COLLECT_EVERY
+        ops, and then at each op it drops and the first one it keeps, so it
+        costs O(1) per op. Returns the number of ops dropped."""
+        buffer = self.buffer
+        if len(buffer) < self.collect_at:
+            return 0
+        n = self._stable_prefix()
+        if n:
+            del buffer[:n]
+            self.collected += n
+        self.collect_at = len(buffer) + COLLECT_EVERY
+        return n
+
     def quiesce(self, stability: dict, created: int, deleted: int) -> tuple:
-        collected = self.gc(stability)
+        self.gc(stability)
         self.metrics.buffer_final = max(self.metrics.buffer_final, len(self.buffer))
-        return collected, None
+        return self.collected, None
 
 
 @dataclass
@@ -149,6 +199,17 @@ class OtSite(_Replica):
 
     def local(self, eo: ExternalOp) -> TimestampedOp:
         return self._stamp(eo)
+
+    def _stable_prefix(self) -> int:
+        """A peer's op is stable once it is delivered here; a local op once
+        it leaves `pending`, as the peer's ops acknowledge it. So the log is
+        stable up to its oldest pending op."""
+        site = self.site
+        first = self.pending[0][2] if self.pending else self.clock.get(site) + 1
+        for n, b in enumerate(self.buffer):
+            if b.seq >= first and b.origin == site:
+                return n
+        return len(self.buffer)
 
     def remote(self, remote_op: TimestampedOp) -> ExternalOp:
         """Fold the peer's next op past the local ops it had not seen;
@@ -177,19 +238,39 @@ class OtSite(_Replica):
         return op
 
 
-class ServerOpMsg(CheckedRecord, namedtuple("ServerOpMsg", TimestampedOp._fields + ("index",))):
+class ServerOpMsg(CheckedRecord, namedtuple("ServerOpMsg", TimestampedOp._fields + ("stable", "index"))):
     """Sequencer -> all clients: the op rebased into the server's linear
-    history, at stream position `index`. It carries a TimestampedOp's
-    fields and checks, plus `index`; it is its own record, so it never
-    equals a TimestampedOp."""
+    history, at stream position `index`, with the server's stability clock
+    when it sent it (for each site, the ops of it that every client is known
+    to have delivered). It carries a TimestampedOp's fields and checks, plus
+    those two; it is its own record, so it never equals a TimestampedOp.
+    The constructor takes `index` right after the stamp and `stable` last,
+    the empty clock by default; `_make` takes the fields in record order."""
 
     __slots__ = ()
 
-    def __new__(cls, op: ExternalOp, origin: SiteId, seq: int, clock: VectorClock, index: int):
+    def __new__(cls, op: ExternalOp, origin: SiteId, seq: int, clock: VectorClock, index: int, stable: VectorClock = _NO_CLOCK):
         check_stamp(origin, seq, clock)
-        return tuple.__new__(cls, (op, origin, seq, clock, index))
+        return tuple.__new__(cls, (op, origin, seq, clock, stable, index))
+
+    @classmethod
+    def _make(cls, iterable):
+        op, origin, seq, clock, stable, index = iterable
+        return cls(op, origin, seq, clock, index, stable)
 
     key = TimestampedOp.key
+
+
+class Ack(namedtuple("Ack", "origin clock")):
+    """Sequencer client -> server: the client's bare clock, which counts its
+    own ops and the stream prefix it has delivered. Its stamp's `seq` is the
+    clock's own entry, 0 before the client's first op."""
+
+    __slots__ = ()
+
+    @property
+    def seq(self) -> int:
+        return self.clock.get(self.origin)
 
 
 @dataclass
@@ -198,11 +279,17 @@ class SequencerServer:
 
     Keeps a per-client bridge of sequenced ops that client may not have
     seen, as entries `[op, origin, seq]`. A client delivers a prefix of the
-    stream and merges each op's clock, so its clock counts each other site's
-    ops in that prefix: a client op is folded past the bridge entries its
-    clock does not cover (rebasing them in place) before being applied and
-    broadcast. Clients then only fold server messages past their own pending
-    ops, which keeps pairwise transformation sufficient at any site count.
+    stream and ticks its clock for each op in it, so its clock counts each
+    other site's ops in that prefix: a client op is folded past the bridge
+    entries its clock does not cover (rebasing them in place) before being
+    applied and broadcast. Clients then only fold server messages past their
+    own pending ops, which keeps pairwise transformation sufficient at any
+    site count.
+
+    Every clock a client sends, with an op or in an :class:`Ack`, cuts its
+    bridge to the entries that clock does not cover, and raises `known`,
+    what that client is known to have delivered. `stable`, the floor of
+    `known`, stamps each broadcast so clients can collect their logs.
     """
 
     client_ids: list
@@ -210,11 +297,14 @@ class SequencerServer:
     history_len: int = 0  # the next stream index
     bridges: dict = field(init=False)  # SiteId -> list of [ExternalOp, origin SiteId, seq]
     sequenced: dict = field(init=False)  # SiteId -> how many of its ops are sequenced
+    known: dict = field(init=False)  # SiteId -> the clock that client last sent
+    stable: VectorClock = field(default=_NO_CLOCK, init=False)
     metrics: MetricsBundle = field(default_factory=MetricsBundle)
 
     def __post_init__(self):
         self.bridges = {c: [] for c in self.client_ids}
         self.sequenced = dict.fromkeys(self.client_ids, 0)
+        self.known = dict.fromkeys(self.client_ids, _NO_CLOCK)
 
     def process(self, sender: SiteId, msg: TimestampedOp) -> ServerOpMsg:
         sequenced, seen = self.sequenced, msg.clock.entries
@@ -232,12 +322,40 @@ class SequencerServer:
         self.metrics.c_samples.append(len(bridge))
         self.bridges[sender] = bridge
         sequenced[sender] = msg.seq
+        self._know(sender, msg.clock)
         index = self.history_len
         self.history_len += 1
         for c in self.client_ids:
             if c != sender:
                 self.bridges[c].append([op, sender, msg.seq])
-        return ServerOpMsg(op, sender, msg.seq, msg.clock, index)
+        return ServerOpMsg(op, sender, msg.seq, msg.clock, index, self.stable)
+
+    def ack(self, sender: SiteId, msg: Ack) -> None:
+        """Take a client's ack: cut its bridge as its next op would, and raise
+        what it is known to have delivered. An ack follows, on the client's
+        link, the ops it counts, so it counts no op the server has not
+        sequenced, the client's own included."""
+        if sender not in self.known:
+            raise ContextMismatchError(f"ack from site {sender}, which is not a client of this server")
+        if msg.origin != sender:
+            raise ContextMismatchError(f"ack of site {msg.origin} from client {sender}")
+        seen = msg.clock.entries
+        for s, n in seen.items():
+            if n > self.sequenced.get(s, 0):
+                raise ContextMismatchError(f"ack from client {sender} claims {n} ops of site {s}, of which {self.sequenced.get(s, 0)} are sequenced")
+        self.bridges[sender] = [e for e in self.bridges[sender] if e[2] > seen.get(e[1], 0)]
+        self._know(sender, self.known[sender].merge(msg.clock))  # an op sent after it may have come first
+
+    def _know(self, sender: SiteId, clock: VectorClock) -> None:
+        """Record `clock` as what `sender` is known to have delivered. The
+        stability clock can rise only where `sender` held the least count."""
+        old, stable = self.known[sender].entries, self.stable.entries
+        self.known[sender] = clock
+        for s, n in clock.entries.items():
+            was = old.get(s, 0)
+            if n > was and was == stable.get(s, 0):
+                self.stable = floor_clock(self.known.values())
+                return
 
 
 @dataclass
@@ -249,13 +367,23 @@ class SequencerClient(_Replica):
     ops (rebasing them), which is the classic client half of server-based OT.
     A server op that no pending op moved is logged as the shared ServerOpMsg
     itself, as :class:`OtSite` logs a peer's message; a rebased one as a
-    fresh TimestampedOp.
+    fresh TimestampedOp. The stability clock of the last server message
+    says which logged ops are stable.
     """
 
     delivered: int = 0
+    stable: VectorClock = _NO_CLOCK
 
     def local(self, eo: ExternalOp) -> TimestampedOp:
         return self._stamp(eo)
+
+    def _stable_prefix(self) -> int:
+        """A logged op is stable once the last stability clock counts it."""
+        stable = self.stable.entries
+        for n, b in enumerate(self.buffer):
+            if b.seq > stable.get(b.origin, 0):
+                return n
+        return len(self.buffer)
 
     def remote(self, msg: ServerOpMsg):
         """Handle the next server-stream message; returns the EO_out to replay
@@ -264,18 +392,23 @@ class SequencerClient(_Replica):
             raise ContextMismatchError(
                 f"server stream out of order at site {self.site}: got {msg.index}, expected {self.delivered}"
             )
-        if msg.origin != self.site:
-            op = fold(self.metrics, msg.op, msg.origin, self.pending)
+        origin = msg.origin
+        if origin != self.site:
+            if msg.seq != self.clock.entries.get(origin, 0) + 1:  # the stream holds each site's ops in order
+                raise ContextMismatchError(f"stream op {msg.key()} at site {self.site} is not the next op of site {origin}, which sent {self.clock.get(origin)}")
+            op = fold(self.metrics, msg.op, origin, self.pending)
             self.state = apply_external(self.state, op)
             self.metrics.c_samples.append(len(self.pending))
-            self.clock = self.clock.merge(msg.clock)
+            self.clock = self.clock.tick(origin)  # the merge of the message's clock, the stream being a prefix
             # an op no pending op moved is logged as its message, which carries its record's fields
-            self.buffer.append(msg if op is msg.op else TimestampedOp(op, msg.origin, msg.seq, msg.clock))
+            self.buffer.append(msg if op is msg.op else TimestampedOp(op, origin, msg.seq, msg.clock))
             self.metrics.buffer_length_samples.append(len(self.buffer))
             self.delivered += 1  # only once the op has executed
+            self.stable = msg.stable
             return op
         if not self.pending or self.pending[0][2] != msg.seq:
             raise ContextMismatchError(f"echo {msg.key()} at site {self.site} is not of its oldest pending op")
         del self.pending[0]
         self.delivered += 1
+        self.stable = msg.stable
         return None

@@ -496,6 +496,10 @@ class WootSite:
             raise AssertionError(f"site {self.site}: object count decreased")
         self.counts = tombstones, total
 
+    def collect(self) -> int:
+        """A sequence keeps its tombstones and no log: nothing to drop."""
+        return 0
+
     def quiesce(self, stability: dict, created: int, deleted: int) -> tuple:
         """End of run: check the sequence's accounting against the session's
         instance counts and record C and C_t; returns (no gc, the dump of

@@ -369,6 +369,23 @@ class TestFuzz:
         monkeypatch.undo()
         assert all(run_scenario(scenario_from_text(f["scenario"]), "ot").ok for f in replayed)
 
+    def test_failure_reason_is_the_shrunk_scenarios(self, monkeypatch):
+        """A fuzz failure's `reason` says why its shrunk scenario fails, not
+        why the unshrunk run did. The fault is the one planted above.
+        Budget: 3 runs of at most 12 ops, on OT alone."""
+        xform = coedit.ot.xform
+
+        def faulty(a, b, a_site, b_site):
+            if type(a) is Insert and type(b) is Insert:
+                return a, b
+            return xform(a, b, a_site, b_site)
+
+        monkeypatch.setattr(coedit.ot, "xform", faulty)
+        failures = [f for f in fuzz(3, base_seed=0, engines=("ot",), max_ops=12)["failures"] if "scenario" in f]
+        assert failures
+        for f in failures:
+            assert f["reason"] == _failure_reason(run_scenario(scenario_from_text(f["scenario"]), "ot"))
+
     def test_failure_reason_none_on_clean_run(self):
         assert _failure_reason(run_scenario(fig1_scenario(), "ot")) is None
 

@@ -9,6 +9,7 @@ import coedit.netsim
 from coedit.framework import Site, encode_message
 from coedit.model import Delete, Insert, VectorClock
 from coedit.netsim import (
+    ACK_EVERY,
     FixedLatency,
     SEQUENCER_NODE,
     SimConfig,
@@ -16,6 +17,7 @@ from coedit.netsim import (
     UniformLatency,
     causally_ready,
 )
+from coedit.ot import SequencerServer
 from coedit.woot import NotExecutableError
 from coedit.harness import (
     FuzzSpec,
@@ -200,3 +202,79 @@ class TestSharedMessages:
         assert report.ok
         # the same message object reached more than one site
         assert len({id(m) for m in delivered}) < len(delivered)
+
+
+def _one_writer(n_ops=120, seed=4):
+    """Four sequencer clients: site 0 edits, sites 1-3 only read."""
+    script = tuple(ScriptEntry(1 + k // 3, 0, Insert(k % 5, "x")) for k in range(n_ops))
+    return Scenario("abcde", 4, "sequencer", UniformLatency(1, 10), seed, script=script)
+
+
+class TestAcks:
+    """A sequencer client acks its bare clock after every ACK_EVERY stream
+    messages it delivers since it last sent anything."""
+
+    def _acks(self, monkeypatch):
+        acks = []
+        ack = SequencerServer.ack
+
+        def recorded(server, sender, msg):
+            acks.append((sender, msg.clock))
+            return ack(server, sender, msg)
+
+        monkeypatch.setattr(SequencerServer, "ack", recorded)
+        return acks
+
+    @staticmethod
+    def _expected_acks(trace, site):
+        """Walk a site's trace lines: a gen line sends an op, a deliver line
+        counts one stream message, and the ACK_EVERY-th since the last send
+        sends an ack right after it."""
+        count = acks = 0
+        for line in trace:
+            if f" site={site} kind=gen " in line:
+                count = 0
+            elif f" site={site} kind=deliver " in line:
+                count += 1
+                if count == ACK_EVERY:
+                    acks, count = acks + 1, 0
+        return acks
+
+    def test_acks_follow_deliveries_and_sends(self, monkeypatch):
+        acks = self._acks(monkeypatch)
+        report = run_scenario(_one_writer(), "ot")
+        assert report.ok
+        per_site = {s: [c for sender, c in acks if sender == s] for s in range(4)}
+        for s in range(4):
+            assert len(per_site[s]) == self._expected_acks(report.trace, s)
+        for s in (1, 2, 3):  # a reader acks the stream prefix it has delivered
+            assert [c.get(0) for c in per_site[s]] == [ACK_EVERY * (k + 1) for k in range(120 // ACK_EVERY)]
+
+    @pytest.mark.parametrize("every", [1, 5, 10**9], ids=["each-delivery", "every-5", "never"])
+    def test_acks_leave_the_trace_as_it_is(self, monkeypatch, every):
+        """Acks draw no latency from the simulator's RNG and write no trace
+        line, so neither the trace nor any cost unit moves with them."""
+        scenarios = [_one_writer(), Scenario("abcd", 4, "sequencer", UniformLatency(1, 9), 8, fuzz=FuzzSpec(n_ops=80))]
+        base = [run_scenario(s, "ot") for s in scenarios]
+        acks = self._acks(monkeypatch)
+        monkeypatch.setattr(coedit.netsim, "ACK_EVERY", every)
+        for s, b in zip(scenarios, base):
+            r = run_scenario(s, "ot")
+            assert r.ok and r.trace == b.trace and r.metrics.c_samples == b.metrics.c_samples
+            assert r.gc_total == b.gc_total
+        assert (acks == []) == (every == 10**9)
+
+    def test_ack_bytes_are_counted(self, monkeypatch):
+        """An ack goes through `encode_message`, like every wire message."""
+        kinds = []
+        encode = coedit.netsim.encode_message
+
+        def counted(msg):
+            data = encode(msg)
+            kinds.append(type(msg).__name__)
+            return data
+
+        monkeypatch.setattr(coedit.netsim, "encode_message", counted)
+        acks = self._acks(monkeypatch)
+        assert run_scenario(_one_writer(), "ot").ok
+        assert kinds.count("Ack") == len(acks) >= 3 * (120 // ACK_EVERY)

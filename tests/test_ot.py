@@ -14,11 +14,14 @@ from coedit.metrics import MetricsBundle
 from coedit.model import BoundsError, Delete, Insert, NoOp, TimestampedOp, VectorClock, apply_external
 from coedit.netsim import FixedLatency, UniformLatency
 from coedit.ot import (
+    COLLECT_EVERY,
+    Ack,
     ContextMismatchError,
     OtSite,
     SequencerClient,
     SequencerServer,
     ServerOpMsg,
+    floor_clock,
     fold,
     transform,
     xform,
@@ -37,9 +40,10 @@ def fields(replica) -> tuple:
 
 def snapshot(server) -> tuple:
     """What a refused client op must leave unchanged at the server: text,
-    history length, bridge entries (copied) and the per-client counts."""
+    history length, bridge entries (copied), the per-client counts, what
+    each client is known to have delivered and the stability clock."""
     return (server.state, server.history_len, {c: [list(e) for e in b] for c, b in server.bridges.items()},
-            dict(server.sequenced))
+            dict(server.sequenced), dict(server.known), server.stable)
 
 
 class TestTransformFunctions:
@@ -651,3 +655,139 @@ class TestSequencer:
         stability = {i: c.clock for i, c in clients.items()}
         assert c0.gc(stability) == 2
         assert c0.buffer == []
+
+
+class TestStreamOrder:
+    def test_client_ticks_for_the_stream_op(self):
+        """A client's clock after a stream op is its clock ticked for the
+        op's origin, which is the merge of the op's clock: the stream is a
+        prefix the client delivers in order."""
+        ids = [0, 1, 2]
+        clients = {i: SequencerClient(site=i, state="abc") for i in ids}
+        server = SequencerServer(client_ids=ids, state="abc")
+        rng = random.Random(5)
+        for _ in range(60):
+            site = rng.randrange(3)
+            out = server.process(site, clients[site].local(random_op(rng, len(clients[site].state))))
+            for c in clients.values():
+                before = c.clock
+                c.remote(out)
+                assert c.clock == before.merge(out.clock)
+
+    @pytest.mark.parametrize("seq", [1, 3], ids=["duplicate", "gap"])
+    def test_stream_op_not_its_origins_next_refused(self, seq):
+        """A stream op whose seq is not one past the client's count of its
+        origin is refused with every field as it was."""
+        client = SequencerClient(site=0, state="ab")
+        client.remote(ServerOpMsg(Insert(0, "x"), 1, 1, VectorClock({1: 1}), 0))
+        before = fields(client)
+        with pytest.raises(ContextMismatchError, match="is not the next op of site 1, which sent 1"):
+            client.remote(ServerOpMsg(Insert(0, "y"), 1, seq, VectorClock({1: seq}), 1))
+        assert fields(client) == before
+        client.remote(ServerOpMsg(Insert(0, "y"), 1, 2, VectorClock({1: 2}), 1))
+        assert client.state == "yxab"
+
+
+class TestStability:
+    """The server's acks, stability clock and bridge cuts, and what each
+    replica collects from what it holds."""
+
+    def _three_clients(self):
+        ids = [0, 1, 2]
+        return {i: SequencerClient(site=i, state="ab") for i in ids}, SequencerServer(client_ids=ids, state="ab")
+
+    def test_floor_clock(self):
+        assert floor_clock([VectorClock({0: 3, 1: 2}), VectorClock({0: 1, 2: 5})]) == VectorClock({0: 1})
+        assert floor_clock([VectorClock({0: 3})]) == VectorClock({0: 3})
+
+    def test_stable_is_the_floor_of_what_clients_sent(self):
+        """Each broadcast carries, per site, the least count every client
+        has reported, by an op's clock or an ack."""
+        clients, server = self._three_clients()
+        out = server.process(0, clients[0].local(Insert(0, "x")))
+        assert out.stable == VectorClock()  # clients 1 and 2 have reported nothing
+        for c in clients.values():
+            c.remote(out)
+        server.ack(1, Ack(1, clients[1].clock))
+        assert server.stable == VectorClock()  # client 2 has not
+        server.ack(2, Ack(2, clients[2].clock))
+        assert server.stable == VectorClock({0: 1})
+        out = server.process(1, clients[1].local(Delete(0)))
+        assert out.stable == VectorClock({0: 1}) and clients[1].pending
+        for c in clients.values():
+            c.remote(out)
+        assert all(c.stable == VectorClock({0: 1}) for c in clients.values())
+        assert server.stable == floor_clock(server.known.values())
+
+    def test_ack_cuts_the_bridge_as_an_op_would(self):
+        clients, server = self._three_clients()
+        for site in (0, 1, 0):
+            out = server.process(site, clients[site].local(Insert(0, "x")))
+            for c in clients.values():
+                c.remote(out)
+        assert [e[1:] for e in server.bridges[2]] == [[0, 1], [1, 1], [0, 2]]
+        server.ack(2, Ack(2, VectorClock({0: 1, 1: 1})))  # an older clock of client 2 cuts a prefix
+        assert [e[1:] for e in server.bridges[2]] == [[0, 2]]
+        server.ack(2, Ack(2, clients[2].clock))
+        assert server.bridges[2] == []
+        server.ack(2, Ack(2, VectorClock({0: 1})))  # an ack overtaken by a later clock lowers nothing
+        assert server.known[2] == clients[2].clock
+
+    @pytest.mark.parametrize("sender, ack, match", [
+        (5, Ack(5, VectorClock()), "from site 5, which is not a client"),
+        (1, Ack(2, VectorClock()), "ack of site 2 from client 1"),
+        (1, Ack(1, VectorClock({0: 2})), "claims 2 ops of site 0, of which 1 are sequenced"),
+        (1, Ack(1, VectorClock({1: 1})), "claims 1 ops of site 1, of which 0 are sequenced"),
+    ], ids=["no-client", "another-clients", "unsequenced-op", "own-unsequenced-op"])
+    def test_bad_ack_refused_before_any_change(self, sender, ack, match):
+        """An ack from a site that is no client, of another client, or
+        counting an op the server has not sequenced (the client's own
+        included: an ack follows its ops on the link) is refused with every
+        field as it was."""
+        clients, server = self._three_clients()
+        server.process(0, clients[0].local(Insert(0, "x")))
+        before = snapshot(server)
+        with pytest.raises(ContextMismatchError, match=match):
+            server.ack(sender, ack)
+        assert snapshot(server) == before
+
+    def test_symmetric_site_collects_up_to_its_oldest_pending_op(self):
+        """A peer's op is stable once delivered; a local op once it leaves
+        `pending`. `collect` drops the stable prefix of the log, looking
+        once the log has grown by COLLECT_EVERY ops since it last looked."""
+        a, b = OtSite(site=0, state="ab"), OtSite(site=1, state="ab")
+        to_b = [a.local(Insert(0, "x")) for _ in range(COLLECT_EVERY - 1)]
+        assert a.collect() == 0 and a.collect_at == COLLECT_EVERY  # too short to look at
+        for msg in to_b[:2]:
+            b.remote(msg)
+        a.remote(b.local(Delete(0)))  # acknowledges 2 of a's ops; the peer's op waits behind the pending ones
+        assert a.collect() == 2 and [t.key() for t in a.buffer] == [(0, k) for k in range(3, COLLECT_EVERY)] + [(1, 1)]
+        assert a.collected == 2 and a.collect_at == len(a.buffer) + COLLECT_EVERY
+        for msg in to_b[2:]:
+            b.remote(msg)
+        a.remote(b.local(Delete(0)))  # acknowledges the rest
+        assert a.collect() == 0 and len(a.buffer) == COLLECT_EVERY - 1  # not looked at again yet
+
+    def test_quiesce_reports_the_runs_total(self):
+        a, b = OtSite(site=0, state="ab"), OtSite(site=1, state="ab")
+        for msg in [a.local(Insert(0, "x")) for _ in range(COLLECT_EVERY)]:
+            b.remote(msg)
+        a.remote(b.local(Delete(0)))
+        assert a.collect() == COLLECT_EVERY + 1 and a.buffer == []
+        a.local(Insert(0, "z"))
+        assert a.quiesce({0: a.clock, 1: a.clock}, 0, 0) == (COLLECT_EVERY + 2, None)
+        assert a.buffer == [] and a.metrics.buffer_final == 0
+
+    def test_client_collects_by_the_stable_clock(self):
+        clients, server = self._three_clients()
+        c = clients[2]
+        for k in range(15):  # sites 0 and 1 take turns
+            out = server.process(k % 2, clients[k % 2].local(Insert(0, "x")))
+            for client in clients.values():
+                client.remote(out)
+        assert c.stable == VectorClock()  # client 2 has reported nothing
+        server.ack(2, Ack(2, c.clock))
+        out = server.process(0, clients[0].local(Delete(0)))
+        c.remote(out)
+        assert c.stable == VectorClock({0: 7, 1: 7})  # client 1 last reported by its 7th op
+        assert c.collect() == 14 and [t.key() for t in c.buffer] == [(0, 8), (0, 9)]

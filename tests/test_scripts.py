@@ -29,6 +29,19 @@ def test_cross_engine_agreement():
     assert last and last[1] == last[2] != "0"
 
 
+def test_long_session_memory():
+    """Small sessions: both pass every check, and their logs and the bridge
+    stay shorter than the sessions."""
+    out = run_script("scripts/long_session_memory.py", "--ops", "400", "--seq-ops", "300").splitlines()
+    rows = {}
+    for line in out:
+        m = re.fullmatch(r"(\w+) +(\d+) ops  current +[\d.]+ MiB  peak +[\d.]+ MiB  longest log +(\d+)  longest bridge +(\d+)  ok True", line)
+        assert m, line
+        rows[m[1]] = tuple(map(int, m.group(2, 3, 4)))
+    assert rows["symmetric"][0] == 400 and 0 < rows["symmetric"][1] < 100 and rows["symmetric"][2] == 0
+    assert rows["sequencer"][0] == 300 and 0 < rows["sequencer"][1] < 300 and 0 < rows["sequencer"][2] < 300
+
+
 def test_bench_pairs_help():
     assert "--parent" in run_script("scripts/bench_pairs.py", "--help")
 
