@@ -6,20 +6,19 @@ position-based op to replay). Every engine plugs in here the same way, so
 the harness can run identical scenarios against any of them.
 
 Every wire message is a TimestampedOp, the sequencer's ServerOpMsg (the
-same fields plus a stream index and a stability clock), or a sequencer
-client's Ack; the envelope carries its origin, seq and clock. 'W' and 'X'
-are the payloads of one whose op is an identifier op (WOOT's InsertId or
-DeleteId), 'T' of one whose op is position-based (a sequencer client's op
-among them: its clock says what it saw), 'S' of the sequencer's
-ServerOpMsg, and 'A' of an Ack, whose envelope alone says it all: its
-clock, and as seq the clock's count of the client's own ops (0 before its
-first).
+same fields plus a stream index), or a sequencer client's Ack; the envelope
+carries its origin, seq and clock. 'W' and 'X' are the payloads of one whose
+op is an identifier op (WOOT's InsertId or DeleteId), 'T' of one whose op is
+position-based (a sequencer client's op among them: its clock says what it
+saw), 'S' of the sequencer's ServerOpMsg, and 'A' of an Ack, whose envelope
+alone says it all: its clock, and as seq the clock's count of the client's
+own ops (0 before its first).
 
 Wire layout (big-endian, length-prefixed; nothing may follow the payload):
-  envelope  = origin u32 | seq u64 | clock | payload_len u32 | payload
-  clock     = nclock u32 | nclock * (site u32, count u64)
+  envelope  = origin u32 | seq u64 | nclock u32 | nclock * (site u32, count u64)
+              | payload_len u32 | payload
   payloads  = 'T' op                           OT op: a peer's, or a client's to the sequencer
-              'S' index u64, stable clock, op  sequencer -> OT clients
+              'S' index u64, op                sequencer -> OT clients
               'A'                              OT client -> sequencer: its bare clock
               'W' text, id, prev, next         WOOT insert (id = sid i64, seq u64)
               'X' target id                    WOOT delete
@@ -27,13 +26,13 @@ Wire layout (big-endian, length-prefixed; nothing may follow the payload):
   text      = len u32 | UTF-8 bytes
 Clock entries are sorted by site with no zero count, so each clock has one
 encoding. The decoders raise WireFormatError (a ValueError) on a short field,
-trailing bytes, an unknown kind, bad UTF-8, a clock entry (of the envelope or
-of a stability clock) that is zero or out of order, a seq below 1 or other
-than the clock's entry for the origin (an ack's may be 0, its clock's own
-entry), a WOOT insert whose id is not its message's (origin, seq), a WOOT
-anchor or delete target outside the message's causal past, a WOOT insert
-that can never run (its prev is END, its next is START, or both anchors are
-one id), a WOOT delete of START or END, or a value the op types reject.
+trailing bytes, an unknown kind, bad UTF-8, a clock entry that is zero or out
+of order, a seq below 1 or other than the clock's entry for the origin (an
+ack's may be 0, its clock's own entry), a WOOT insert whose id is not its
+message's (origin, seq), a WOOT anchor or delete target outside the message's
+causal past, a WOOT insert that can never run (its prev is END, its next is
+START, or both anchors are one id), a WOOT delete of START or END, or a value
+the op types reject.
 """
 
 from __future__ import annotations
@@ -149,29 +148,7 @@ def _decode_op(data: bytes, off: int) -> tuple:
     raise WireFormatError(f"unknown op kind {kind!r}")
 
 
-_COUNT = struct.Struct(">I")
 _ENTRY = struct.Struct(">IQ")
-
-
-def _encode_clock(clock: VectorClock) -> bytes:
-    items = clock.sorted_items()
-    return _COUNT.pack(len(items)) + b"".join([_ENTRY.pack(s, n) for s, n in items])
-
-
-def _decode_clock(data: bytes, off: int) -> tuple:
-    """A clock and the offset after it; raises struct.error when short."""
-    (nclock,) = _COUNT.unpack_from(data, off)
-    off += 4
-    entries = {}
-    last = -1
-    for _ in range(nclock):
-        s, n = _ENTRY.unpack_from(data, off)
-        if n == 0 or s <= last:
-            raise WireFormatError(f"clock entry ({s}, {n}) is zero or out of order")
-        entries[s] = n
-        last = s
-        off += 12
-    return VectorClock._zero_free(entries), off
 
 
 def encode_payload(msg: WireMessage) -> bytes:
@@ -186,7 +163,7 @@ def encode_payload(msg: WireMessage) -> bytes:
             return b"X" + _encode_id(op.target)
         return b"T" + _encode_op(op)
     if kind is ServerOpMsg:
-        return b"S" + struct.pack(">Q", msg.index) + _encode_clock(msg.stable) + _encode_op(op)
+        return b"S" + struct.pack(">Q", msg.index) + _encode_op(op)
     raise TypeError(f"not a wire message: {msg!r}")
 
 
@@ -198,9 +175,8 @@ def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock)
             msg = TimestampedOp(op, origin, seq, clock)
         elif kind == b"S":
             (index,) = struct.unpack_from(">Q", payload, off)
-            stable, off = _decode_clock(payload, off + 8)
-            op, off = _decode_op(payload, off)
-            msg = ServerOpMsg(op, origin, seq, clock, index, stable)
+            op, off = _decode_op(payload, off + 8)
+            msg = ServerOpMsg(op, origin, seq, clock, index)
         elif kind == b"A":
             if seq != clock.get(origin):
                 raise ValueError(f"an ack's seq {seq} is not its clock's own entry {clock.get(origin)}")
@@ -233,20 +209,31 @@ def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock)
 
 
 def encode_envelope(origin: SiteId, seq: int, clock: VectorClock, payload: bytes) -> bytes:
-    return struct.pack(">IQ", origin, seq) + _encode_clock(clock) + struct.pack(">I", len(payload)) + payload
+    items = clock.sorted_items()
+    head = struct.pack(">IQI", origin, seq, len(items))
+    return head + b"".join([_ENTRY.pack(s, n) for s, n in items]) + struct.pack(">I", len(payload)) + payload
 
 
 def decode_envelope(data: bytes) -> tuple:
     try:
-        origin, seq = struct.unpack_from(">IQ", data, 0)
-        clock, off = _decode_clock(data, 12)
+        origin, seq, nclock = struct.unpack_from(">IQI", data, 0)
+        off = 16
+        entries = {}
+        last = -1
+        for _ in range(nclock):
+            s, n = _ENTRY.unpack_from(data, off)
+            if n == 0 or s <= last:
+                raise WireFormatError(f"clock entry ({s}, {n}) is zero or out of order")
+            entries[s] = n
+            last = s
+            off += 12
         (plen,) = struct.unpack_from(">I", data, off)
     except struct.error as exc:
         raise WireFormatError(f"short envelope: {exc}") from exc
     off += 4
     if off + plen != len(data):
         raise WireFormatError(f"payload length {plen}, but {len(data) - off} bytes follow")
-    return origin, seq, clock, data[off:]
+    return origin, seq, VectorClock._zero_free(entries), data[off:]
 
 
 def encode_message(msg: WireMessage) -> bytes:

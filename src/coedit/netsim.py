@@ -17,7 +17,8 @@ Two modes:
               which rebases it and assigns a consecutive index, and
               broadcasts the result to all sites, which deliver in index order.
               A site that has delivered ACK_EVERY stream messages since it
-              last sent anything sends the server an Ack of its bare clock.
+              last sent anything sends the server an Ack of its bare clock,
+              which cuts that site's bridge at the server.
 
 A site failing to handle a message is an invariant failure and propagates
 out of `Simulator.run`; nothing is held back for a retry.
@@ -64,9 +65,8 @@ MODES = ("causal", "sequencer")
 
 # A sequencer client acks after this many stream messages delivered since it
 # last sent anything (an op's clock acks too). The server cuts the client's
-# bridge by the ack and counts it in the stability clock from which clients
-# collect their logs, so a bridge and a log hold about this many ops beyond
-# those in flight; a read-only client sends one ack per ACK_EVERY messages.
+# bridge by the ack, so a bridge holds about this many ops beyond those in
+# flight; a read-only client sends one ack per ACK_EVERY messages.
 ACK_EVERY = 32
 
 

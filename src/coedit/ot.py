@@ -7,12 +7,11 @@ replicas built on it. An :class:`OtSite` (one of two symmetric peers) or a
 unacknowledged local ops; the :class:`SequencerServer` folds each client op
 past the entries of that client's bridge which the op's clock does not cover.
 
-A replica's log and the server's bridges hold only what some site may not
-have delivered yet, so they follow the ops in flight, not the session: an
-OtSite collects from its own clock and pending ops, a SequencerClient from
-the stability clock each server message carries, and the server cuts a
-bridge by the client's clock, which every op and every :class:`Ack` of that
-client carries (Nichols et al., UIST 1995).
+A replica's log and the server's bridges follow the ops in flight, not the
+session (Nichols et al., UIST 1995). Each replica talks to one other party,
+its peer or the server, so it collects its log up to its oldest pending op;
+the server cuts a bridge by the client's clock, which every op and every
+:class:`Ack` of that client carries.
 
 Tie-break for two inserts at the same position: the insert from the lower
 site id keeps the smaller position. Transforming a delete against a delete
@@ -42,7 +41,6 @@ from .model import (
 
 _new = tuple.__new__  # builds a record without its checks: for rebased ops only
 _NOOP = NoOp()
-_NO_CLOCK = VectorClock()
 
 COLLECT_EVERY = 8  # `collect` looks at a log once it has grown by this many ops since the last look
 
@@ -90,21 +88,6 @@ def transform(a: ExternalOp, b: ExternalOp, a_site: SiteId, b_site: SiteId) -> E
     return xform(a, b, a_site, b_site)[0]
 
 
-def floor_clock(clocks) -> VectorClock:
-    """For each site, the least count among `clocks`: the ops all of them
-    cover (none, for no clocks)."""
-    first, *rest = [c.entries for c in clocks] or [{}]
-    floor = {}
-    for s, n in first.items():  # a site missing from the first clock has a floor of 0
-        for entries in rest:
-            m = entries.get(s, 0)
-            if m < n:
-                n = m
-        if n:
-            floor[s] = n
-    return VectorClock._zero_free(floor)
-
-
 def fold(metrics: MetricsBundle, op: ExternalOp, origin: SiteId, entries: list) -> ExternalOp:
     """Fold `op` from `origin` past `entries`, concurrent ops in the same
     context held as lists `[op, origin, seq]`, and rebase each entry past
@@ -126,11 +109,12 @@ class _Replica:
     the `pending` local ops no remote has acknowledged yet, as entries
     `[op rebased to the current text, site, seq]`.
 
-    No fold reads the log. An op leaves it once it is stable, that is, once
-    every site has delivered it: `collect` drops the longest prefix of the
-    log that this replica knows to be stable (see `_stable_prefix`), and
-    `quiesce` drops the rest by the clocks of every site. `collected`
-    counts the ops dropped over the run.
+    No fold reads the log. A replica talks to one other party, its peer or
+    the server (Jupiter's two-party rule), so an op it has delivered from
+    there can be concurrent with nothing it receives later, and neither can
+    a local op once it leaves `pending`: `collect` drops the log up to its
+    oldest pending op, and `quiesce` drops the rest by the clocks of every
+    site. `collected` counts the ops dropped over the run.
     """
 
     site: SiteId
@@ -159,18 +143,27 @@ class _Replica:
         `stability` maps every site id to a lower bound on that site's
         delivered clock. Returns the number of ops collected.
         """
-        floor = floor_clock(stability.values()).entries
-        keep = [b for b in self.buffer if b.seq > floor.get(b.origin, 0)]
+        clocks = [c.entries for c in stability.values()]
+        keep = [b for b in self.buffer if any(c.get(b.origin, 0) < b.seq for c in clocks)]
         collected = len(self.buffer) - len(keep)
         self.buffer = keep
         self.collected += collected
         return collected
 
+    def _stable_prefix(self) -> int:
+        """How many ops the log holds before its oldest pending op."""
+        site = self.site
+        first = self.pending[0][2] if self.pending else self.clock.get(site) + 1
+        for n, b in enumerate(self.buffer):
+            if b.seq >= first and b.origin == site:
+                return n
+        return len(self.buffer)
+
     def collect(self) -> int:
-        """Drop the longest prefix of the log that this replica knows every
-        site has delivered. It looks once the log has grown by COLLECT_EVERY
-        ops, and then at each op it drops and the first one it keeps, so it
-        costs O(1) per op. Returns the number of ops dropped."""
+        """Drop the log up to its oldest pending op. It looks once the log
+        has grown by COLLECT_EVERY ops, and then at each op it drops and the
+        first one it keeps, so it costs O(1) per op. Returns the number of
+        ops dropped."""
         buffer = self.buffer
         if len(buffer) < self.collect_at:
             return 0
@@ -200,17 +193,6 @@ class OtSite(_Replica):
     def local(self, eo: ExternalOp) -> TimestampedOp:
         return self._stamp(eo)
 
-    def _stable_prefix(self) -> int:
-        """A peer's op is stable once it is delivered here; a local op once
-        it leaves `pending`, as the peer's ops acknowledge it. So the log is
-        stable up to its oldest pending op."""
-        site = self.site
-        first = self.pending[0][2] if self.pending else self.clock.get(site) + 1
-        for n, b in enumerate(self.buffer):
-            if b.seq >= first and b.origin == site:
-                return n
-        return len(self.buffer)
-
     def remote(self, remote_op: TimestampedOp) -> ExternalOp:
         """Fold the peer's next op past the local ops it had not seen;
         returns the form to replay on the visible text."""
@@ -238,25 +220,17 @@ class OtSite(_Replica):
         return op
 
 
-class ServerOpMsg(CheckedRecord, namedtuple("ServerOpMsg", TimestampedOp._fields + ("stable", "index"))):
+class ServerOpMsg(CheckedRecord, namedtuple("ServerOpMsg", TimestampedOp._fields + ("index",))):
     """Sequencer -> all clients: the op rebased into the server's linear
-    history, at stream position `index`, with the server's stability clock
-    when it sent it (for each site, the ops of it that every client is known
-    to have delivered). It carries a TimestampedOp's fields and checks, plus
-    those two; it is its own record, so it never equals a TimestampedOp.
-    The constructor takes `index` right after the stamp and `stable` last,
-    the empty clock by default; `_make` takes the fields in record order."""
+    history, at stream position `index`. It carries a TimestampedOp's
+    fields and checks, plus `index`; it is its own record, so it never
+    equals a TimestampedOp."""
 
     __slots__ = ()
 
-    def __new__(cls, op: ExternalOp, origin: SiteId, seq: int, clock: VectorClock, index: int, stable: VectorClock = _NO_CLOCK):
+    def __new__(cls, op: ExternalOp, origin: SiteId, seq: int, clock: VectorClock, index: int):
         check_stamp(origin, seq, clock)
-        return tuple.__new__(cls, (op, origin, seq, clock, stable, index))
-
-    @classmethod
-    def _make(cls, iterable):
-        op, origin, seq, clock, stable, index = iterable
-        return cls(op, origin, seq, clock, index, stable)
+        return tuple.__new__(cls, (op, origin, seq, clock, index))
 
     key = TimestampedOp.key
 
@@ -287,9 +261,8 @@ class SequencerServer:
     site count.
 
     Every clock a client sends, with an op or in an :class:`Ack`, cuts its
-    bridge to the entries that clock does not cover, and raises `known`,
-    what that client is known to have delivered. `stable`, the floor of
-    `known`, stamps each broadcast so clients can collect their logs.
+    bridge to the entries that clock does not cover; a read-only client's
+    acks are all that cut its bridge.
     """
 
     client_ids: list
@@ -297,14 +270,11 @@ class SequencerServer:
     history_len: int = 0  # the next stream index
     bridges: dict = field(init=False)  # SiteId -> list of [ExternalOp, origin SiteId, seq]
     sequenced: dict = field(init=False)  # SiteId -> how many of its ops are sequenced
-    known: dict = field(init=False)  # SiteId -> the clock that client last sent
-    stable: VectorClock = field(default=_NO_CLOCK, init=False)
     metrics: MetricsBundle = field(default_factory=MetricsBundle)
 
     def __post_init__(self):
         self.bridges = {c: [] for c in self.client_ids}
         self.sequenced = dict.fromkeys(self.client_ids, 0)
-        self.known = dict.fromkeys(self.client_ids, _NO_CLOCK)
 
     def process(self, sender: SiteId, msg: TimestampedOp) -> ServerOpMsg:
         sequenced, seen = self.sequenced, msg.clock.entries
@@ -322,20 +292,18 @@ class SequencerServer:
         self.metrics.c_samples.append(len(bridge))
         self.bridges[sender] = bridge
         sequenced[sender] = msg.seq
-        self._know(sender, msg.clock)
         index = self.history_len
         self.history_len += 1
         for c in self.client_ids:
             if c != sender:
                 self.bridges[c].append([op, sender, msg.seq])
-        return ServerOpMsg(op, sender, msg.seq, msg.clock, index, self.stable)
+        return ServerOpMsg(op, sender, msg.seq, msg.clock, index)
 
     def ack(self, sender: SiteId, msg: Ack) -> None:
-        """Take a client's ack: cut its bridge as its next op would, and raise
-        what it is known to have delivered. An ack follows, on the client's
-        link, the ops it counts, so it counts no op the server has not
-        sequenced, the client's own included."""
-        if sender not in self.known:
+        """Take a client's ack: cut its bridge as its next op would. An ack
+        follows, on the client's link, the ops it counts, so it counts no op
+        the server has not sequenced, the client's own included."""
+        if sender not in self.bridges:
             raise ContextMismatchError(f"ack from site {sender}, which is not a client of this server")
         if msg.origin != sender:
             raise ContextMismatchError(f"ack of site {msg.origin} from client {sender}")
@@ -344,18 +312,6 @@ class SequencerServer:
             if n > self.sequenced.get(s, 0):
                 raise ContextMismatchError(f"ack from client {sender} claims {n} ops of site {s}, of which {self.sequenced.get(s, 0)} are sequenced")
         self.bridges[sender] = [e for e in self.bridges[sender] if e[2] > seen.get(e[1], 0)]
-        self._know(sender, self.known[sender].merge(msg.clock))  # an op sent after it may have come first
-
-    def _know(self, sender: SiteId, clock: VectorClock) -> None:
-        """Record `clock` as what `sender` is known to have delivered. The
-        stability clock can rise only where `sender` held the least count."""
-        old, stable = self.known[sender].entries, self.stable.entries
-        self.known[sender] = clock
-        for s, n in clock.entries.items():
-            was = old.get(s, 0)
-            if n > was and was == stable.get(s, 0):
-                self.stable = floor_clock(self.known.values())
-                return
 
 
 @dataclass
@@ -367,23 +323,15 @@ class SequencerClient(_Replica):
     ops (rebasing them), which is the classic client half of server-based OT.
     A server op that no pending op moved is logged as the shared ServerOpMsg
     itself, as :class:`OtSite` logs a peer's message; a rebased one as a
-    fresh TimestampedOp. The stability clock of the last server message
-    says which logged ops are stable.
+    fresh TimestampedOp. The server is the client's one party: a stream op
+    it has delivered, or an own op whose echo it has, is concurrent with
+    nothing it receives later, so its log is collected as an OtSite's.
     """
 
     delivered: int = 0
-    stable: VectorClock = _NO_CLOCK
 
     def local(self, eo: ExternalOp) -> TimestampedOp:
         return self._stamp(eo)
-
-    def _stable_prefix(self) -> int:
-        """A logged op is stable once the last stability clock counts it."""
-        stable = self.stable.entries
-        for n, b in enumerate(self.buffer):
-            if b.seq > stable.get(b.origin, 0):
-                return n
-        return len(self.buffer)
 
     def remote(self, msg: ServerOpMsg):
         """Handle the next server-stream message; returns the EO_out to replay
@@ -404,11 +352,9 @@ class SequencerClient(_Replica):
             self.buffer.append(msg if op is msg.op else TimestampedOp(op, origin, msg.seq, msg.clock))
             self.metrics.buffer_length_samples.append(len(self.buffer))
             self.delivered += 1  # only once the op has executed
-            self.stable = msg.stable
             return op
         if not self.pending or self.pending[0][2] != msg.seq:
             raise ContextMismatchError(f"echo {msg.key()} at site {self.site} is not of its oldest pending op")
         del self.pending[0]
         self.delivered += 1
-        self.stable = msg.stable
         return None

@@ -1,6 +1,10 @@
 """OT state follows the ops in flight, not the session: while a long session
 runs, every replica's log and every sequencer bridge stay within a window,
-and an op leaves a log only once every site's clock counts it.
+and an op leaves a log only once nothing the replica receives later can be
+concurrent with it. A symmetric site's peer is the only other site, so there
+every site's clock counts it; a sequencer client's one party is the server,
+so there it is not pending, the client's clock counts it and the server has
+sequenced it (Jupiter's two-party rule).
 
 Each log is sampled after every delivery (the harness collects right after
 it), each bridge after every op the sequencer sequences (a bridge only grows
@@ -17,6 +21,7 @@ import coedit.ot
 from coedit.harness import FuzzSpec, Scenario, ScriptEntry, _Run
 from coedit.model import Delete, Insert
 from coedit.netsim import ACK_EVERY, UniformLatency
+from coedit.ot import COLLECT_EVERY, SequencerClient
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -25,11 +30,14 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 # start 8 ticks apart, with messages taking up to 10 ticks, an op is
 # acknowledged within about three windows, a dozen ops.
 SYMMETRIC_LOG_BOUND = 40
-# A sequencer log holds the ops since the first one some client has not
-# reported yet: up to ACK_EVERY stream messages a reader delivers before it
-# acks, plus the ops in flight both ways. A bridge holds what its client
-# has not reported.
-SEQUENCER_LOG_BOUND = 3 * ACK_EVERY
+# A reader's log holds what it delivered since `collect` last looked, fewer
+# than COLLECT_EVERY ops. A writer's log also holds the ops since its oldest
+# pending op, which is echoed within a round trip of two legs of up to 10
+# ticks. The readers() script makes about one op per tick, so a round trip
+# spans about 20 ops; twice that covers bursts: 2 * 20 + COLLECT_EVERY.
+SEQUENCER_LOG_BOUND = 2 * 20 + COLLECT_EVERY
+# A bridge holds what its client has not reported: up to ACK_EVERY stream
+# messages a reader delivers before it acks, plus the ops in flight both ways.
 BRIDGE_BOUND = 3 * ACK_EVERY
 
 
@@ -58,32 +66,42 @@ def readers(seed: int, n_ops: int = 750, doc_len: int = 1000) -> Scenario:
 
 def observe(monkeypatch, scenario: Scenario) -> tuple:
     """Run `scenario` on OT; returns (report, longest log after a delivery,
-    longest bridge after a sequenced op, ops collected during the event
-    loop). Every op a replica drops, in the run or in the end-of-run sweep,
-    must be counted by every site's clock."""
+    longest log of a site that makes no op, longest bridge after a sequenced
+    op, ops collected during the event loop). An op a sequencer client drops
+    in the run must not be pending there, and must be counted by its clock
+    and sequenced by the server; any other op a replica drops, in the run or
+    in the end-of-run sweep, must be counted by every site's clock."""
     run = _Run(scenario, "ot", ablation=False)
     engines = [site.engine for site in run.sites.values()]
-    seen = {"log": 0, "bridge": 0, "in_run": 0}
-    deliver = _Run._deliver
+    writers = {entry.site for entry in scenario.script} if scenario.script else set(run.sites)  # a fuzzed site may write
+    readers = [e for e in engines if e.site not in writers]
+    seen = {"log": 0, "reader_log": 0, "bridge": 0, "in_run": 0}
+    deliver = run.sim.deliver_cb  # the simulator holds the bound method, so patch its copy
 
-    def sampled_deliver(self, site_id, msg, tick):
-        eo = deliver(self, site_id, msg, tick)
+    def sampled_deliver(site_id, msg, tick):
+        eo = deliver(site_id, msg, tick)
         seen["log"] = max(seen["log"], max(len(e.buffer) for e in engines))
+        seen["reader_log"] = max([seen["reader_log"]] + [len(e.buffer) for e in readers])
         return eo
 
     def checked(method, in_run):
         def wrapper(self, *args):
-            before = list(self.buffer)
+            before, pending = list(self.buffer), {(self.site, e[2]) for e in self.pending}
             dropped = method(self, *args)
             kept = {t.key() for t in self.buffer}
             for t in before:
-                if t.key() not in kept:
+                if t.key() in kept:
+                    continue
+                if in_run and isinstance(self, SequencerClient):
+                    assert t.key() not in pending, f"site {self.site} dropped its pending op {t.key()}"
+                    assert self.clock.get(t.origin) >= t.seq and run.server.sequenced[t.origin] >= t.seq, f"site {self.site} dropped {t.key()} too early"
+                else:
                     assert all(e.clock.get(t.origin) >= t.seq for e in engines), f"site {self.site} dropped {t.key()} too early"
             seen["in_run"] += dropped if in_run else 0
             return dropped
         return wrapper
 
-    monkeypatch.setattr(_Run, "_deliver", sampled_deliver)
+    run.sim.deliver_cb = sampled_deliver
     monkeypatch.setattr(coedit.ot._Replica, "collect", checked(coedit.ot._Replica.collect, True))
     monkeypatch.setattr(coedit.ot._Replica, "gc", checked(coedit.ot._Replica.gc, False))  # the end-of-run sweep
     if run.server is not None:
@@ -96,7 +114,7 @@ def observe(monkeypatch, scenario: Scenario) -> tuple:
 
         run.server.process = sampled_process
     report = run.finish()
-    return report, seen["log"], seen["bridge"], seen["in_run"]
+    return report, seen["log"], seen["reader_log"], seen["bridge"], seen["in_run"]
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +126,7 @@ def clock():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_symmetric_log_stays_in_its_window(monkeypatch, clock, seed):
-    report, log, _, in_run = observe(monkeypatch, symmetric(seed))
+    report, log, _, _, in_run = observe(monkeypatch, symmetric(seed))
     assert report.ok and len(report.script) == 2000
     assert log <= SYMMETRIC_LOG_BOUND, log
     assert in_run > 0.9 * report.gc_total  # collected as the session runs, not at its end
@@ -117,9 +135,10 @@ def test_symmetric_log_stays_in_its_window(monkeypatch, clock, seed):
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_sequencer_logs_and_bridges_stay_in_their_window(monkeypatch, clock, seed):
-    report, log, bridge, in_run = observe(monkeypatch, readers(seed))
+    report, log, reader_log, bridge, in_run = observe(monkeypatch, readers(seed))
     assert report.ok and len(report.script) == 750
     assert log <= SEQUENCER_LOG_BOUND, log
+    assert reader_log <= COLLECT_EVERY, reader_log
     assert bridge <= BRIDGE_BOUND, bridge
     assert in_run > 0.5 * report.gc_total
     assert report.gc_total == 5 * 750 and report.metrics.buffer_final == 0

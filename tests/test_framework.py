@@ -65,11 +65,6 @@ class TestWireFormats:
         self.roundtrip(ServerOpMsg(Delete(2), 1, 3, VectorClock({0: 5, 1: 3}), index=12))
         self.roundtrip(ServerOpMsg(NoOp(), 1, 4, VectorClock({1: 4}), index=13))
 
-    def test_server_op_with_stability_clock(self):
-        msg = ServerOpMsg(Insert(0, "x"), 1, 3, VectorClock({0: 5, 1: 3}), 12, VectorClock({0: 4, 1: 2, 7: 1}))
-        self.roundtrip(msg)
-        assert decode_message(encode_message(msg)).stable == VectorClock({0: 4, 1: 2, 7: 1})
-
     @pytest.mark.parametrize("ack", [Ack(3, VectorClock({0: 4, 3: 2})), Ack(2, VectorClock({0: 4})), Ack(0, VectorClock())],
                              ids=["writer", "reader", "empty"])
     def test_ack(self, ack):
@@ -112,10 +107,9 @@ SAMPLES = [
     ServerOpMsg(NoOp(), 2, 1, VectorClock({0: 3, 2: 1}), index=9),
     TimestampedOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2})),
     TimestampedOp(DeleteId(ObjectId(1, 1)), 0, 9, VectorClock({0: 9, 1: 1})),
-    ServerOpMsg(Insert(1, "q"), 2, 1, VectorClock({0: 3, 2: 1}), 9, VectorClock({0: 2, 2: 1})),
     Ack(3, VectorClock({0: 4, 3: 2})),
 ]
-SAMPLE_IDS = ["T", "T-client", "S", "W", "X", "S-stable", "A"]  # payload kinds
+SAMPLE_IDS = ["T", "T-client", "S", "W", "X", "A"]  # payload kinds
 
 
 def _woot_ids(sid: int, seq: int) -> bytes:
@@ -155,8 +149,8 @@ class TestStrictDecoding:
         b"W" + struct.pack(">I", 2) + b"ab" + _WOOT_IDS,
         b"W" + struct.pack(">I", 1) + b"q" + _woot_ids(7, 1),  # an insert's id is its message's origin.seq
         b"TI" + struct.pack(">II", 0, 1) + b"\x00",  # no document character is NUL
-        b"S" + struct.pack(">QI", 5, 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",  # in the op a client receives
-        b"S" + struct.pack(">QI", 0, 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",
+        b"S" + struct.pack(">Q", 5) + b"I" + struct.pack(">II", 0, 1) + b"\x00",  # in the op a client receives
+        b"S" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",
         b"W" + struct.pack(">I", 1) + b"\x00" + _woot_ids(0, 1),
         # WOOT ops that can never run: no slot lies after END, before START
         # or between an id and itself, and a sentinel is never shown
@@ -171,24 +165,6 @@ class TestStrictDecoding:
     def test_bad_payload_rejected(self, payload):
         with pytest.raises(WireFormatError):
             decode_message(_envelope(payload))
-
-    @pytest.mark.parametrize("stable", [
-        struct.pack(">IIQ", 2, 0, 1),  # two entries announced, one present
-        struct.pack(">IIQIQ", 2, 0, 1, 1, 0),  # a zero count
-        struct.pack(">IIQIQ", 2, 1, 1, 0, 1),  # sites out of order
-        struct.pack(">IIQIQ", 2, 1, 1, 1, 2),  # a site twice
-    ], ids=["truncated", "zero-entry", "out-of-order", "repeated-site"])
-    def test_bad_stability_clock_rejected(self, stable):
-        """A stability clock has the envelope clock's one encoding."""
-        good = b"S" + struct.pack(">Q", 3) + struct.pack(">IIQ", 1, 0, 1) + b"N"
-        decode_message(_envelope(good))
-        with pytest.raises(WireFormatError):
-            decode_message(_envelope(b"S" + struct.pack(">Q", 3) + stable + b"N"))
-
-    def test_stability_clock_trailing_bytes_rejected(self):
-        payload = b"S" + struct.pack(">Q", 3) + struct.pack(">IIQ", 1, 0, 1) + b"N"
-        with pytest.raises(WireFormatError, match="fields end at byte"):
-            decode_message(_envelope(payload + b"\x00"))
 
     @pytest.mark.parametrize("seq, entries", [(1, {}), (0, {2: 1}), (2, {2: 1})], ids=["seq-1-empty", "seq-0", "seq-2"])
     def test_ack_seq_other_than_its_clocks_own_entry_rejected(self, seq, entries):

@@ -21,7 +21,6 @@ from coedit.ot import (
     SequencerClient,
     SequencerServer,
     ServerOpMsg,
-    floor_clock,
     fold,
     transform,
     xform,
@@ -40,10 +39,9 @@ def fields(replica) -> tuple:
 
 def snapshot(server) -> tuple:
     """What a refused client op must leave unchanged at the server: text,
-    history length, bridge entries (copied), the per-client counts, what
-    each client is known to have delivered and the stability clock."""
+    history length, bridge entries (copied) and the per-client counts."""
     return (server.state, server.history_len, {c: [list(e) for e in b] for c, b in server.bridges.items()},
-            dict(server.sequenced), dict(server.known), server.stable)
+            dict(server.sequenced))
 
 
 class TestTransformFunctions:
@@ -689,35 +687,12 @@ class TestStreamOrder:
 
 
 class TestStability:
-    """The server's acks, stability clock and bridge cuts, and what each
-    replica collects from what it holds."""
+    """The server's acks and bridge cuts, and what each replica collects
+    from what it holds."""
 
     def _three_clients(self):
         ids = [0, 1, 2]
         return {i: SequencerClient(site=i, state="ab") for i in ids}, SequencerServer(client_ids=ids, state="ab")
-
-    def test_floor_clock(self):
-        assert floor_clock([VectorClock({0: 3, 1: 2}), VectorClock({0: 1, 2: 5})]) == VectorClock({0: 1})
-        assert floor_clock([VectorClock({0: 3})]) == VectorClock({0: 3})
-
-    def test_stable_is_the_floor_of_what_clients_sent(self):
-        """Each broadcast carries, per site, the least count every client
-        has reported, by an op's clock or an ack."""
-        clients, server = self._three_clients()
-        out = server.process(0, clients[0].local(Insert(0, "x")))
-        assert out.stable == VectorClock()  # clients 1 and 2 have reported nothing
-        for c in clients.values():
-            c.remote(out)
-        server.ack(1, Ack(1, clients[1].clock))
-        assert server.stable == VectorClock()  # client 2 has not
-        server.ack(2, Ack(2, clients[2].clock))
-        assert server.stable == VectorClock({0: 1})
-        out = server.process(1, clients[1].local(Delete(0)))
-        assert out.stable == VectorClock({0: 1}) and clients[1].pending
-        for c in clients.values():
-            c.remote(out)
-        assert all(c.stable == VectorClock({0: 1}) for c in clients.values())
-        assert server.stable == floor_clock(server.known.values())
 
     def test_ack_cuts_the_bridge_as_an_op_would(self):
         clients, server = self._three_clients()
@@ -730,8 +705,7 @@ class TestStability:
         assert [e[1:] for e in server.bridges[2]] == [[0, 2]]
         server.ack(2, Ack(2, clients[2].clock))
         assert server.bridges[2] == []
-        server.ack(2, Ack(2, VectorClock({0: 1})))  # an ack overtaken by a later clock lowers nothing
-        assert server.known[2] == clients[2].clock
+        server.ack(2, Ack(2, VectorClock({0: 1})))  # an ack overtaken by a later clock is still taken
 
     @pytest.mark.parametrize("sender, ack, match", [
         (5, Ack(5, VectorClock()), "from site 5, which is not a client"),
@@ -778,16 +752,28 @@ class TestStability:
         assert a.quiesce({0: a.clock, 1: a.clock}, 0, 0) == (COLLECT_EVERY + 2, None)
         assert a.buffer == [] and a.metrics.buffer_final == 0
 
-    def test_client_collects_by_the_stable_clock(self):
+    def test_client_collects_up_to_its_oldest_pending_op(self):
+        """A client's one party is the server: a stream op it has delivered
+        is stable, and so is an own op once its echo is delivered. A reader
+        drops all it has delivered at its first look; a writer keeps its log
+        from its oldest pending op."""
         clients, server = self._three_clients()
-        c = clients[2]
-        for k in range(15):  # sites 0 and 1 take turns
-            out = server.process(k % 2, clients[k % 2].local(Insert(0, "x")))
-            for client in clients.values():
-                client.remote(out)
-        assert c.stable == VectorClock()  # client 2 has reported nothing
-        server.ack(2, Ack(2, c.clock))
-        out = server.process(0, clients[0].local(Delete(0)))
-        c.remote(out)
-        assert c.stable == VectorClock({0: 7, 1: 7})  # client 1 last reported by its 7th op
-        assert c.collect() == 14 and [t.key() for t in c.buffer] == [(0, 8), (0, 9)]
+        writer, reader = clients[0], clients[2]
+
+        def from_site_1(n):
+            for _ in range(n):
+                out = server.process(1, clients[1].local(Insert(0, "y")))
+                for c in clients.values():
+                    c.remote(out)
+
+        from_site_1(COLLECT_EVERY)
+        assert reader.collect() == COLLECT_EVERY and reader.buffer == []
+        assert writer.collect() == COLLECT_EVERY and writer.buffer == []
+        held = writer.local(Delete(0))
+        from_site_1(COLLECT_EVERY - 1)  # folded past the pending op at the writer
+        assert writer.collect() == 0 and [t.key() for t in writer.buffer] == [(0, 1)] + [(1, k) for k in range(9, 16)]
+        out = server.process(0, held)
+        for c in clients.values():
+            c.remote(out)
+        from_site_1(COLLECT_EVERY)  # the log grows by COLLECT_EVERY, so `collect` looks again
+        assert writer.collect() == 2 * COLLECT_EVERY and writer.buffer == []
