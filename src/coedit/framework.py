@@ -5,34 +5,26 @@ through two calls: loh (local op -> wire message) and roh (wire message ->
 position-based op to replay). Every engine plugs in here the same way, so
 the harness can run identical scenarios against any of them.
 
-Every wire message is a TimestampedOp, the sequencer's ServerOpMsg (the
-same fields plus a stream index), or a sequencer client's Ack; the envelope
-carries its origin, seq and clock. 'W' and 'X' are the payloads of one whose
-op is an identifier op (WOOT's InsertId or DeleteId), 'T' of one whose op is
-position-based (a sequencer client's op among them: its clock says what it
-saw), 'S' of the sequencer's ServerOpMsg, and 'A' of an Ack, whose envelope
-alone says it all: its clock, and as seq the clock's count of the client's
-own ops (0 before its first).
-
 Wire layout (big-endian, length-prefixed; nothing may follow the payload):
   envelope  = origin u32 | seq u64 | nclock u32 | nclock * (site u32, count u64)
               | payload_len u32 | payload
-  payloads  = 'T' op                           OT op: a peer's, or a client's to the sequencer
-              'S' index u64, op                sequencer -> OT clients
-              'A'                              OT client -> sequencer: its bare clock
-              'W' text, id, prev, next         WOOT insert (id = sid i64, seq u64)
-              'X' target id                    WOOT delete
+  payloads  = 'T' op                           TimestampedOp: a symmetric OT peer's op
+              'C' delivered u64, op            ClientOp: OT client -> sequencer
+              'S' index u64, op                ServerOpMsg: sequencer -> OT clients
+              'A'                              Ack: seq is the client's delivered count
+              'W' text, id, prev, next         TimestampedOp: WOOT insert (id = sid i64, seq u64)
+              'X' target id                    TimestampedOp: WOOT delete
   op        = 'I' position u32, text  |  'D' position u32  |  'N'
   text      = len u32 | UTF-8 bytes
 Clock entries are sorted by site with no zero count, so each clock has one
-encoding. The decoders raise WireFormatError (a ValueError) on a short field,
-trailing bytes, an unknown kind, bad UTF-8, a clock entry that is zero or out
-of order, a seq below 1 or other than the clock's entry for the origin (an
-ack's may be 0, its clock's own entry), a WOOT insert whose id is not its
-message's (origin, seq), a WOOT anchor or delete target outside the message's
-causal past, a WOOT insert that can never run (its prev is END, its next is
-START, or both anchors are one id), a WOOT delete of START or END, or a value
-the op types reject.
+encoding; the sequencer's kinds carry none. The decoders raise WireFormatError
+(a ValueError) on a short field, trailing bytes, an unknown kind, bad UTF-8, a
+clock entry that is zero or out of order, a clock on a sequencer kind, an op's
+seq below 1 or (with a clock) other than the clock's entry for the origin, a
+WOOT insert whose id is not its message's (origin, seq), a WOOT anchor or
+delete target outside the message's causal past, a WOOT insert that can never
+run (its prev is END, its next is START, or both anchors are one id), a WOOT
+delete of START or END, or a value the op types reject.
 """
 
 from __future__ import annotations
@@ -54,15 +46,18 @@ from .model import (
     format_op,
 )
 from .metrics import MetricsBundle
-from .ot import Ack, ServerOpMsg
+from .ot import Ack, ClientOp, ServerOpMsg
 from .woot import END, INIT_SID, START, DeleteId, InsertId, ObjectId
 
-WireMessage = Union[TimestampedOp, ServerOpMsg, Ack]
+WireMessage = Union[TimestampedOp, ClientOp, ServerOpMsg, Ack]
+_NO_CLOCK = VectorClock()
 
 
 def message_meta(msg: WireMessage) -> tuple:
-    """(origin, seq, clock) of the op carried by any wire message."""
-    return msg.origin, msg.seq, msg.clock
+    """(origin, seq, clock) as a message's envelope carries them."""
+    if type(msg) is TimestampedOp:
+        return msg.origin, msg.seq, msg.clock
+    return msg.origin, msg.delivered if type(msg) is Ack else msg.seq, _NO_CLOCK
 
 
 def op_token(op: ExternalOp) -> str:
@@ -164,23 +159,25 @@ def encode_payload(msg: WireMessage) -> bytes:
         return b"T" + _encode_op(op)
     if kind is ServerOpMsg:
         return b"S" + struct.pack(">Q", msg.index) + _encode_op(op)
+    if kind is ClientOp:
+        return b"C" + struct.pack(">Q", msg.delivered) + _encode_op(op)
     raise TypeError(f"not a wire message: {msg!r}")
 
 
 def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock) -> WireMessage:
     kind, off = payload[:1], 1
+    if clock.entries and kind in (b"C", b"S", b"A"):
+        raise WireFormatError(f"a {kind!r} message carries no clock, got {clock}")
     try:
         if kind == b"T":
             op, off = _decode_op(payload, off)
             msg = TimestampedOp(op, origin, seq, clock)
-        elif kind == b"S":
-            (index,) = struct.unpack_from(">Q", payload, off)
+        elif kind == b"C" or kind == b"S":
+            (n,) = struct.unpack_from(">Q", payload, off)
             op, off = _decode_op(payload, off + 8)
-            msg = ServerOpMsg(op, origin, seq, clock, index)
+            msg = (ClientOp if kind == b"C" else ServerOpMsg)(op, origin, seq, n)
         elif kind == b"A":
-            if seq != clock.get(origin):
-                raise ValueError(f"an ack's seq {seq} is not its clock's own entry {clock.get(origin)}")
-            msg = Ack(origin, clock)
+            msg = Ack(origin, seq)
         elif kind == b"W":
             char, off = _decode_text(payload, off)
             oid, off = _decode_id(payload, off)
@@ -237,8 +234,7 @@ def decode_envelope(data: bytes) -> tuple:
 
 
 def encode_message(msg: WireMessage) -> bytes:
-    origin, seq, clock = message_meta(msg)
-    return encode_envelope(origin, seq, clock, encode_payload(msg))
+    return encode_envelope(*message_meta(msg), encode_payload(msg))
 
 
 def decode_message(data: bytes) -> WireMessage:
@@ -262,7 +258,7 @@ class Engine(Protocol):
     or None, dump or None); dumps must match across replicas."""
 
     state: str  # the engine's view of the text: its own copy (OT), a scan of its sequence (WOOT)
-    clock: VectorClock  # what it has delivered, for causal gating
+    clock: VectorClock  # what it has made and delivered: gates causal delivery; a sequencer client's gates nothing
     metrics: MetricsBundle  # the run's one cost record; every replica (and a sequencer server) counts into it
 
     def local(self, eo: ExternalOp) -> WireMessage: ...

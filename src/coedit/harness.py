@@ -288,6 +288,7 @@ class _Run:
             self._deliver,
             lambda s: self.sites[s].engine.clock,
             sequencer_server=self.server,
+            metrics=self.metrics,
         )
         spec = scenario.fuzz
         if scenario.script is not None:

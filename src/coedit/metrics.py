@@ -48,6 +48,8 @@ class MetricsBundle:
     gc_total: int = 0
     buffer_final: int = 0
     insert_tie_seen: bool = False  # OT: two inserts at one position were folded
+    wire_bytes: int = 0  # every envelope the simulator encoded; kept out of summary()
+    wire_messages: int = 0
 
     @property
     def transform_total(self) -> int:  # one transform per op folded past

@@ -157,25 +157,19 @@ class VectorClock(CheckedRecord, namedtuple("VectorClock", "entries")):
         return tuple(sorted(self.entries.items()))
 
 
-def check_stamp(origin: SiteId, seq: int, clock: VectorClock) -> None:
-    """Raise ValueError unless `seq` is at least 1 and is `clock`'s count for
-    `origin`: the stamp every message of an op carries."""
-    if seq < 1:
-        raise ValueError(f"seq must be >= 1, got {seq}")
-    if clock.entries.get(origin) != seq:
-        raise ValueError(f"clock entry for origin {origin} must equal seq {seq}, got {clock.get(origin)}")
-
-
 class TimestampedOp(CheckedRecord, namedtuple("TimestampedOp", "op origin seq clock")):
-    """An op plus the metadata needed for causal replay: the wire record of
-    every engine's op. The op is position-based (an ExternalOp, for the OT
-    engines) or an identifier op (WOOT's InsertId or DeleteId); the
-    sequencer's stream message (`ot.ServerOpMsg`) adds the op's stream index."""
+    """An op plus the metadata needed for causal replay: the wire record of a
+    symmetric OT peer's op (an ExternalOp) and of a WOOT op (an InsertId or
+    DeleteId). The sequencer's records (`ot.ClientOp`, `ot.ServerOpMsg`)
+    carry Jupiter's counters in place of the clock."""
 
     __slots__ = ()
 
     def __new__(cls, op: object, origin: SiteId, seq: int, clock: VectorClock):
-        check_stamp(origin, seq, clock)
+        if seq < 1:
+            raise ValueError(f"seq must be >= 1, got {seq}")
+        if clock.entries.get(origin) != seq:  # the stamp every message of an op carries
+            raise ValueError(f"clock entry for origin {origin} must equal seq {seq}, got {clock.get(origin)}")
         return tuple.__new__(cls, (op, origin, seq, clock))
 
     def key(self) -> tuple:

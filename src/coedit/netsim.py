@@ -17,8 +17,8 @@ Two modes:
               which rebases it and assigns a consecutive index, and
               broadcasts the result to all sites, which deliver in index order.
               A site that has delivered ACK_EVERY stream messages since it
-              last sent anything sends the server an Ack of its bare clock,
-              which cuts that site's bridge at the server.
+              last sent anything sends the server an Ack of its delivered
+              count, which cuts that site's bridge at the server.
 
 A site failing to handle a message is an invariant failure and propagates
 out of `Simulator.run`; nothing is held back for a retry.
@@ -37,10 +37,10 @@ from .framework import (
     WireMessage,
     decode_message,
     encode_message,
-    message_meta,
     message_text,
     op_token,
 )
+from .metrics import MetricsBundle
 
 
 @dataclass(frozen=True)
@@ -63,10 +63,10 @@ LatencyModel = Union[FixedLatency, UniformLatency]
 SEQUENCER_NODE = -1
 MODES = ("causal", "sequencer")
 
-# A sequencer client acks after this many stream messages delivered since it
-# last sent anything (an op's clock acks too). The server cuts the client's
-# bridge by the ack, so a bridge holds about this many ops beyond those in
-# flight; a read-only client sends one ack per ACK_EVERY messages.
+# A sequencer client acks its delivered count after this many stream messages
+# delivered since it last sent anything (an op carries the count too). The
+# server cuts the client's bridge by it, so a bridge holds about this many ops
+# beyond those in flight; a read-only client acks once per ACK_EVERY messages.
 ACK_EVERY = 32
 
 
@@ -104,7 +104,7 @@ class Simulator:
     Sequencer mode needs `sequencer_server`, whose `process(sender, msg)`
     returns the message to broadcast, carrying its stream index as `index`,
     whose `ack(sender, ack)` takes a site's Ack, and whose `sequenced[site]`
-    counts the site's ops it has processed.
+    counts the site's ops it has processed. Envelopes count into `metrics`.
     """
 
     def __init__(
@@ -115,6 +115,7 @@ class Simulator:
         deliver_cb: Callable,
         clock_of: Callable,
         sequencer_server=None,
+        metrics: Optional[MetricsBundle] = None,
     ):
         if config.mode == "sequencer" and sequencer_server is None:
             raise ValueError("sequencer mode requires a sequencer server")
@@ -123,6 +124,7 @@ class Simulator:
         self.generate_cb = generate_cb
         self.deliver_cb = deliver_cb
         self.clock_of = clock_of
+        self.metrics = MetricsBundle() if metrics is None else metrics
         self.rng = random.Random(config.seed)
         self.events: list = []  # heap of (tick, counter, kind, data)
         self._counter = 0
@@ -155,8 +157,14 @@ class Simulator:
             d = self.rng.randint(lat.lo, lat.hi)
         return max(1, d)
 
+    def _encode(self, msg: WireMessage) -> bytes:
+        data = encode_message(msg)
+        self.metrics.wire_bytes += len(data)
+        self.metrics.wire_messages += 1
+        return data
+
     def broadcast(self, msg: WireMessage, dests: List[int]) -> None:
-        env = Envelope(encode_message(msg))
+        env = Envelope(self._encode(msg))
         for dst in sorted(dests):
             self._push(self.now + self._draw_latency(), "net", (dst, env))
 
@@ -166,22 +174,21 @@ class Simulator:
         msg = self.generate_cb(site, self.now)
         if msg is None:
             return
-        origin, seq, clock = message_meta(msg)
-        self.trace.append(f"tick={self.now} site={site} kind=gen op={message_text(msg)} key={origin}:{seq}")
+        self.trace.append(f"tick={self.now} site={site} kind=gen op={message_text(msg)} key={msg.origin}:{msg.seq}")
         if self.config.mode == "sequencer":
-            self.unacked[site] = 0  # the op's clock acks what the site has delivered
+            self.unacked[site] = 0  # the op's delivered count acks
             tick = self.now + self._draw_latency()
-            self._push(tick, "net", (SEQUENCER_NODE, Envelope(encode_message(msg))))
+            self._push(tick, "net", (SEQUENCER_NODE, Envelope(self._encode(msg))))
             self.link_free[site] = max(self.link_free[site], tick)
         else:
             self.broadcast(msg, [s for s in self.site_ids if s != site])
 
     def _handle_sequencer(self, msg: WireMessage) -> None:
-        origin, seq, _ = message_meta(msg)
+        origin = msg.origin
         # client -> server links are logically FIFO: process in per-origin seq
         # order, each op the one after those the server has sequenced
         fifo, sequenced = self.seq_fifo[origin], self.sequencer_server.sequenced
-        fifo[seq] = msg
+        fifo[msg.seq] = msg
         while sequenced[origin] + 1 in fifo:
             out = self.sequencer_server.process(origin, fifo.pop(sequenced[origin] + 1))
             self.broadcast(out, self.site_ids)
@@ -211,18 +218,17 @@ class Simulator:
                 self._send_ack(dst)
 
     def _send_ack(self, site: SiteId) -> None:
-        """Send the sequencer `site`'s bare clock. The ack draws no latency:
-        it arrives one tick on, or behind the last message on the site's
-        link, so the server has sequenced the ops it counts by then."""
+        """Send the sequencer how many stream messages `site` has delivered.
+        The ack draws no latency: it arrives one tick on, or behind the last
+        message on the site's link, so it overtakes none of the site's ops."""
         self.unacked[site] = 0
         tick = self.link_free[site] = max(self.now + 1, self.link_free[site])
-        self._push(tick, "ack", encode_message(Ack(site, self.clock_of(site))))
+        self._push(tick, "ack", self._encode(Ack(site, self.seq_next[site])))
 
     def _deliver(self, dst: int, msg: WireMessage) -> None:
-        origin, seq, _ = message_meta(msg)
         eo = self.deliver_cb(dst, msg, self.now)
         text = "none" if eo is None else op_token(eo)
-        self.trace.append(f"tick={self.now} site={dst} kind=deliver op={text} key={origin}:{seq}")
+        self.trace.append(f"tick={self.now} site={dst} kind=deliver op={text} key={msg.origin}:{msg.seq}")
 
     def _drain_causal(self, dst: int) -> None:
         pending = self.pending[dst]

@@ -5,13 +5,14 @@ in one step), one :func:`fold` of an op past concurrent ones, and the
 replicas built on it. An :class:`OtSite` (one of two symmetric peers) or a
 :class:`SequencerClient` folds each remote op past its `pending`
 unacknowledged local ops; the :class:`SequencerServer` folds each client op
-past the entries of that client's bridge which the op's clock does not cover.
+past the entries of that client's bridge the client had not delivered.
 
 A replica's log and the server's bridges follow the ops in flight, not the
 session (Nichols et al., UIST 1995). Each replica talks to one other party,
-its peer or the server, so it collects its log up to its oldest pending op;
-the server cuts a bridge by the client's clock, which every op and every
-:class:`Ack` of that client carries.
+its peer or the server, so it collects its log up to its oldest pending op.
+A sequencer client sends Jupiter's two counters, not a clock: an op's seq,
+and the count of stream messages it has delivered, by which the server cuts
+its bridge, carried by every op and every :class:`Ack` of that client.
 
 Tie-break for two inserts at the same position: the insert from the lower
 site id keeps the smaller position. Transforming a delete against a delete
@@ -20,8 +21,10 @@ of the same character yields NoOp (the target is already gone).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .metrics import MetricsBundle
 from .model import (
@@ -34,13 +37,13 @@ from .model import (
     TimestampedOp,
     VectorClock,
     apply_external,
-    check_stamp,
     happened_before,  # unused here; perfbench/tracing.py patches this module's name
 )
 
 
 _new = tuple.__new__  # builds a record without its checks: for rebased ops only
 _NOOP = NoOp()
+_INDEX = itemgetter(2)  # a bridge entry's stream index
 
 COLLECT_EVERY = 8  # `collect` looks at a log once it has grown by this many ops since the last look
 
@@ -90,7 +93,7 @@ def transform(a: ExternalOp, b: ExternalOp, a_site: SiteId, b_site: SiteId) -> E
 
 def fold(metrics: MetricsBundle, op: ExternalOp, origin: SiteId, entries: list) -> ExternalOp:
     """Fold `op` from `origin` past `entries`, concurrent ops in the same
-    context held as lists `[op, origin, seq]`, and rebase each entry past
+    context held as lists `[op, origin, seq or index]`, and rebase each entry past
     `op` in place. Returns `op` in the context that includes them all; the
     caller counts the entries once the op has executed."""
     tie_seen = metrics.insert_tie_seen
@@ -104,8 +107,8 @@ def fold(metrics: MetricsBundle, op: ExternalOp, origin: SiteId, entries: list) 
 
 @dataclass
 class _Replica:
-    """What both OT replicas hold: a mirror of the visible text, a clock,
-    the `buffer` log of the ops in the form they were executed here, and
+    """What both OT replicas hold: a mirror of the visible text, the
+    `buffer` log of the ops in the form they were executed here, and
     the `pending` local ops no remote has acknowledged yet, as entries
     `[op rebased to the current text, site, seq]`.
 
@@ -119,45 +122,21 @@ class _Replica:
 
     site: SiteId
     state: str = ""
-    clock: VectorClock = field(default_factory=VectorClock)
     buffer: list = field(default_factory=list)
     pending: list = field(default_factory=list)
     metrics: MetricsBundle = field(default_factory=MetricsBundle)
     collected: int = field(default=0, init=False)
     collect_at: int = field(default=COLLECT_EVERY, init=False)  # the log length at which `collect` looks next
 
-    def _stamp(self, eo: ExternalOp) -> TimestampedOp:
-        """Execute, timestamp, log and hold a local op; no transformation runs.
-        The visible text already shows the edit; the mirror follows here."""
-        self.state = apply_external(self.state, eo)
-        self.clock = self.clock.tick(self.site)
-        msg = TimestampedOp(eo, self.site, self.clock.get(self.site), self.clock)
-        self.buffer.append(msg)
-        self.pending.append([eo, self.site, msg.seq])
-        self.metrics.buffer_length_samples.append(len(self.buffer))
-        return msg
-
     def gc(self, stability: dict) -> int:
-        """Drop logged ops already delivered everywhere per gossiped clocks.
-
-        `stability` maps every site id to a lower bound on that site's
-        delivered clock. Returns the number of ops collected.
-        """
+        """Drop logged ops that every site's clock in `stability` (a lower
+        bound on what it delivered) covers; returns how many."""
         clocks = [c.entries for c in stability.values()]
         keep = [b for b in self.buffer if any(c.get(b.origin, 0) < b.seq for c in clocks)]
         collected = len(self.buffer) - len(keep)
         self.buffer = keep
         self.collected += collected
         return collected
-
-    def _stable_prefix(self) -> int:
-        """How many ops the log holds before its oldest pending op."""
-        site = self.site
-        first = self.pending[0][2] if self.pending else self.clock.get(site) + 1
-        for n, b in enumerate(self.buffer):
-            if b.seq >= first and b.origin == site:
-                return n
-        return len(self.buffer)
 
     def collect(self) -> int:
         """Drop the log up to its oldest pending op. It looks once the log
@@ -167,7 +146,10 @@ class _Replica:
         buffer = self.buffer
         if len(buffer) < self.collect_at:
             return 0
-        n = self._stable_prefix()
+        n = len(buffer)
+        if self.pending:  # the log is stable up to its oldest pending op
+            site, first = self.site, self.pending[0][2]
+            n = next((k for k, b in enumerate(buffer) if b.seq >= first and b.origin == site), n)
         if n:
             del buffer[:n]
             self.collected += n
@@ -190,8 +172,18 @@ class OtSite(_Replica):
     sessions go through the sequencer classes below.
     """
 
+    clock: VectorClock = field(default_factory=VectorClock)
+
     def local(self, eo: ExternalOp) -> TimestampedOp:
-        return self._stamp(eo)
+        """Execute, timestamp, log and hold a local op; no transformation runs.
+        The visible text already shows the edit; the mirror follows here."""
+        self.state = apply_external(self.state, eo)
+        self.clock = self.clock.tick(self.site)
+        msg = TimestampedOp(eo, self.site, self.clock.get(self.site), self.clock)
+        self.buffer.append(msg)
+        self.pending.append([eo, self.site, msg.seq])
+        self.metrics.buffer_length_samples.append(len(self.buffer))
+        return msg
 
     def remote(self, remote_op: TimestampedOp) -> ExternalOp:
         """Fold the peer's next op past the local ops it had not seen;
@@ -220,31 +212,36 @@ class OtSite(_Replica):
         return op
 
 
-class ServerOpMsg(CheckedRecord, namedtuple("ServerOpMsg", TimestampedOp._fields + ("index",))):
-    """Sequencer -> all clients: the op rebased into the server's linear
-    history, at stream position `index`. It carries a TimestampedOp's
-    fields and checks, plus `index`; it is its own record, so it never
-    equals a TimestampedOp."""
+class _Counted(CheckedRecord):
+    """A sequencer op record: op, origin, seq (at least 1) and a count."""
 
     __slots__ = ()
-
-    def __new__(cls, op: ExternalOp, origin: SiteId, seq: int, clock: VectorClock, index: int):
-        check_stamp(origin, seq, clock)
-        return tuple.__new__(cls, (op, origin, seq, clock, index))
-
     key = TimestampedOp.key
 
+    def __new__(cls, op: ExternalOp, origin: SiteId, seq: int, n: int):
+        if seq < 1 or n < 0:
+            raise ValueError(f"{cls.__name__} needs seq >= 1 and {cls._fields[3]} >= 0, got {seq} and {n}")
+        return tuple.__new__(cls, (op, origin, seq, n))
 
-class Ack(namedtuple("Ack", "origin clock")):
-    """Sequencer client -> server: the client's bare clock, which counts its
-    own ops and the stream prefix it has delivered. Its stamp's `seq` is the
-    clock's own entry, 0 before the client's first op."""
+
+class ClientOp(_Counted, namedtuple("ClientOp", "op origin seq delivered")):
+    """Sequencer client -> server: the client's `seq`-th op, made when it had
+    delivered `delivered` stream messages."""
 
     __slots__ = ()
 
-    @property
-    def seq(self) -> int:
-        return self.clock.get(self.origin)
+
+class ServerOpMsg(_Counted, namedtuple("ServerOpMsg", "op origin seq index")):
+    """Sequencer -> all clients: `origin`'s `seq`-th op rebased into the
+    server's linear history, at stream position `index`."""
+
+    __slots__ = ()
+
+
+class Ack(namedtuple("Ack", "origin delivered")):
+    """Sequencer client -> server: how many stream messages it has delivered."""
+
+    __slots__ = ()
 
 
 @dataclass
@@ -252,23 +249,18 @@ class SequencerServer:
     """Total-order relay that rebases every client op into one linear history.
 
     Keeps a per-client bridge of sequenced ops that client may not have
-    seen, as entries `[op, origin, seq]`. A client delivers a prefix of the
-    stream and ticks its clock for each op in it, so its clock counts each
-    other site's ops in that prefix: a client op is folded past the bridge
-    entries its clock does not cover (rebasing them in place) before being
-    applied and broadcast. Clients then only fold server messages past their
-    own pending ops, which keeps pairwise transformation sufficient at any
-    site count.
-
-    Every clock a client sends, with an op or in an :class:`Ack`, cuts its
-    bridge to the entries that clock does not cover; a read-only client's
-    acks are all that cut its bridge.
+    seen, as entries `[op, origin, stream index]`. A client delivers a prefix
+    of the stream, and each op or :class:`Ack` it sends counts that prefix,
+    whose entries it cuts from the bridge: an op is folded past the rest
+    (rebasing them in place) before being applied and broadcast. Clients then
+    only fold server messages past their own pending ops, which keeps
+    pairwise transformation sufficient at any site count.
     """
 
     client_ids: list
     state: str = ""
     history_len: int = 0  # the next stream index
-    bridges: dict = field(init=False)  # SiteId -> list of [ExternalOp, origin SiteId, seq]
+    bridges: dict = field(init=False)  # SiteId -> list of [ExternalOp, origin SiteId, stream index]
     sequenced: dict = field(init=False)  # SiteId -> how many of its ops are sequenced
     metrics: MetricsBundle = field(default_factory=MetricsBundle)
 
@@ -276,42 +268,40 @@ class SequencerServer:
         self.bridges = {c: [] for c in self.client_ids}
         self.sequenced = dict.fromkeys(self.client_ids, 0)
 
-    def process(self, sender: SiteId, msg: TimestampedOp) -> ServerOpMsg:
-        sequenced, seen = self.sequenced, msg.clock.entries
-        made = sequenced.get(sender)
+    def _seen(self, client: SiteId, delivered: int) -> int:
+        """How many entries of `client`'s bridge are in its first `delivered`
+        stream messages; a cut beyond the stream would drop unseen ones."""
+        if delivered > self.history_len:
+            raise ContextMismatchError(f"client {client} claims {delivered} stream messages delivered, of {self.history_len} sent")
+        return bisect_left(self.bridges[client], delivered, key=_INDEX)
+
+    def process(self, sender: SiteId, msg: ClientOp) -> ServerOpMsg:
+        made = self.sequenced.get(sender)
         if made is None:
             raise ContextMismatchError(f"op {msg.key()} from site {sender}, which is not a client of this server")
         if msg.origin != sender or msg.seq != made + 1:  # a duplicate, a gap or another's op
             raise ContextMismatchError(f"op {msg.key()} from client {sender} is not its next: {made} sequenced")
-        for s, n in seen.items():  # a bridge cut there would drop ops the client never saw
-            if n > sequenced.get(s, 0) and s != sender:
-                raise ContextMismatchError(f"op {msg.key()} from client {sender} claims {n} ops of site {s}, of which {sequenced.get(s, 0)} are sequenced")
-        bridge = [e[:] for e in self.bridges[sender] if e[2] > seen.get(e[1], 0)]  # copies: a refused op rebases none
+        bridge = [e[:] for e in self.bridges[sender][self._seen(sender, msg.delivered) :]]  # copies: a refused op rebases none
         op = fold(self.metrics, msg.op, sender, bridge)
         self.state = apply_external(self.state, op)
         self.metrics.c_samples.append(len(bridge))
         self.bridges[sender] = bridge
-        sequenced[sender] = msg.seq
+        self.sequenced[sender] = msg.seq
         index = self.history_len
         self.history_len += 1
         for c in self.client_ids:
             if c != sender:
-                self.bridges[c].append([op, sender, msg.seq])
-        return ServerOpMsg(op, sender, msg.seq, msg.clock, index)
+                self.bridges[c].append([op, sender, index])
+        return ServerOpMsg(op, sender, msg.seq, index)
 
     def ack(self, sender: SiteId, msg: Ack) -> None:
         """Take a client's ack: cut its bridge as its next op would. An ack
-        follows, on the client's link, the ops it counts, so it counts no op
-        the server has not sequenced, the client's own included."""
+        overtaken by a later op or ack of the client cuts nothing more."""
         if sender not in self.bridges:
             raise ContextMismatchError(f"ack from site {sender}, which is not a client of this server")
         if msg.origin != sender:
             raise ContextMismatchError(f"ack of site {msg.origin} from client {sender}")
-        seen = msg.clock.entries
-        for s, n in seen.items():
-            if n > self.sequenced.get(s, 0):
-                raise ContextMismatchError(f"ack from client {sender} claims {n} ops of site {s}, of which {self.sequenced.get(s, 0)} are sequenced")
-        self.bridges[sender] = [e for e in self.bridges[sender] if e[2] > seen.get(e[1], 0)]
+        del self.bridges[sender][: self._seen(sender, msg.delivered)]
 
 
 @dataclass
@@ -320,18 +310,29 @@ class SequencerClient(_Replica):
 
     Local ops apply immediately and stay pending until their echo comes back
     in the server stream; every other server op is folded past the pending
-    ops (rebasing them), which is the classic client half of server-based OT.
-    A server op that no pending op moved is logged as the shared ServerOpMsg
-    itself, as :class:`OtSite` logs a peer's message; a rebased one as a
-    fresh TimestampedOp. The server is the client's one party: a stream op
-    it has delivered, or an own op whose echo it has, is concurrent with
-    nothing it receives later, so its log is collected as an OtSite's.
+    ops (rebasing them), which is the classic client half of server-based OT,
+    and logged as the shared ServerOpMsg, or as a fresh one if the fold moved
+    it. The server is the client's one party, so its log is collected as an
+    OtSite's (see :class:`_Replica`).
     """
 
-    delivered: int = 0
+    counts: dict = field(default_factory=dict)  # SiteId -> its ops made or delivered here, updated in place
+    delivered: int = 0  # stream messages delivered, echoes included
 
-    def local(self, eo: ExternalOp) -> TimestampedOp:
-        return self._stamp(eo)
+    @property
+    def clock(self) -> VectorClock:
+        """`counts` as a clock, built on request (the end-of-run `gc` sweep)."""
+        return VectorClock(self.counts)
+
+    def local(self, eo: ExternalOp) -> ClientOp:
+        self.state = apply_external(self.state, eo)
+        site = self.site
+        seq = self.counts[site] = self.counts.get(site, 0) + 1
+        msg = ClientOp(eo, site, seq, self.delivered)
+        self.buffer.append(msg)
+        self.pending.append([eo, site, seq])
+        self.metrics.buffer_length_samples.append(len(self.buffer))
+        return msg
 
     def remote(self, msg: ServerOpMsg):
         """Handle the next server-stream message; returns the EO_out to replay
@@ -342,14 +343,14 @@ class SequencerClient(_Replica):
             )
         origin = msg.origin
         if origin != self.site:
-            if msg.seq != self.clock.entries.get(origin, 0) + 1:  # the stream holds each site's ops in order
-                raise ContextMismatchError(f"stream op {msg.key()} at site {self.site} is not the next op of site {origin}, which sent {self.clock.get(origin)}")
+            counts = self.counts
+            if msg.seq != counts.get(origin, 0) + 1:  # the stream holds each site's ops in order
+                raise ContextMismatchError(f"stream op {msg.key()} at site {self.site} is not the next op of site {origin}, which sent {counts.get(origin, 0)}")
             op = fold(self.metrics, msg.op, origin, self.pending)
             self.state = apply_external(self.state, op)
             self.metrics.c_samples.append(len(self.pending))
-            self.clock = self.clock.tick(origin)  # the merge of the message's clock, the stream being a prefix
-            # an op no pending op moved is logged as its message, which carries its record's fields
-            self.buffer.append(msg if op is msg.op else TimestampedOp(op, origin, msg.seq, msg.clock))
+            counts[origin] = msg.seq
+            self.buffer.append(msg if op is msg.op else _new(ServerOpMsg, (op, origin, msg.seq, msg.index)))
             self.metrics.buffer_length_samples.append(len(self.buffer))
             self.delivered += 1  # only once the op has executed
             return op

@@ -18,8 +18,9 @@ from pathlib import Path
 import coedit.harness
 import coedit.netsim
 import coedit.ot
-from coedit.harness import fig1_scenario, run_scenario
-from coedit.netsim import Simulator
+from coedit.harness import Scenario, ScriptEntry, fig1_scenario, run_scenario
+from coedit.model import Insert
+from coedit.netsim import ACK_EVERY, Simulator, UniformLatency
 from coedit.ot import OtSite, SequencerClient, SequencerServer
 from coedit.woot import ObjectSequence, WootSite
 
@@ -101,3 +102,21 @@ def test_exact_block_reads_every_engine_report():
     assert block["woot_engine_calls"] == 4 and block["search_steps_total"] > 0
     assert block["transform_total"] > 0 and block["ot.bridge_len_max"] == 1 and block["ot.buffer_len_max"] == 2
     assert block["framework.bytes_per_op"] > 0 and len(block["trace_digests"]) == 3
+
+
+def test_report_wire_bytes_match_the_probe():
+    """The Simulator adds every envelope it encodes to the run's
+    `wire_bytes`, which then equals what the Probe counts through
+    `encode_message`: on fig1 in both OT modes and on WOOT, and on a
+    sequencer session with read-only sites, whose acks are counted too."""
+    fig1 = fig1_scenario()
+    readers = Scenario("abcde", 4, "sequencer", UniformLatency(1, 10), 4,
+                       script=tuple(ScriptEntry(1 + k // 3, 0, Insert(k % 5, "x")) for k in range(120)))
+    counted = []
+    for scenario, engine in ((fig1, "ot"), (replace(fig1, mode="sequencer"), "ot"), (fig1, "woot"), (readers, "ot")):
+        probe = Probe()
+        with installed(probe):
+            report = run_scenario(scenario, engine)
+        assert report.ok and report.metrics.wire_bytes == probe.take()["wire_bytes"] > 0
+        counted.append(report.metrics.wire_messages)
+    assert counted[:3] == [2, 4, 2] and counted[3] >= 2 * 120 + 3 * (120 // ACK_EVERY)  # ops, stream messages, readers' acks

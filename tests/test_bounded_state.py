@@ -3,8 +3,8 @@ runs, every replica's log and every sequencer bridge stay within a window,
 and an op leaves a log only once nothing the replica receives later can be
 concurrent with it. A symmetric site's peer is the only other site, so there
 every site's clock counts it; a sequencer client's one party is the server,
-so there it is not pending, the client's clock counts it and the server has
-sequenced it (Jupiter's two-party rule).
+so there it is not pending, the client's counts include it and the server
+has sequenced it (Jupiter's two-party rule).
 
 Each log is sampled after every delivery (the harness collects right after
 it), each bridge after every op the sequencer sequences (a bridge only grows
@@ -68,8 +68,8 @@ def observe(monkeypatch, scenario: Scenario) -> tuple:
     """Run `scenario` on OT; returns (report, longest log after a delivery,
     longest log of a site that makes no op, longest bridge after a sequenced
     op, ops collected during the event loop). An op a sequencer client drops
-    in the run must not be pending there, and must be counted by its clock
-    and sequenced by the server; any other op a replica drops, in the run or
+    in the run must not be pending there, and must be in its counts and
+    sequenced by the server; any other op a replica drops, in the run or
     in the end-of-run sweep, must be counted by every site's clock."""
     run = _Run(scenario, "ot", ablation=False)
     engines = [site.engine for site in run.sites.values()]
@@ -94,7 +94,7 @@ def observe(monkeypatch, scenario: Scenario) -> tuple:
                     continue
                 if in_run and isinstance(self, SequencerClient):
                     assert t.key() not in pending, f"site {self.site} dropped its pending op {t.key()}"
-                    assert self.clock.get(t.origin) >= t.seq and run.server.sequenced[t.origin] >= t.seq, f"site {self.site} dropped {t.key()} too early"
+                    assert self.counts.get(t.origin, 0) >= t.seq and run.server.sequenced[t.origin] >= t.seq, f"site {self.site} dropped {t.key()} too early"
                 else:
                     assert all(e.clock.get(t.origin) >= t.seq for e in engines), f"site {self.site} dropped {t.key()} too early"
             seen["in_run"] += dropped if in_run else 0

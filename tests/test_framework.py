@@ -20,7 +20,7 @@ from coedit.framework import (
     message_meta,
     message_text,
 )
-from coedit.ot import Ack, OtSite, SequencerClient, SequencerServer, ServerOpMsg
+from coedit.ot import Ack, ClientOp, OtSite, SequencerClient, SequencerServer, ServerOpMsg
 from coedit.woot import DeleteId, InsertId, ObjectId, START, END, TOMB, WootSite
 
 from conftest import stamp
@@ -56,21 +56,27 @@ class TestWireFormats:
         self.roundtrip(stamp(Delete(0), 2, 4, {0: 1, 1: 2}))
 
     def test_client_op(self):
-        """A sequencer client's op is a plain 'T' message: its clock says what it saw."""
-        msg = SequencerClient(site=1, clock=VectorClock({0: 7})).local(Insert(0, "x"))
-        assert type(msg) is TimestampedOp and decode_envelope(encode_message(msg))[3][:1] == b"T"
+        """A sequencer client's op is a 'C' message: its seq and the count of
+        stream messages it had delivered, with no clock."""
+        client = SequencerClient(site=1, delivered=7, counts={0: 5})
+        msg = client.local(Insert(0, "x"))
+        assert type(msg) is ClientOp and msg == (Insert(0, "x"), 1, 1, 7)
+        assert decode_envelope(encode_message(msg)) == (1, 1, VectorClock(), b"C" + struct.pack(">Q", 7) + b"I" + struct.pack(">II", 0, 1) + b"x")
         self.roundtrip(msg)
+        self.roundtrip(ClientOp(NoOp(), 2, 9, 0))
+        self.roundtrip(ClientOp(Delete(4), 0, 2**40, 2**63))
 
     def test_server_op(self):
-        self.roundtrip(ServerOpMsg(Delete(2), 1, 3, VectorClock({0: 5, 1: 3}), index=12))
-        self.roundtrip(ServerOpMsg(NoOp(), 1, 4, VectorClock({1: 4}), index=13))
+        self.roundtrip(ServerOpMsg(Delete(2), 1, 3, 12))
+        self.roundtrip(ServerOpMsg(NoOp(), 1, 4, 13))
+        assert decode_envelope(encode_message(ServerOpMsg(NoOp(), 1, 4, 13)))[2] == VectorClock()
 
-    @pytest.mark.parametrize("ack", [Ack(3, VectorClock({0: 4, 3: 2})), Ack(2, VectorClock({0: 4})), Ack(0, VectorClock())],
+    @pytest.mark.parametrize("ack", [Ack(3, 64), Ack(2, 32), Ack(0, 0)],
                              ids=["writer", "reader", "empty"])
     def test_ack(self, ack):
-        """An ack is its envelope: its clock, and that clock's own entry as seq."""
+        """An ack is its envelope: no clock, and its delivered count as seq."""
         data = encode_message(ack)
-        assert decode_envelope(data) == (ack.origin, ack.clock.get(ack.origin), ack.clock, b"A")
+        assert decode_envelope(data) == (ack.origin, ack.delivered, VectorClock(), b"A")
         self.roundtrip(ack)
         assert type(decode_message(data)) is Ack
 
@@ -86,7 +92,8 @@ class TestWireFormats:
         for ch in ("é", " ", "\n", "\t", "\U0001f600"):
             self.roundtrip(stamp(Insert(0, ch), 0, 1))
             self.roundtrip(stamp(Insert(1, ch), 1, 1, {0: 2}))
-            self.roundtrip(ServerOpMsg(Insert(2, ch), 1, 1, VectorClock({1: 1}), index=3))
+            self.roundtrip(ServerOpMsg(Insert(2, ch), 1, 1, 3))
+            self.roundtrip(ClientOp(Insert(2, ch), 1, 1, 3))
         self.roundtrip(TimestampedOp(InsertId("世", ObjectId(0, 1), START, END), 0, 1, VectorClock({0: 1})))
 
     def test_envelope_fields(self):
@@ -97,19 +104,23 @@ class TestWireFormats:
         assert hash(clock) == hash(VectorClock({1: 2, 3: 7}))
 
     def test_message_meta(self):
-        msg = ServerOpMsg(Insert(0, "x"), 2, 5, VectorClock({0: 1, 2: 5}), index=3)
-        assert message_meta(msg) == (2, 5, VectorClock({0: 1, 2: 5}))
+        """What the envelope carries: a sequencer kind's clock is empty, and
+        an ack's seq is its delivered count."""
+        assert message_meta(ServerOpMsg(Insert(0, "x"), 2, 5, 3)) == (2, 5, VectorClock())
+        assert message_meta(ClientOp(Insert(0, "x"), 2, 5, 3)) == (2, 5, VectorClock())
+        assert message_meta(Ack(2, 40)) == (2, 40, VectorClock())
+        assert message_meta(stamp(Delete(0), 2, 5, {0: 1})) == (2, 5, VectorClock({0: 1, 2: 5}))
 
 
 SAMPLES = [
     stamp(Insert(3, "c"), 0, 1, {1: 2}),
-    stamp(Delete(4), 1, 2, {0: 7}),  # a sequencer client's op
-    ServerOpMsg(NoOp(), 2, 1, VectorClock({0: 3, 2: 1}), index=9),
+    ClientOp(Delete(4), 1, 2, 7),
+    ServerOpMsg(NoOp(), 2, 1, 9),
     TimestampedOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2})),
     TimestampedOp(DeleteId(ObjectId(1, 1)), 0, 9, VectorClock({0: 9, 1: 1})),
-    Ack(3, VectorClock({0: 4, 3: 2})),
+    Ack(3, 40),
 ]
-SAMPLE_IDS = ["T", "T-client", "S", "W", "X", "A"]  # payload kinds
+SAMPLE_IDS = ["T", "C", "S", "W", "X", "A"]  # payload kinds
 
 
 def _woot_ids(sid: int, seq: int) -> bytes:
@@ -122,6 +133,11 @@ _WOOT_IDS = _woot_ids(0, 1)
 
 def _envelope(payload: bytes) -> bytes:
     return encode_envelope(0, 1, VectorClock({0: 1}), payload)
+
+
+def _counted(kind: bytes, n: int = 0, char: bytes = b"x") -> bytes:
+    """A 'C' or 'S' payload: the count, then an insert of `char` at 0."""
+    return kind + struct.pack(">Q", n) + b"I" + struct.pack(">II", 0, len(char)) + char
 
 
 class TestStrictDecoding:
@@ -149,8 +165,8 @@ class TestStrictDecoding:
         b"W" + struct.pack(">I", 2) + b"ab" + _WOOT_IDS,
         b"W" + struct.pack(">I", 1) + b"q" + _woot_ids(7, 1),  # an insert's id is its message's origin.seq
         b"TI" + struct.pack(">II", 0, 1) + b"\x00",  # no document character is NUL
-        b"S" + struct.pack(">Q", 5) + b"I" + struct.pack(">II", 0, 1) + b"\x00",  # in the op a client receives
-        b"S" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",
+        b"C" + struct.pack(">Q", 5) + b"I" + struct.pack(">II", 0, 1) + b"\x00",  # in the op a client sends
+        b"S" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",  # and in the one it receives
         b"W" + struct.pack(">I", 1) + b"\x00" + _woot_ids(0, 1),
         # WOOT ops that can never run: no slot lies after END, before START
         # or between an id and itself, and a sentinel is never shown
@@ -163,24 +179,26 @@ class TestStrictDecoding:
             "nul", "client-nul", "server-nul", "woot-nul",
             "woot-prev-end", "woot-next-start", "woot-prev-is-next", "woot-delete-start", "woot-delete-end"])
     def test_bad_payload_rejected(self, payload):
+        clock = VectorClock() if payload[:1] in (b"C", b"S") else VectorClock({0: 1})  # a sequencer kind carries none
         with pytest.raises(WireFormatError):
-            decode_message(_envelope(payload))
+            decode_message(encode_envelope(0, 1, clock, payload))
 
-    @pytest.mark.parametrize("seq, entries", [(1, {}), (0, {2: 1}), (2, {2: 1})], ids=["seq-1-empty", "seq-0", "seq-2"])
-    def test_ack_seq_other_than_its_clocks_own_entry_rejected(self, seq, entries):
-        with pytest.raises(WireFormatError, match="ack's seq"):
-            decode_message(encode_envelope(2, seq, VectorClock(entries), b"A"))
+    @pytest.mark.parametrize("payload", [_counted(b"C"), _counted(b"S"), b"A"], ids=["C", "S", "A"])
+    def test_sequencer_kind_carrying_a_clock_rejected(self, payload):
+        """The sequencer's kinds carry Jupiter's counters, never a clock: the
+        same bytes decode with an empty clock and are refused with one."""
+        decode_message(encode_envelope(0, 1, VectorClock(), payload))
+        with pytest.raises(WireFormatError, match="carries no clock"):
+            decode_message(encode_envelope(0, 1, VectorClock({0: 1}), payload))
+
+    @pytest.mark.parametrize("kind", [b"C", b"S"], ids=["C", "S"])
+    def test_sequencer_op_seq_below_1_rejected(self, kind):
+        with pytest.raises(WireFormatError, match="seq >= 1"):
+            decode_message(encode_envelope(0, 0, VectorClock(), _counted(kind)))
 
     def test_ack_payload_is_its_kind_alone(self):
         with pytest.raises(WireFormatError):
             decode_message(encode_envelope(2, 0, VectorClock(), b"A\x00"))
-
-    def test_client_kind_is_unknown(self):
-        """'C', once a client's op with the length of stream it saw, is no
-        payload kind: a client's op is a 'T' message whose clock says that."""
-        payload = b"C" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"x"
-        with pytest.raises(WireFormatError, match="unknown payload kind b'C'"):
-            decode_message(_envelope(payload))
 
     @pytest.mark.parametrize("payload", [
         b"W" + struct.pack(">I", 1) + b"q" + struct.pack(">qQqQqQ", 0, 1, 3, 9, 2**31, 0),  # prev 3.9, unseen

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -73,6 +74,36 @@ class TestOneRecord:
             (WootSite.create(0, "ab"), WootSite.create(1, "ab")),
         ]:
             assert a.metrics is not b.metrics
+
+
+class TestWireBytes:
+    """The simulator counts every envelope it encodes (ops, stream messages,
+    acks) into the run's `wire_bytes` and `wire_messages`."""
+
+    @staticmethod
+    def _bytes_per_message(sites: int, engine: str, mode: str) -> float:
+        initial = ("the quick brown fox jumps over the lazy dog " * 10)[:400]
+        report = run_scenario(Scenario(initial, sites, mode, UniformLatency(1, 8), 3, fuzz=FuzzSpec(n_ops=600)), engine)
+        assert report.ok and report.metrics.wire_messages >= 600
+        return report.metrics.wire_bytes / report.metrics.wire_messages
+
+    def test_sequencer_bytes_per_message_flat_in_the_site_count(self):
+        """A sequencer message carries Jupiter's counters, not a clock of 12 B
+        per site: at 17 sites it is within 10% of its size at 3 (37.6 and 36.2
+        B; 68.9 and 229.3 B when it carried a clock). A causal WOOT message
+        still carries one, so its size grows with the sites (99.0 to 260.3
+        B). Budget: 2 s."""
+        t0 = time.perf_counter()
+        few, many = (self._bytes_per_message(n, "ot", "sequencer") for n in (3, 17))
+        assert abs(many / few - 1) <= 0.10, (few, many)
+        woot_few, woot_many = (self._bytes_per_message(n, "woot", "causal") for n in (3, 17))
+        assert woot_many > 2 * woot_few, (woot_few, woot_many)
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_kept_out_of_the_summary_and_the_report(self):
+        report = run_scenario(fig1_scenario(), "ot")
+        assert (report.metrics.wire_messages, report.metrics.wire_bytes > 0) == (2, True)
+        assert "wire_bytes" not in json.dumps(report.to_dict()) and "wire_messages" not in report.metrics.summary()
 
 
 class TestPercentiles:

@@ -16,6 +16,7 @@ from coedit.netsim import FixedLatency, UniformLatency
 from coedit.ot import (
     COLLECT_EVERY,
     Ack,
+    ClientOp,
     ContextMismatchError,
     OtSite,
     SequencerClient,
@@ -373,11 +374,11 @@ class TestRefusedOpCounts:
         elif replica == "client":
             engine = SequencerClient(site=0, state="ab")
             engine.local(Insert(0, "x"))
-            refuse = lambda: engine.remote(ServerOpMsg(Insert(9, "y"), 1, 1, VectorClock({1: 1}), 0))
+            refuse = lambda: engine.remote(ServerOpMsg(Insert(9, "y"), 1, 1, 0))
         else:
             engine = SequencerServer(client_ids=[0, 1], state="ab")
-            engine.process(1, stamp(Insert(2, "y"), 1, 1))  # client 0's bridge: I(2, y)
-            refuse = lambda: engine.process(0, stamp(Insert(9, "x"), 0, 1))
+            engine.process(1, ClientOp(Insert(2, "y"), 1, 1, 0))  # client 0's bridge: I(2, y)
+            refuse = lambda: engine.process(0, ClientOp(Insert(9, "x"), 0, 1, 0))
         before = (list(engine.metrics.c_samples), engine.metrics.transform_total)
         with pytest.raises(BoundsError):
             refuse()
@@ -456,29 +457,29 @@ class TestSequencer:
         assert client.pending == []
 
     def test_local_op_is_one_message(self):
-        """The client logs the very TimestampedOp it sends and holds it as a
-        pending entry; the server answers with one ServerOpMsg carrying the
-        same stamp."""
+        """The client logs the very ClientOp it sends, stamped with its seq
+        and the stream messages it has delivered, and holds it as a pending
+        entry; the server answers with one ServerOpMsg carrying the same op
+        and seq."""
         client = SequencerClient(site=0, state="ab")
         msg = client.local(Insert(2, "c"))
-        assert type(msg) is TimestampedOp and msg.clock == VectorClock({0: 1})
+        assert type(msg) is ClientOp and msg == (Insert(2, "c"), 0, 1, 0)
         assert client.buffer[-1] is msg and client.pending[-1] == [Insert(2, "c"), 0, msg.seq]
         out = SequencerServer(client_ids=[0], state="ab").process(0, msg)
         assert type(out) is ServerOpMsg
-        assert (out.op, out.key(), out.clock, out.index) == (Insert(2, "c"), (0, 1), msg.clock, 0)
+        assert (out.op, out.key(), out.index) == (Insert(2, "c"), (0, 1), 0)
 
     def test_seen_beyond_history_rejected(self):
-        """A client op whose clock counts an op the server has not sequenced
-        (client 0's second) or an op of a site that is no client is refused
-        with every field as it was; cutting the bridge there would fold it
-        past nothing."""
+        """A client op that claims more stream messages delivered than the
+        server has sent is refused with every field as it was; cutting the
+        bridge there would fold it past nothing."""
         server = SequencerServer(client_ids=[0, 1], state="ab")
         server.process(0, SequencerClient(site=0, state="ab").local(Insert(0, "x")))
         late = SequencerClient(site=1, state="ab").local(Delete(1))  # of 'b', before 'x' was seen
         before = snapshot(server)
-        for entries, claim in [({0: 2}, "2 ops of site 0, of which 1"), ({2: 1}, "1 ops of site 2, of which 0")]:
-            with pytest.raises(ContextMismatchError, match=f"from client 1 claims {claim} are sequenced"):
-                server.process(1, stamp(late.op, 1, 1, entries))
+        for delivered in (2, 10**9):
+            with pytest.raises(ContextMismatchError, match=f"client 1 claims {delivered} stream messages delivered, of 1 sent"):
+                server.process(1, late._replace(delivered=delivered))
             assert snapshot(server) == before
         server.process(1, late)
         assert server.state == "xa"
@@ -487,25 +488,25 @@ class TestSequencer:
         """An op from a site outside `client_ids` is refused with every field
         as it was (it raised KeyError from the bridge lookup)."""
         server = SequencerServer(client_ids=[0, 1], state="ab")
-        server.process(0, stamp(Insert(0, "x"), 0, 1))
+        server.process(0, ClientOp(Insert(0, "x"), 0, 1, 0))
         before = snapshot(server)
         with pytest.raises(ContextMismatchError, match="site 5, which is not a client"):
-            server.process(5, stamp(Insert(0, "y"), 5, 1))
+            server.process(5, ClientOp(Insert(0, "y"), 5, 1, 0))
         assert snapshot(server) == before
 
     def test_client_logs_an_unmoved_server_op_as_its_message(self):
         """A server op that no pending op moves is logged as the message
-        itself; one the fold rebases is logged as a TimestampedOp of the
-        executed form, with the message's stamp."""
+        itself; one the fold rebases is logged as a ServerOpMsg of the
+        executed form, with the message's seq and index."""
         client = SequencerClient(site=0, state="ab")
-        unmoved = ServerOpMsg(Insert(0, "y"), 1, 1, VectorClock({1: 1}), 0)
+        unmoved = ServerOpMsg(Insert(0, "y"), 1, 1, 0)
         client.remote(unmoved)
         assert client.buffer[-1] is unmoved
         client.local(Insert(0, "x"))  # pending, before the server op below
-        moved = ServerOpMsg(Delete(2), 1, 2, VectorClock({1: 2}), 1)
+        moved = ServerOpMsg(Delete(2), 1, 2, 1)
         assert client.remote(moved) == Delete(3) and client.state == "xya"
         logged = client.buffer[-1]
-        assert type(logged) is TimestampedOp and logged == TimestampedOp(Delete(3), 1, 2, moved.clock)
+        assert type(logged) is ServerOpMsg and logged == ServerOpMsg(Delete(3), 1, 2, moved.index)
 
     @pytest.mark.parametrize("echo", ["nothing-pending", "not-oldest"])
     def test_bad_echo_refused_before_any_change(self, echo):
@@ -515,11 +516,11 @@ class TestSequencer:
         server = SequencerServer(client_ids=[0], state="ab")
         if echo == "nothing-pending":
             client.remote(server.process(0, client.local(Insert(2, "c"))))
-            bad = ServerOpMsg(Insert(0, "z"), 0, 2, VectorClock({0: 2}), 1)
+            bad = ServerOpMsg(Insert(0, "z"), 0, 2, 1)
         else:
             client.local(Insert(2, "c"))
             second = client.local(Delete(0))
-            bad = ServerOpMsg(second.op, 0, second.seq, second.clock, 0)
+            bad = ServerOpMsg(second.op, 0, second.seq, 0)
         before = fields(client)
         with pytest.raises(ContextMismatchError, match="is not of its oldest pending op"):
             client.remote(bad)
@@ -558,9 +559,9 @@ class TestSequencer:
         client = SequencerClient(site=0, state="ab")
         before = fields(client)
         with pytest.raises(BoundsError):
-            client.remote(ServerOpMsg(Insert(9, "x"), 1, 1, VectorClock({1: 1}), 0))
+            client.remote(ServerOpMsg(Insert(9, "x"), 1, 1, 0))
         assert fields(client) == before
-        assert client.remote(ServerOpMsg(Insert(1, "x"), 1, 1, VectorClock({1: 1}), 0)) == Insert(1, "x")
+        assert client.remote(ServerOpMsg(Insert(1, "x"), 1, 1, 0)) == Insert(1, "x")
         assert client.state == "axb" and client.delivered == 1
 
     @pytest.mark.parametrize("bridged", [False, True])
@@ -574,33 +575,33 @@ class TestSequencer:
             server.process(1, SequencerClient(site=1, state="ab").local(Insert(2, "y")))  # client 0's bridge: I(2, y)
         before = snapshot(server)
         with pytest.raises(BoundsError):
-            server.process(0, stamp(Insert(-1 if bridged else 9, "x"), 0, 1))
+            server.process(0, ClientOp(Insert(-1 if bridged else 9, "x"), 0, 1, 0))
         assert snapshot(server) == before
-        out = server.process(0, stamp(Insert(1, "x"), 0, 1))
+        out = server.process(0, ClientOp(Insert(1, "x"), 0, 1, 0))
         assert out.index == int(bridged) and server.sequenced == {0: 1, 1: int(bridged)}
         assert server.state == ("axby" if bridged else "axb")
 
     def test_bridge_cut_by_clock_is_the_stream_cut(self, monkeypatch):
         """Over a sequencer fuzz batch, each `process` keeps exactly the
-        bridge entries whose stream index is at least the sender's
-        `delivered` when it made the op: cutting by the op's clock drops
-        what cutting by the stream length it saw dropped. Budget: 2 s."""
-        # (origin, seq) -> the maker's `delivered` then, and -> its stream index;
+        bridge entries the sender's clock did not cover when it made the op:
+        cutting by the count of stream messages it had delivered drops what
+        cutting by its clock dropped. Budget: 2 s."""
+        # (origin, seq) -> the maker's clock then; stream index -> (origin, seq);
         # keys repeat across sessions, but each is set before it is read
-        made_at, index_of, checked = {}, {}, [0, 0]
+        made_at, key_of, checked = {}, {}, [0, 0]
         local, process = SequencerClient.local, SequencerServer.process
 
         def recording_local(self, eo):
             msg = local(self, eo)
-            made_at[msg.key()] = self.delivered
+            made_at[msg.key()] = self.clock
             return msg
 
         def checking_process(self, sender, msg):
-            before = [(e[1], e[2]) for e in self.bridges[sender]]
+            before = [key_of[e[2]] for e in self.bridges[sender]]
             out = process(self, sender, msg)
-            index_of[out.key()] = out.index
-            cut = made_at[msg.key()]
-            assert [(e[1], e[2]) for e in self.bridges[sender]] == [k for k in before if index_of[k] >= cut]
+            key_of[out.index] = out.key()
+            clock = made_at[msg.key()]
+            assert [key_of[e[2]] for e in self.bridges[sender]] == [(o, n) for o, n in before if n > clock.get(o)]
             checked[0] += 1
             checked[1] += len(before) - len(self.bridges[sender])
             return out
@@ -657,9 +658,10 @@ class TestSequencer:
 
 class TestStreamOrder:
     def test_client_ticks_for_the_stream_op(self):
-        """A client's clock after a stream op is its clock ticked for the
-        op's origin, which is the merge of the op's clock: the stream is a
-        prefix the client delivers in order."""
+        """A client's counts after a stream op are its counts ticked, in
+        place, for the op's origin; an echo leaves them as they were, as
+        they count the own op from when it was made. The clock is built
+        from them on request."""
         ids = [0, 1, 2]
         clients = {i: SequencerClient(site=i, state="abc") for i in ids}
         server = SequencerServer(client_ids=ids, state="abc")
@@ -668,21 +670,23 @@ class TestStreamOrder:
             site = rng.randrange(3)
             out = server.process(site, clients[site].local(random_op(rng, len(clients[site].state))))
             for c in clients.values():
-                before = c.clock
+                counts, before = c.counts, dict(c.counts)
                 c.remote(out)
-                assert c.clock == before.merge(out.clock)
+                if out.origin != c.site:
+                    before[out.origin] = before.get(out.origin, 0) + 1
+                assert c.counts is counts and counts == before and c.clock == VectorClock(before)
 
     @pytest.mark.parametrize("seq", [1, 3], ids=["duplicate", "gap"])
     def test_stream_op_not_its_origins_next_refused(self, seq):
         """A stream op whose seq is not one past the client's count of its
         origin is refused with every field as it was."""
         client = SequencerClient(site=0, state="ab")
-        client.remote(ServerOpMsg(Insert(0, "x"), 1, 1, VectorClock({1: 1}), 0))
+        client.remote(ServerOpMsg(Insert(0, "x"), 1, 1, 0))
         before = fields(client)
         with pytest.raises(ContextMismatchError, match="is not the next op of site 1, which sent 1"):
-            client.remote(ServerOpMsg(Insert(0, "y"), 1, seq, VectorClock({1: seq}), 1))
+            client.remote(ServerOpMsg(Insert(0, "y"), 1, seq, 1))
         assert fields(client) == before
-        client.remote(ServerOpMsg(Insert(0, "y"), 1, 2, VectorClock({1: 2}), 1))
+        client.remote(ServerOpMsg(Insert(0, "y"), 1, 2, 1))
         assert client.state == "yxab"
 
 
@@ -700,24 +704,39 @@ class TestStability:
             out = server.process(site, clients[site].local(Insert(0, "x")))
             for c in clients.values():
                 c.remote(out)
-        assert [e[1:] for e in server.bridges[2]] == [[0, 1], [1, 1], [0, 2]]
-        server.ack(2, Ack(2, VectorClock({0: 1, 1: 1})))  # an older clock of client 2 cuts a prefix
+        assert [e[1:] for e in server.bridges[2]] == [[0, 0], [1, 1], [0, 2]]  # origin, stream index
+        server.ack(2, Ack(2, 2))  # an older count of client 2 cuts a prefix
         assert [e[1:] for e in server.bridges[2]] == [[0, 2]]
-        server.ack(2, Ack(2, clients[2].clock))
+        server.ack(2, Ack(2, clients[2].delivered))
         assert server.bridges[2] == []
-        server.ack(2, Ack(2, VectorClock({0: 1})))  # an ack overtaken by a later clock is still taken
+
+    def test_overtaken_ack_lowers_nothing(self):
+        """An ack overtaken by a later ack or op of its client cuts nothing
+        more, and puts back nothing the later one cut."""
+        clients, server = self._three_clients()
+        for site in (0, 1, 0):
+            server.process(site, clients[site].local(Insert(0, "x")))
+        server.ack(2, Ack(2, 2))
+        before = snapshot(server)
+        for delivered in (2, 1, 0):
+            server.ack(2, Ack(2, delivered))
+            assert snapshot(server) == before and [e[1:] for e in server.bridges[2]] == [[0, 2]]
+        server.process(1, clients[1].local(Insert(0, "y"))._replace(delivered=3))  # client 1 cut its bridge to nothing
+        before = snapshot(server)
+        server.ack(1, Ack(1, 1))
+        assert snapshot(server) == before and server.bridges[1] == []
 
     @pytest.mark.parametrize("sender, ack, match", [
-        (5, Ack(5, VectorClock()), "from site 5, which is not a client"),
-        (1, Ack(2, VectorClock()), "ack of site 2 from client 1"),
-        (1, Ack(1, VectorClock({0: 2})), "claims 2 ops of site 0, of which 1 are sequenced"),
-        (1, Ack(1, VectorClock({1: 1})), "claims 1 ops of site 1, of which 0 are sequenced"),
+        (5, Ack(5, 0), "from site 5, which is not a client"),
+        (1, Ack(2, 0), "ack of site 2 from client 1"),
+        (1, Ack(1, 2), "client 1 claims 2 stream messages delivered, of 1 sent"),
+        (1, Ack(1, 3), "client 1 claims 3 stream messages delivered, of 1 sent"),
     ], ids=["no-client", "another-clients", "unsequenced-op", "own-unsequenced-op"])
     def test_bad_ack_refused_before_any_change(self, sender, ack, match):
         """An ack from a site that is no client, of another client, or
-        counting an op the server has not sequenced (the client's own
-        included: an ack follows its ops on the link) is refused with every
-        field as it was."""
+        counting stream messages the server has not sent (client 0's next
+        op, or the echoes of client 1's own ops, none sequenced yet) is
+        refused with every field as it was."""
         clients, server = self._three_clients()
         server.process(0, clients[0].local(Insert(0, "x")))
         before = snapshot(server)
