@@ -8,8 +8,7 @@ the harness can run identical scenarios against any of them.
 Wire layout (big-endian, length-prefixed; nothing may follow the payload):
   envelope  = origin u32 | seq u64 | nclock u32 | nclock * (site u32, count u64)
               | payload_len u32 | payload
-  payloads  = 'T' op                           TimestampedOp: a symmetric OT peer's op
-              'C' delivered u64, op            ClientOp: OT client -> sequencer
+  payloads  = 'C' delivered u64, op            ClientOp: OT peer -> peer, OT client -> sequencer
               'S' index u64, op                ServerOpMsg: sequencer -> OT clients
               'A'                              Ack: seq is the client's delivered count
               'W' text, id, prev, next         TimestampedOp: WOOT insert (id = sid i64, seq u64)
@@ -17,10 +16,10 @@ Wire layout (big-endian, length-prefixed; nothing may follow the payload):
   op        = 'I' position u32, text  |  'D' position u32  |  'N'
   text      = len u32 | UTF-8 bytes
 Clock entries are sorted by site with no zero count, so each clock has one
-encoding; the sequencer's kinds carry none. The decoders raise WireFormatError
+encoding; the OT kinds carry none. The decoders raise WireFormatError
 (a ValueError) on a short field, trailing bytes, an unknown kind, bad UTF-8, a
-clock entry that is zero or out of order, a clock on a sequencer kind, an op's
-seq below 1 or (with a clock) other than the clock's entry for the origin, a
+clock entry that is zero or out of order, a clock on an OT kind, an op's
+seq below 1 or (on a WOOT kind) other than the clock's entry for the origin, a
 WOOT insert whose id is not its message's (origin, seq), a WOOT anchor or
 delete target outside the message's causal past, a WOOT insert that can never
 run (its prev is END, its next is START, or both anchors are one id), a WOOT
@@ -54,10 +53,11 @@ _NO_CLOCK = VectorClock()
 
 
 def message_meta(msg: WireMessage) -> tuple:
-    """(origin, seq, clock) as a message's envelope carries them."""
-    if type(msg) is TimestampedOp:
-        return msg.origin, msg.seq, msg.clock
-    return msg.origin, msg.delivered if type(msg) is Ack else msg.seq, _NO_CLOCK
+    """(origin, seq, clock) as a message's envelope carries them; an OT
+    record's clock is its class's empty one."""
+    if type(msg) is Ack:
+        return msg.origin, msg.delivered, _NO_CLOCK
+    return msg.origin, msg.seq, msg.clock
 
 
 def op_token(op: ExternalOp) -> str:
@@ -151,12 +151,10 @@ def encode_payload(msg: WireMessage) -> bytes:
     if kind is Ack:
         return b"A"
     op = msg.op
-    if kind is TimestampedOp:
-        if type(op) is InsertId:
-            return b"W" + _encode_text(op.character) + struct.pack(">qQqQqQ", *op.id, *op.prev, *op.next)
-        if type(op) is DeleteId:
-            return b"X" + _encode_id(op.target)
-        return b"T" + _encode_op(op)
+    if kind is TimestampedOp and type(op) is InsertId:
+        return b"W" + _encode_text(op.character) + struct.pack(">qQqQqQ", *op.id, *op.prev, *op.next)
+    if kind is TimestampedOp and type(op) is DeleteId:
+        return b"X" + _encode_id(op.target)
     if kind is ServerOpMsg:
         return b"S" + struct.pack(">Q", msg.index) + _encode_op(op)
     if kind is ClientOp:
@@ -169,10 +167,7 @@ def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock)
     if clock.entries and kind in (b"C", b"S", b"A"):
         raise WireFormatError(f"a {kind!r} message carries no clock, got {clock}")
     try:
-        if kind == b"T":
-            op, off = _decode_op(payload, off)
-            msg = TimestampedOp(op, origin, seq, clock)
-        elif kind == b"C" or kind == b"S":
+        if kind == b"C" or kind == b"S":
             (n,) = struct.unpack_from(">Q", payload, off)
             op, off = _decode_op(payload, off + 8)
             msg = (ClientOp if kind == b"C" else ServerOpMsg)(op, origin, seq, n)
@@ -258,7 +253,7 @@ class Engine(Protocol):
     or None, dump or None); dumps must match across replicas."""
 
     state: str  # the engine's view of the text: its own copy (OT), a scan of its sequence (WOOT)
-    clock: VectorClock  # what it has made and delivered: gates causal delivery; a sequencer client's gates nothing
+    clock: VectorClock  # what it has made and delivered: gates causal delivery and feeds the end-of-run sweep
     metrics: MetricsBundle  # the run's one cost record; every replica (and a sequencer server) counts into it
 
     def local(self, eo: ExternalOp) -> WireMessage: ...

@@ -159,9 +159,8 @@ class VectorClock(CheckedRecord, namedtuple("VectorClock", "entries")):
 
 class TimestampedOp(CheckedRecord, namedtuple("TimestampedOp", "op origin seq clock")):
     """An op plus the metadata needed for causal replay: the wire record of a
-    symmetric OT peer's op (an ExternalOp) and of a WOOT op (an InsertId or
-    DeleteId). The sequencer's records (`ot.ClientOp`, `ot.ServerOpMsg`)
-    carry Jupiter's counters in place of the clock."""
+    WOOT op (an InsertId or DeleteId). The OT records (`ot.ClientOp`,
+    `ot.ServerOpMsg`) carry Jupiter's counters in place of the clock."""
 
     __slots__ = ()
 

@@ -87,11 +87,13 @@ class Envelope:
     msg: Optional[WireMessage] = None  # decoded from `payload` on the first arrival
 
 
-def causally_ready(origin: SiteId, clock: VectorClock, local: VectorClock) -> bool:
-    """The op is origin's next, and carries nothing the receiver lacks."""
-    if clock.get(origin) != local.get(origin) + 1:
+def causally_ready(msg: WireMessage, local: VectorClock) -> bool:
+    """The op is its origin's next, and its clock (an OT record's is empty)
+    names nothing the receiver lacks."""
+    origin = msg.origin
+    if msg.seq != local.get(origin) + 1:
         return False
-    return all(n <= local.get(s) for s, n in clock.entries.items() if s != origin)
+    return all(n <= local.get(s) for s, n in msg.clock.entries.items() if s != origin)
 
 
 class Simulator:
@@ -233,10 +235,11 @@ class Simulator:
     def _drain_causal(self, dst: int) -> None:
         pending = self.pending[dst]
         progress = True
-        while progress:
+        while progress and pending:
             progress = False
+            local = self.clock_of(dst)  # changes only by a delivery, which ends the scan
             for i, msg in enumerate(pending):
-                if causally_ready(msg.origin, msg.clock, self.clock_of(dst)):
+                if causally_ready(msg, local):
                     del pending[i]
                     self._deliver(dst, msg)
                     progress = True

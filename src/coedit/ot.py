@@ -10,9 +10,10 @@ past the entries of that client's bridge the client had not delivered.
 A replica's log and the server's bridges follow the ops in flight, not the
 session (Nichols et al., UIST 1995). Each replica talks to one other party,
 its peer or the server, so it collects its log up to its oldest pending op.
-A sequencer client sends Jupiter's two counters, not a clock: an op's seq,
-and the count of stream messages it has delivered, by which the server cuts
-its bridge, carried by every op and every :class:`Ack` of that client.
+Each replica sends Jupiter's two counters, not a clock: an op's seq, and
+the count of messages it has delivered from its other party. A peer drops
+the pending ops that count acknowledges; the server cuts a client's bridge
+by it, carried by every op and every :class:`Ack` of that client.
 
 Tie-break for two inserts at the same position: the insert from the lower
 site id keeps the smaller position. Transforming a delete against a delete
@@ -105,12 +106,50 @@ def fold(metrics: MetricsBundle, op: ExternalOp, origin: SiteId, entries: list) 
     return op
 
 
+class _Counted(CheckedRecord):
+    """An OT op record: op, origin, seq (at least 1) and a count. It carries
+    no clock; the class's empty one is what the causal gate and the
+    envelope read."""
+
+    __slots__ = ()
+    key = TimestampedOp.key
+    clock = VectorClock()
+
+    def __new__(cls, op: ExternalOp, origin: SiteId, seq: int, n: int):
+        if seq < 1 or n < 0:
+            raise ValueError(f"{cls.__name__} needs seq >= 1 and {cls._fields[3]} >= 0, got {seq} and {n}")
+        return tuple.__new__(cls, (op, origin, seq, n))
+
+
+class ClientOp(_Counted, namedtuple("ClientOp", "op origin seq delivered")):
+    """A replica's `seq`-th op, made when it had delivered `delivered`
+    messages from its one other party: a symmetric peer's op to the other
+    peer, or a sequencer client's op to the server."""
+
+    __slots__ = ()
+
+
+class ServerOpMsg(_Counted, namedtuple("ServerOpMsg", "op origin seq index")):
+    """Sequencer -> all clients: `origin`'s `seq`-th op rebased into the
+    server's linear history, at stream position `index`."""
+
+    __slots__ = ()
+
+
+class Ack(namedtuple("Ack", "origin delivered")):
+    """Sequencer client -> server: how many stream messages it has delivered."""
+
+    __slots__ = ()
+
+
 @dataclass
 class _Replica:
     """What both OT replicas hold: a mirror of the visible text, the
-    `buffer` log of the ops in the form they were executed here, and
-    the `pending` local ops no remote has acknowledged yet, as entries
-    `[op rebased to the current text, site, seq]`.
+    `buffer` log of the ops in the form they were executed here, the
+    `pending` local ops no remote has acknowledged yet, as entries
+    `[op rebased to the current text, site, seq]`, and Jupiter's counters:
+    `counts` of each site's ops made or delivered here, updated in place,
+    and `delivered`, the messages delivered from the other party.
 
     No fold reads the log. A replica talks to one other party, its peer or
     the server (Jupiter's two-party rule), so an op it has delivered from
@@ -125,8 +164,29 @@ class _Replica:
     buffer: list = field(default_factory=list)
     pending: list = field(default_factory=list)
     metrics: MetricsBundle = field(default_factory=MetricsBundle)
+    counts: dict = field(default_factory=dict)  # SiteId -> its ops made or delivered here (never 0), updated in place
+    delivered: int = 0  # messages delivered from the other party (a sequencer client's echoes included)
     collected: int = field(default=0, init=False)
     collect_at: int = field(default=COLLECT_EVERY, init=False)  # the log length at which `collect` looks next
+
+    @property
+    def clock(self) -> VectorClock:
+        """`counts` as a clock, built on request: the causal gate and the
+        end-of-run `gc` sweep."""
+        return VectorClock._zero_free(dict(self.counts))
+
+    def local(self, eo: ExternalOp) -> ClientOp:
+        """Execute, log and hold a local op, stamped with its seq and the
+        count of messages delivered; no transformation runs. The visible
+        text already shows the edit; the mirror follows here."""
+        self.state = apply_external(self.state, eo)
+        site = self.site
+        seq = self.counts[site] = self.counts.get(site, 0) + 1
+        msg = ClientOp(eo, site, seq, self.delivered)
+        self.buffer.append(msg)
+        self.pending.append([eo, site, seq])
+        self.metrics.buffer_length_samples.append(len(self.buffer))
+        return msg
 
     def gc(self, stability: dict) -> int:
         """Drop logged ops that every site's clock in `stability` (a lower
@@ -168,80 +228,38 @@ class OtSite(_Replica):
 
     With one peer, the ops concurrent with a remote op are exactly the local
     ops the peer had not seen when it sent it: a remote op acknowledges the
-    pending ops its clock covers, and is folded past the rest. Larger
+    `delivered` pending ops it counts, and is folded past the rest. Larger
     sessions go through the sequencer classes below.
     """
 
-    clock: VectorClock = field(default_factory=VectorClock)
+    local = _Replica.local
 
-    def local(self, eo: ExternalOp) -> TimestampedOp:
-        """Execute, timestamp, log and hold a local op; no transformation runs.
-        The visible text already shows the edit; the mirror follows here."""
-        self.state = apply_external(self.state, eo)
-        self.clock = self.clock.tick(self.site)
-        msg = TimestampedOp(eo, self.site, self.clock.get(self.site), self.clock)
-        self.buffer.append(msg)
-        self.pending.append([eo, self.site, msg.seq])
-        self.metrics.buffer_length_samples.append(len(self.buffer))
-        return msg
-
-    def remote(self, remote_op: TimestampedOp) -> ExternalOp:
+    def remote(self, msg: ClientOp) -> ExternalOp:
         """Fold the peer's next op past the local ops it had not seen;
         returns the form to replay on the visible text."""
-        origin = remote_op.origin
-        if origin == self.site:
+        origin, site, counts = msg.origin, self.site, self.counts
+        if origin == site:
             raise ValueError("a site never delivers its own message")
-        if remote_op.seq != self.clock.get(origin) + 1:  # a duplicate, or a gap before it
-            raise ContextMismatchError(f"remote {remote_op.key()} is not the next op of site {origin}, which sent {self.clock.get(origin)}")
-        if not remote_op.clock.entries.keys() <= {self.site, origin}:
-            raise ContextMismatchError(f"remote {remote_op.key()} names a third site: {remote_op.clock}")
-        seen = remote_op.clock.get(self.site)
-        if seen > self.clock.get(self.site):  # acking ops never made would drop pending ones unfolded
-            raise ContextMismatchError(f"remote {remote_op.key()} claims {seen} ops of site {self.site}, which made {self.clock.get(self.site)}")
+        sent = counts.get(origin, 0)
+        if sent != self.delivered:  # another site's ops were delivered here
+            raise ContextMismatchError(f"remote {msg.key()} is from a third site: {self.delivered - sent} ops of another peer delivered")
+        if msg.seq != sent + 1:  # a duplicate, or a gap before it
+            raise ContextMismatchError(f"remote {msg.key()} is not the next op of site {origin}, which sent {sent}")
+        seen, made = msg.delivered, counts.get(site, 0)
+        if seen > made:  # acking ops never made would drop pending ones unfolded
+            raise ContextMismatchError(f"remote {msg.key()} claims {seen} ops of site {site}, which made {made}")
         pending = self.pending  # the acknowledged ops are a prefix of consecutive seqs
         acked = seen - pending[0][2] + 1 if pending else 0
-        op = fold(self.metrics, remote_op.op, origin, pending[acked:] if acked > 0 else pending)
+        op = fold(self.metrics, msg.op, origin, pending[acked:] if acked > 0 else pending)
         self.state = apply_external(self.state, op)
         if acked > 0:  # dropped only once the op has executed
             del pending[:acked]
         self.metrics.c_samples.append(len(pending))  # the ops it was folded past
-        self.clock = self.clock.tick(origin)  # the merge of the two clocks, as the checks above pin it
-        # an op no pending op moved is logged as its message, which equals its record
-        self.buffer.append(remote_op if op is remote_op.op else TimestampedOp(op, origin, remote_op.seq, remote_op.clock))
+        counts[origin] = msg.seq
+        self.delivered += 1
+        self.buffer.append(msg if op is msg.op else _new(ClientOp, (op, origin, msg.seq, seen)))
         self.metrics.buffer_length_samples.append(len(self.buffer))
         return op
-
-
-class _Counted(CheckedRecord):
-    """A sequencer op record: op, origin, seq (at least 1) and a count."""
-
-    __slots__ = ()
-    key = TimestampedOp.key
-
-    def __new__(cls, op: ExternalOp, origin: SiteId, seq: int, n: int):
-        if seq < 1 or n < 0:
-            raise ValueError(f"{cls.__name__} needs seq >= 1 and {cls._fields[3]} >= 0, got {seq} and {n}")
-        return tuple.__new__(cls, (op, origin, seq, n))
-
-
-class ClientOp(_Counted, namedtuple("ClientOp", "op origin seq delivered")):
-    """Sequencer client -> server: the client's `seq`-th op, made when it had
-    delivered `delivered` stream messages."""
-
-    __slots__ = ()
-
-
-class ServerOpMsg(_Counted, namedtuple("ServerOpMsg", "op origin seq index")):
-    """Sequencer -> all clients: `origin`'s `seq`-th op rebased into the
-    server's linear history, at stream position `index`."""
-
-    __slots__ = ()
-
-
-class Ack(namedtuple("Ack", "origin delivered")):
-    """Sequencer client -> server: how many stream messages it has delivered."""
-
-    __slots__ = ()
 
 
 @dataclass
@@ -316,23 +334,7 @@ class SequencerClient(_Replica):
     OtSite's (see :class:`_Replica`).
     """
 
-    counts: dict = field(default_factory=dict)  # SiteId -> its ops made or delivered here, updated in place
-    delivered: int = 0  # stream messages delivered, echoes included
-
-    @property
-    def clock(self) -> VectorClock:
-        """`counts` as a clock, built on request (the end-of-run `gc` sweep)."""
-        return VectorClock(self.counts)
-
-    def local(self, eo: ExternalOp) -> ClientOp:
-        self.state = apply_external(self.state, eo)
-        site = self.site
-        seq = self.counts[site] = self.counts.get(site, 0) + 1
-        msg = ClientOp(eo, site, seq, self.delivered)
-        self.buffer.append(msg)
-        self.pending.append([eo, site, seq])
-        self.metrics.buffer_length_samples.append(len(self.buffer))
-        return msg
+    local = _Replica.local
 
     def remote(self, msg: ServerOpMsg):
         """Handle the next server-stream message; returns the EO_out to replay

@@ -21,7 +21,7 @@ from coedit.framework import (
     message_text,
 )
 from coedit.ot import Ack, ClientOp, OtSite, SequencerClient, SequencerServer, ServerOpMsg
-from coedit.woot import DeleteId, InsertId, ObjectId, START, END, TOMB, WootSite
+from coedit.woot import DeleteId, INIT_SID, InsertId, ObjectId, START, END, TOMB, WootSite
 
 from conftest import stamp
 
@@ -52,8 +52,12 @@ class TestWireFormats:
         assert decode_message(encode_message(msg)) == msg
 
     def test_timestamped_op(self):
-        self.roundtrip(stamp(Insert(3, "c"), 0, 1))
-        self.roundtrip(stamp(Delete(0), 2, 4, {0: 1, 1: 2}))
+        """A stamp is WOOT's record alone: a position-based op carries
+        counters (a 'C' message), and the old 'T' kind decodes as unknown."""
+        with pytest.raises(TypeError, match="not a wire message"):
+            encode_message(stamp(Insert(3, "c"), 0, 1))
+        with pytest.raises(WireFormatError, match="unknown payload kind"):
+            decode_message(encode_envelope(0, 1, VectorClock({0: 1}), b"TN"))
 
     def test_client_op(self):
         """A sequencer client's op is a 'C' message: its seq and the count of
@@ -90,8 +94,6 @@ class TestWireFormats:
 
     def test_unicode_character(self):
         for ch in ("é", " ", "\n", "\t", "\U0001f600"):
-            self.roundtrip(stamp(Insert(0, ch), 0, 1))
-            self.roundtrip(stamp(Insert(1, ch), 1, 1, {0: 2}))
             self.roundtrip(ServerOpMsg(Insert(2, ch), 1, 1, 3))
             self.roundtrip(ClientOp(Insert(2, ch), 1, 1, 3))
         self.roundtrip(TimestampedOp(InsertId("世", ObjectId(0, 1), START, END), 0, 1, VectorClock({0: 1})))
@@ -113,14 +115,13 @@ class TestWireFormats:
 
 
 SAMPLES = [
-    stamp(Insert(3, "c"), 0, 1, {1: 2}),
     ClientOp(Delete(4), 1, 2, 7),
     ServerOpMsg(NoOp(), 2, 1, 9),
     TimestampedOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2})),
     TimestampedOp(DeleteId(ObjectId(1, 1)), 0, 9, VectorClock({0: 9, 1: 1})),
     Ack(3, 40),
 ]
-SAMPLE_IDS = ["T", "C", "S", "W", "X", "A"]  # payload kinds
+SAMPLE_IDS = ["C", "S", "W", "X", "A"]  # payload kinds
 
 
 def _woot_ids(sid: int, seq: int) -> bytes:
@@ -158,14 +159,13 @@ class TestStrictDecoding:
 
     @pytest.mark.parametrize("payload", [
         b"Z",  # unknown payload kind
-        b"TQ",  # unknown op kind
-        b"TI" + struct.pack(">II", 0, 1) + b"\xff",  # bad UTF-8
-        b"TI" + struct.pack(">II", 0, 2) + b"ab",  # an insert carries one character
+        b"C" + struct.pack(">Q", 0) + b"Q",  # unknown op kind
+        _counted(b"C", char=b"\xff"),  # bad UTF-8
+        _counted(b"C", char=b"ab"),  # an insert carries one character
         b"W" + struct.pack(">I", 0) + _WOOT_IDS,  # so does a WOOT insert
         b"W" + struct.pack(">I", 2) + b"ab" + _WOOT_IDS,
         b"W" + struct.pack(">I", 1) + b"q" + _woot_ids(7, 1),  # an insert's id is its message's origin.seq
-        b"TI" + struct.pack(">II", 0, 1) + b"\x00",  # no document character is NUL
-        b"C" + struct.pack(">Q", 5) + b"I" + struct.pack(">II", 0, 1) + b"\x00",  # in the op a client sends
+        b"C" + struct.pack(">Q", 5) + b"I" + struct.pack(">II", 0, 1) + b"\x00",  # no document character is NUL: in the op a peer or client sends
         b"S" + struct.pack(">Q", 0) + b"I" + struct.pack(">II", 0, 1) + b"\x00",  # and in the one it receives
         b"W" + struct.pack(">I", 1) + b"\x00" + _woot_ids(0, 1),
         # WOOT ops that can never run: no slot lies after END, before START
@@ -176,10 +176,10 @@ class TestStrictDecoding:
         b"X" + struct.pack(">qQ", -(2**31), 0),
         b"X" + struct.pack(">qQ", 2**31, 0),
     ], ids=["payload-kind", "op-kind", "utf8", "two-chars", "woot-no-char", "woot-two-chars", "woot-foreign-id",
-            "nul", "client-nul", "server-nul", "woot-nul",
+            "client-nul", "server-nul", "woot-nul",
             "woot-prev-end", "woot-next-start", "woot-prev-is-next", "woot-delete-start", "woot-delete-end"])
     def test_bad_payload_rejected(self, payload):
-        clock = VectorClock() if payload[:1] in (b"C", b"S") else VectorClock({0: 1})  # a sequencer kind carries none
+        clock = VectorClock() if payload[:1] in (b"C", b"S") else VectorClock({0: 1})  # an OT kind carries none
         with pytest.raises(WireFormatError):
             decode_message(encode_envelope(0, 1, clock, payload))
 
@@ -215,8 +215,9 @@ class TestStrictDecoding:
             decode_message(_envelope(payload))
 
     def test_seq_outside_clock_rejected(self):
-        data = encode_envelope(0, 2, VectorClock({0: 1}), b"TN")
-        with pytest.raises(WireFormatError):
+        """A delete of an initial object names nothing else to refuse."""
+        data = encode_envelope(0, 2, VectorClock({0: 1}), b"X" + struct.pack(">qQ", INIT_SID, 1))
+        with pytest.raises(WireFormatError, match="must equal seq 2"):
             decode_message(data)
 
     @pytest.mark.parametrize("seq, entries", [(0, {}), (2, {0: 1})], ids=["seq-0", "seq-outside-clock"])
@@ -238,7 +239,7 @@ class TestStrictDecoding:
         data = (
             struct.pack(">IQI", 1, 1, len(entries))
             + b"".join(struct.pack(">IQ", s, n) for s, n in entries)
-            + struct.pack(">I", 2) + b"TN"
+            + struct.pack(">I", 17) + b"X" + struct.pack(">qQ", INIT_SID, 1)
         )
         with pytest.raises(WireFormatError):
             decode_message(data)
@@ -289,9 +290,11 @@ class TestSiteContainer:
             a.deliver(msg)
 
     def test_ot_payload_is_position_based(self):
+        """A symmetric peer's op is a counted record with no clock."""
         site = Site(id=0, engine=OtSite(site=0, state="abe"), external="abe")
         msg = site.generate(Delete(1))
-        assert isinstance(msg, TimestampedOp) and msg.op == Delete(1)
+        assert type(msg) is ClientOp and msg == (Delete(1), 0, 1, 0)
+        assert message_meta(msg) == (0, 1, VectorClock())
 
     def test_woot_payload_is_identifier_based(self):
         site = Site(id=0, engine=WootSite.create(0, "abe"), external="abe")

@@ -17,7 +17,7 @@ from coedit.netsim import (
     UniformLatency,
     causally_ready,
 )
-from coedit.ot import SequencerServer
+from coedit.ot import ClientOp, SequencerServer
 from coedit.woot import NotExecutableError
 from coedit.harness import (
     FuzzSpec,
@@ -27,22 +27,35 @@ from coedit.harness import (
     run_scenario,
 )
 
+from conftest import stamp
+
 
 class TestCausallyReady:
+    """The gate reads a message's origin, seq and clock: an OT record's
+    clock is empty, a WOOT stamp's names what its op depends on."""
+
     def test_first_op_from_unknown_site(self):
-        assert causally_ready(0, VectorClock({0: 1}), VectorClock())
+        assert causally_ready(ClientOp(Delete(0), 0, 1, 0), VectorClock())
 
     def test_gap_in_origin_sequence(self):
-        assert not causally_ready(0, VectorClock({0: 2}), VectorClock())
+        assert not causally_ready(ClientOp(Delete(0), 0, 2, 0), VectorClock())
 
     def test_dependency_satisfied(self):
-        assert causally_ready(0, VectorClock({0: 1, 1: 1}), VectorClock({1: 1}))
+        assert causally_ready(stamp(Delete(0), 0, 1, {1: 1}), VectorClock({1: 1}))
 
     def test_dependency_missing(self):
-        assert not causally_ready(0, VectorClock({0: 1, 1: 1}), VectorClock())
+        assert not causally_ready(stamp(Delete(0), 0, 1, {1: 1}), VectorClock())
 
     def test_duplicate_not_ready(self):
-        assert not causally_ready(0, VectorClock({0: 1}), VectorClock({0: 1}))
+        assert not causally_ready(ClientOp(Delete(0), 0, 1, 0), VectorClock({0: 1}))
+
+    def test_clockless_message_ready_exactly_when_next(self):
+        """A counted record names no dependency, whatever it counts: it is
+        ready exactly when it is its origin's next."""
+        local = VectorClock({0: 2, 1: 5})
+        for seq in range(1, 6):
+            for delivered in (0, 5, 9):
+                assert causally_ready(ClientOp(Delete(0), 0, seq, delivered), local) == (seq == 3)
 
 
 class TestLatencyModels:
@@ -57,30 +70,26 @@ class TestLatencyModels:
 
     def test_fixed_latency_schedule(self):
         sim = self._sim(FixedLatency(3))
-        from conftest import stamp
         sim.now = 5
-        sim.broadcast(stamp(Delete(0), 0, 1), [1])
+        sim.broadcast(ClientOp(Delete(0), 0, 1, 0), [1])
         assert self._arrivals(sim) == {1: 8}
 
     def test_broadcast_reaches_all_other_sites(self):
         sim = self._sim(FixedLatency(1), sites=5)
-        from conftest import stamp
-        sim.broadcast(stamp(Delete(0), 0, 1), [1, 2, 3, 4])
+        sim.broadcast(ClientOp(Delete(0), 0, 1, 0), [1, 2, 3, 4])
         assert sorted(self._arrivals(sim)) == [1, 2, 3, 4]
 
     def test_uniform_latency_deterministic_per_seed(self):
-        from conftest import stamp
         draws = []
         for _ in range(2):
             sim = self._sim(UniformLatency(1, 10), sites=3, seed=42)
-            sim.broadcast(stamp(Delete(0), 0, 1), [1, 2])
+            sim.broadcast(ClientOp(Delete(0), 0, 1, 0), [1, 2])
             draws.append(self._arrivals(sim))
         assert draws[0] == draws[1]
 
     def test_minimum_one_tick(self):
-        from conftest import stamp
         sim = self._sim(FixedLatency(0))
-        sim.broadcast(stamp(Delete(0), 0, 1), [1])
+        sim.broadcast(ClientOp(Delete(0), 0, 1, 0), [1])
         assert self._arrivals(sim)[1] >= 1
 
     def test_uniform_bounds_checked_at_construction(self):
@@ -137,13 +146,12 @@ class TestDeliveryOrder:
     def test_delivery_failure_escapes_run(self):
         """A message a site cannot execute under causal delivery is an
         invariant failure: nothing holds it back for a retry."""
-        from conftest import stamp
 
         def deliver(site, msg, tick):
             raise NotExecutableError("anchors missing")
 
         sim = Simulator(SimConfig("causal", FixedLatency(1), 0), [0, 1],
-                        lambda s, t: stamp(Delete(0), 0, 1) if s == 0 else None,
+                        lambda s, t: ClientOp(Delete(0), 0, 1, 0) if s == 0 else None,
                         deliver, lambda s: VectorClock())
         sim.schedule_generation(1, 0)
         with pytest.raises(NotExecutableError):

@@ -11,7 +11,7 @@ import coedit.model
 import coedit.ot
 from coedit.harness import FuzzSpec, Scenario, ScenarioError, fuzz, run_scenario
 from coedit.metrics import MetricsBundle
-from coedit.model import BoundsError, Delete, Insert, NoOp, TimestampedOp, VectorClock, apply_external
+from coedit.model import BoundsError, Delete, Insert, NoOp, VectorClock, apply_external
 from coedit.netsim import FixedLatency, UniformLatency
 from coedit.ot import (
     COLLECT_EVERY,
@@ -31,11 +31,11 @@ from conftest import both_orders, random_op, stamp
 
 
 def fields(replica) -> tuple:
-    """What a refused message must leave unchanged: text, clock, pending
-    entries (copied, as folds rebase them in place), buffer and, for a
-    sequencer client, how much of the stream it has delivered."""
+    """What a refused message must leave unchanged: text, counts (as a
+    clock), pending entries (copied, as folds rebase them in place), buffer
+    and how many messages it has delivered."""
     return (replica.state, replica.clock, [list(e) for e in replica.pending], list(replica.buffer),
-            getattr(replica, "delivered", None))
+            replica.delivered)
 
 
 def snapshot(server) -> tuple:
@@ -211,11 +211,13 @@ class TestTP2:
 
 class TestOtSite:
     def test_local_timestamps_and_buffers(self):
+        """A local op carries its seq and the count of peer ops delivered,
+        no clock, and is logged as the very record sent."""
         a = OtSite(site=0, state="abe")
         o1 = a.local(Delete(1))
         assert a.state == "ae"
-        assert o1.origin == 0 and o1.seq == 1 and o1.clock == VectorClock({0: 1})
-        assert a.buffer == [o1]
+        assert type(o1) is ClientOp and o1 == (Delete(1), 0, 1, 0) and a.counts == {0: 1}
+        assert a.buffer == [o1] and a.buffer[0] is o1
         assert a.metrics.transform_total == 0
 
     def test_second_local_op_increments_seq(self):
@@ -240,7 +242,7 @@ class TestOtSite:
     def test_remote_causally_after_applies_unchanged(self):
         a = OtSite(site=0, state="ab")
         o1 = a.local(Insert(2, "c"))
-        later = stamp(Delete(0), 1, 1, {0: 1})
+        later = ClientOp(Delete(0), 1, 1, 1)  # the peer had delivered o1
         assert a.remote(later) == Delete(0)
         assert a.metrics.transform_total == 0
 
@@ -268,9 +270,14 @@ class TestOtSite:
         assert a.pending == [] and a.state == b.state
 
     def test_third_site_rejected(self):
+        """Once site 1's op is delivered, site 1 is the peer: an op from site
+        2 is refused with nothing changed."""
         a = OtSite(site=0, state="ab")
-        with pytest.raises(ContextMismatchError):
-            a.remote(stamp(Insert(0, "q"), 1, 1, {2: 1}))
+        a.remote(ClientOp(Insert(0, "q"), 1, 1, 0))
+        before = fields(a)
+        with pytest.raises(ContextMismatchError, match=r"remote \(2, 1\) is from a third site"):
+            a.remote(ClientOp(Insert(0, "r"), 2, 1, 0))
+        assert fields(a) == before
 
     def test_ack_beyond_own_ops_refused(self):
         """Site 0 has made one op. A peer op claiming five of them would drop
@@ -280,9 +287,9 @@ class TestOtSite:
         a.local(Insert(0, "x"))
         before = fields(a)
         with pytest.raises(ContextMismatchError, match="claims 5 ops of site 0, which made 1"):
-            a.remote(stamp(Insert(1, "y"), 1, 1, {0: 5}))
+            a.remote(ClientOp(Insert(1, "y"), 1, 1, 5))
         assert fields(a) == before
-        assert a.remote(stamp(Insert(1, "y"), 1, 1)) == Insert(2, "y") and a.state == "xayb"
+        assert a.remote(ClientOp(Insert(1, "y"), 1, 1, 0)) == Insert(2, "y") and a.state == "xayb"
 
     def test_refused_op_drops_no_acknowledged_op(self):
         """A peer op that acknowledges the pending insert but lies beyond the
@@ -293,20 +300,20 @@ class TestOtSite:
         a.local(Insert(0, "x"))
         before = fields(a)
         with pytest.raises(BoundsError):
-            a.remote(stamp(Insert(9, "y"), 1, 1, {0: 1}))
+            a.remote(ClientOp(Insert(9, "y"), 1, 1, 1))
         assert fields(a) == before
-        assert a.remote(stamp(Insert(1, "y"), 1, 1)) == Insert(2, "y") and a.state == "xayb"
+        assert a.remote(ClientOp(Insert(1, "y"), 1, 1, 0)) == Insert(2, "y") and a.state == "xayb"
 
     def test_causal_mismatch_refused_before_pruning(self):
         """A remote claiming to have seen the pending insert, yet causally
         before the pending delete, is refused before the insert is pruned."""
         a = OtSite(site=0, state="ab")
         a.local(Insert(0, "x"))
-        a.remote(stamp(Insert(0, "q"), 1, 1))  # had not seen the insert
+        a.remote(ClientOp(Insert(0, "q"), 1, 1, 0))  # had not seen the insert
         a.local(Delete(0))  # causally after the peer's op
         before = fields(a)
         with pytest.raises(ContextMismatchError, match=r"remote \(1, 1\) is not the next op of site 1, which sent 1"):
-            a.remote(stamp(Insert(0, "q"), 1, 1, {0: 1}))
+            a.remote(ClientOp(Insert(0, "q"), 1, 1, 1))
         assert fields(a) == before
 
     def test_duplicate_and_gap_refused(self):
@@ -314,15 +321,15 @@ class TestOtSite:
         gave 'qqab') and then seq 3 before seq 2 are refused with nothing
         changed; seq 2 then applies."""
         a = OtSite(site=0, state="ab")
-        a.remote(stamp(Insert(0, "q"), 1, 1))
+        a.remote(ClientOp(Insert(0, "q"), 1, 1, 0))
         before = fields(a)
         with pytest.raises(ContextMismatchError, match=r"remote \(1, 1\) is not the next op of site 1, which sent 1"):
-            a.remote(stamp(Insert(0, "q"), 1, 1))
+            a.remote(ClientOp(Insert(0, "q"), 1, 1, 0))
         assert fields(a) == before
         with pytest.raises(ContextMismatchError, match=r"remote \(1, 3\) is not the next op of site 1, which sent 1"):
-            a.remote(stamp(Insert(0, "r"), 1, 3))
+            a.remote(ClientOp(Insert(0, "r"), 1, 3, 0))
         assert fields(a) == before
-        assert a.remote(stamp(Insert(2, "s"), 1, 2)) == Insert(2, "s") and a.state == "qasb"
+        assert a.remote(ClientOp(Insert(2, "s"), 1, 2, 0)) == Insert(2, "s") and a.state == "qasb"
 
     def test_symmetric_session_never_compares_clocks(self, monkeypatch):
         """Order is checked by one counter per peer: a fuzzed symmetric
@@ -337,10 +344,22 @@ class TestOtSite:
         assert report.ok and report.metrics.transform_total > 0
 
 
+    def test_symmetric_session_builds_no_clock_per_op(self, monkeypatch):
+        """A peer counts in place: a fuzzed symmetric session runs clean with
+        `VectorClock.tick` and `VectorClock.merge` unusable."""
+        def refuse(*args):
+            raise AssertionError("a clock was ticked or merged")
+
+        monkeypatch.setattr(VectorClock, "tick", refuse)
+        monkeypatch.setattr(VectorClock, "merge", refuse)
+        scenario = Scenario("abcdef", 2, "causal", UniformLatency(1, 8), 5, fuzz=FuzzSpec(n_ops=120, window=4))
+        report = run_scenario(scenario, "ot")
+        assert report.ok and report.metrics.transform_total > 0
+
     def test_remote_counts_the_peer_op_and_logs_its_record(self):
         """In fuzzed 2-site sessions with random delivery, each delivery
-        leaves the clock at the old one merged with the message's, and logs
-        the record of the op as executed, with the message's stamp."""
+        counts the peer's op in place, and logs the record of the op as
+        executed, with the message's counters."""
         for seed in range(40):
             rng = random.Random(seed)
             sites = [OtSite(site=0, state="abc"), OtSite(site=1, state="abc")]
@@ -349,11 +368,13 @@ class TestOtSite:
                 i = rng.randrange(2)
                 if in_flight[i] and rng.random() < 0.5:
                     msg = in_flight[i].pop(0)
-                    before = sites[i].clock
+                    counts, delivered = sites[i].counts, sites[i].delivered
+                    before = dict(counts)
                     op = sites[i].remote(msg)
-                    assert sites[i].clock == before.merge(msg.clock), seed
+                    assert sites[i].counts is counts and counts == {**before, msg.origin: msg.seq}, seed
+                    assert sites[i].delivered == delivered + 1 == msg.seq, seed
                     logged = sites[i].buffer[-1]
-                    assert type(logged) is TimestampedOp and logged == TimestampedOp(op, msg.origin, msg.seq, msg.clock), seed
+                    assert type(logged) is ClientOp and logged == ClientOp(op, msg.origin, msg.seq, msg.delivered), seed
                 else:
                     in_flight[1 - i].append(sites[i].local(random_op(rng, len(sites[i].state))))
             for i in (0, 1):
@@ -370,7 +391,7 @@ class TestRefusedOpCounts:
         if replica == "symmetric":
             engine = OtSite(site=0, state="ab")
             engine.local(Insert(0, "x"))
-            refuse = lambda: engine.remote(stamp(Insert(9, "y"), 1, 1))
+            refuse = lambda: engine.remote(ClientOp(Insert(9, "y"), 1, 1, 0))
         elif replica == "client":
             engine = SequencerClient(site=0, state="ab")
             engine.local(Insert(0, "x"))
