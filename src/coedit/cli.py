@@ -60,11 +60,11 @@ def cmd_run(args) -> int:
         if args.scenario == "fig1":
             scenario = harness.fig1_scenario()
         else:
-            with open(args.scenario) as fh:
+            with open(args.scenario, encoding="utf-8") as fh:
                 scenario = harness.scenario_from_text(fh.read())
         seed = args.seed if args.seed is not None else scenario.seed
         report = harness.run_scenario(replace(scenario, seed=seed), args.engine, ablation=ablation)
-    except (OSError, harness.ScenarioError) as exc:
+    except (OSError, UnicodeDecodeError, harness.ScenarioError) as exc:  # unreadable, not UTF-8, or malformed
         print(f"bad scenario: {exc}", file=sys.stderr)
         return 2
     row = metrics.csv_row("run-0", report)

@@ -6,8 +6,8 @@ position-based op to replay). Every engine plugs in here the same way, so
 the harness can run identical scenarios against any of them.
 
 Wire layout (big-endian, length-prefixed; nothing may follow the payload):
-  envelope  = origin u32 | seq u64 | nclock u32 | nclock * (site u32, count u64)
-              | payload_len u32 | payload
+  envelope  = head | nclock * (site u32, count u64) | payload_len u32 | payload
+  head      = origin u32 | seq u64 | nclock u32
   payloads  = 'C' delivered u64, op            ClientOp: OT peer -> peer, OT client -> sequencer
               'S' index u64, op                ServerOpMsg: sequencer -> OT clients
               'A'                              Ack: seq is the client's delivered count
@@ -16,14 +16,16 @@ Wire layout (big-endian, length-prefixed; nothing may follow the payload):
   op        = 'I' position u32, text  |  'D' position u32  |  'N'
   text      = len u32 | UTF-8 bytes
 Clock entries are sorted by site with no zero count, so each clock has one
-encoding; the OT kinds carry none. The decoders raise WireFormatError
-(a ValueError) on a short field, trailing bytes, an unknown kind, bad UTF-8, a
-clock entry that is zero or out of order, a clock on an OT kind, an op's
-seq below 1 or (on a WOOT kind) other than the clock's entry for the origin, a
-WOOT insert whose id is not its message's (origin, seq), a WOOT anchor or
-delete target outside the message's causal past, a WOOT insert that can never
-run (its prev is END, its next is START, or both anchors are one id), a WOOT
-delete of START or END, or a value the op types reject.
+encoding; the OT kinds carry none. Each run of fixed fields is one precompiled
+struct: an OT kind's message packs in one call (but for an insert's text), and
+a decoder reads every message in place by offset. The decoders raise
+WireFormatError (a ValueError) on a short field, trailing bytes, an unknown
+kind, bad UTF-8, a clock entry that is zero or out of order, a clock
+on an OT kind, an op's seq below 1 or (on a WOOT kind) other than the clock's
+entry for the origin, a WOOT insert whose id is not its message's (origin,
+seq), a WOOT anchor or delete target outside the message's causal past, a WOOT
+insert that can never run (its prev is END, its next is START, or both anchors
+are one id), a WOOT delete of START or END, or a value the op types reject.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .model import (
     TimestampedOp,
     VectorClock,
     apply_external,
-    format_op,
+    escape_text,
 )
 from .metrics import MetricsBundle
 from .ot import Ack, ClientOp, ServerOpMsg
@@ -61,8 +63,14 @@ def message_meta(msg: WireMessage) -> tuple:
 
 
 def op_token(op: ExternalOp) -> str:
-    """A position-based op as one trace-log token."""
-    return format_op(op).replace(" ", "_")
+    """A position-based op as one trace-log token: `model.format_op`'s text, `_` for each space."""
+    if type(op) is Insert:
+        return f"I_{op.position}_{escape_text(op.character)}"
+    if type(op) is Delete:
+        return f"D_{op.position}"
+    if type(op) is NoOp:
+        return "N"
+    raise TypeError(f"not an ExternalOp: {op!r}")
 
 
 def _id_text(oid: ObjectId) -> str:
@@ -90,13 +98,15 @@ class WireFormatError(ValueError):
     """The bytes are not one well-formed encoded message."""
 
 
-def _encode_id(oid: ObjectId) -> bytes:
-    return struct.pack(">qQ", oid.sid, oid.seq)
-
-
-def _decode_id(data: bytes, off: int) -> tuple:
-    sid, seq = struct.unpack_from(">qQ", data, off)
-    return ObjectId(sid, seq), off + 16
+_HEAD = struct.Struct(">IQI")  # origin, seq, nclock; the clock's entries and the payload length follow
+_ENTRY = struct.Struct(">IQ")  # a clock entry: site, count
+_LEN = struct.Struct(">I")
+# A message with no clock, whole but for an insert's UTF-8 bytes: head, payload
+# length, kind, then a counted record's count, op kind, position, text length.
+_C_INSERT, _C_DELETE, _C_NOOP, _ACK = (struct.Struct(_HEAD.format + f) for f in ("IcQcII", "IcQcI", "IcQc", "Ic"))
+# A WOOT payload: kind, then a text length (the text and _IDS follow: the
+# insert's id, prev and next) or a delete's target.
+_W, _IDS, _X = struct.Struct(">cI"), struct.Struct(">qQqQqQ"), struct.Struct(">cqQ")
 
 
 def _check_past(oid: ObjectId, origin: SiteId, seq: int, clock: VectorClock) -> None:
@@ -108,85 +118,101 @@ def _check_past(oid: ObjectId, origin: SiteId, seq: int, clock: VectorClock) -> 
         raise ValueError(f"id {oid} is outside the message's causal past")
 
 
-def _encode_text(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
-
-
-def _decode_text(data: bytes, off: int) -> tuple:
-    (n,) = struct.unpack_from(">I", data, off)
+def _read_head(data: bytes) -> tuple:
+    """(origin, seq, clock, payload offset) of an envelope whose payload
+    length matches the bytes that follow it."""
+    try:
+        origin, seq, nclock = _HEAD.unpack_from(data)
+        off = 16 + 12 * nclock
+        entries, last = {}, -1
+        for s, n in _ENTRY.iter_unpack(data[16:off]):
+            if n == 0 or s <= last:
+                raise WireFormatError(f"clock entry ({s}, {n}) is zero or out of order")
+            entries[s] = n
+            last = s
+        (plen,) = _LEN.unpack_from(data, off)
+    except struct.error as exc:
+        raise WireFormatError(f"short envelope: {exc}") from exc
     off += 4
-    return data[off : off + n].decode("utf-8"), off + n
+    if off + plen != len(data):
+        raise WireFormatError(f"payload length {plen}, but {len(data) - off} bytes follow")
+    return origin, seq, VectorClock._zero_free(entries) if nclock else _NO_CLOCK, off
 
 
-def _encode_op(op: ExternalOp) -> bytes:
-    if isinstance(op, Insert):
-        return b"I" + struct.pack(">I", op.position) + _encode_text(op.character)
-    if isinstance(op, Delete):
-        return b"D" + struct.pack(">I", op.position)
-    if isinstance(op, NoOp):
-        return b"N"
-    raise TypeError(f"not an ExternalOp: {op!r}")
+def encode_envelope(origin: SiteId, seq: int, clock: VectorClock, payload: bytes) -> bytes:
+    items = sorted(clock.entries.items())
+    head = _HEAD.pack(origin, seq, len(items)) + b"".join([_ENTRY.pack(s, n) for s, n in items])
+    return head + _LEN.pack(len(payload)) + payload
 
 
-def _decode_op(data: bytes, off: int) -> tuple:
-    kind = data[off : off + 1]
-    if kind == b"I":
-        (pos,) = struct.unpack_from(">I", data, off + 1)
-        char, off = _decode_text(data, off + 5)
-        return Insert(pos, char), off
-    if kind == b"D":
-        (pos,) = struct.unpack_from(">I", data, off + 1)
-        return Delete(pos), off + 5
-    if kind == b"N":
-        return NoOp(), off + 1
-    raise WireFormatError(f"unknown op kind {kind!r}")
+def decode_envelope(data: bytes) -> tuple:
+    origin, seq, clock, off = _read_head(data)
+    return origin, seq, clock, data[off:]
 
 
-_ENTRY = struct.Struct(">IQ")
-
-
-def encode_payload(msg: WireMessage) -> bytes:
+def encode_message(msg: WireMessage) -> bytes:
     kind = type(msg)
-    if kind is Ack:
-        return b"A"
-    op = msg.op
-    if kind is TimestampedOp and type(op) is InsertId:
-        return b"W" + _encode_text(op.character) + struct.pack(">qQqQqQ", *op.id, *op.prev, *op.next)
-    if kind is TimestampedOp and type(op) is DeleteId:
-        return b"X" + _encode_id(op.target)
-    if kind is ServerOpMsg:
-        return b"S" + struct.pack(">Q", msg.index) + _encode_op(op)
-    if kind is ClientOp:
-        return b"C" + struct.pack(">Q", msg.delivered) + _encode_op(op)
+    if kind is ClientOp or kind is ServerOpMsg:
+        op, origin, seq, n = msg
+        tag = b"C" if kind is ClientOp else b"S"
+        if type(op) is Insert:
+            raw = op.character.encode()
+            return _C_INSERT.pack(origin, seq, 0, 18 + len(raw), tag, n, b"I", op.position, len(raw)) + raw
+        if type(op) is Delete:
+            return _C_DELETE.pack(origin, seq, 0, 14, tag, n, b"D", op.position)
+        if type(op) is NoOp:
+            return _C_NOOP.pack(origin, seq, 0, 10, tag, n, b"N")
+    elif kind is Ack:
+        return _ACK.pack(msg.origin, msg.delivered, 0, 1, b"A")
+    elif kind is TimestampedOp:
+        op = msg.op
+        if type(op) is InsertId:
+            raw = op.character.encode()
+            payload = _W.pack(b"W", len(raw)) + raw + _IDS.pack(*op.id, *op.prev, *op.next)
+            return encode_envelope(msg.origin, msg.seq, msg.clock, payload)
+        if type(op) is DeleteId:
+            return encode_envelope(msg.origin, msg.seq, msg.clock, _X.pack(b"X", *op.target))
     raise TypeError(f"not a wire message: {msg!r}")
 
 
-def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock) -> WireMessage:
-    kind, off = payload[:1], 1
+def decode_message(data: bytes) -> WireMessage:
+    """The message `data` encodes, its payload read in place by the structs that pack it."""
+    origin, seq, clock, start = _read_head(data)
+    kind = data[start : start + 1]
     if clock.entries and kind in (b"C", b"S", b"A"):
         raise WireFormatError(f"a {kind!r} message carries no clock, got {clock}")
     try:
-        if kind == b"C" or kind == b"S":
-            (n,) = struct.unpack_from(">Q", payload, off)
-            op, off = _decode_op(payload, off + 8)
+        if kind == b"C" or kind == b"S":  # no clock: the message starts as _C_NOOP
+            opk = data[_C_NOOP.size - 1 : _C_NOOP.size]
+            if opk == b"I":
+                n, _, pos, tlen = _C_INSERT.unpack_from(data)[5:]
+                off = _C_INSERT.size + tlen
+                op = Insert(pos, data[_C_INSERT.size : off].decode())
+            elif opk == b"D":
+                n, _, pos = _C_DELETE.unpack_from(data)[5:]
+                off, op = _C_DELETE.size, Delete(pos)
+            elif opk == b"N":
+                n, off, op = _C_NOOP.unpack_from(data)[5], _C_NOOP.size, NoOp()
+            else:
+                raise WireFormatError(f"unknown op kind {opk!r}")
             msg = (ClientOp if kind == b"C" else ServerOpMsg)(op, origin, seq, n)
         elif kind == b"A":
-            msg = Ack(origin, seq)
+            msg, off = Ack(origin, seq), start + 1
         elif kind == b"W":
-            char, off = _decode_text(payload, off)
-            oid, off = _decode_id(payload, off)
+            off = start + 53 + _W.unpack_from(data, start)[1]  # past the text and the ids
+            ids = _IDS.unpack_from(data, off - 48)
+            oid, prev, nxt = ObjectId(*ids[:2]), ObjectId(*ids[2:4]), ObjectId(*ids[4:])
+            char = data[start + 5 : off - 48].decode()
             if oid != (origin, seq):  # a site mints each insert's id from its own stamp
                 raise ValueError(f"insert id {oid} is not the message's {origin}.{seq}")
-            prev, off = _decode_id(payload, off)
-            nxt, off = _decode_id(payload, off)
             if prev == END or nxt == START or prev == nxt:  # no slot can ever lie between them
                 raise ValueError(f"insert anchors {prev} and {nxt} can never enclose a slot")
             _check_past(prev, origin, seq, clock)
             _check_past(nxt, origin, seq, clock)
             msg = TimestampedOp(InsertId(char, oid, prev, nxt), origin, seq, clock)
         elif kind == b"X":
-            target, off = _decode_id(payload, off)
+            target = ObjectId(*_X.unpack_from(data, start)[1:])
+            off = start + 17
             if target == START or target == END:  # a sentinel is never shown, so never deleted
                 raise ValueError(f"delete target {target} is a sentinel")
             _check_past(target, origin, seq, clock)
@@ -195,46 +221,9 @@ def decode_payload(payload: bytes, origin: SiteId, seq: int, clock: VectorClock)
             raise WireFormatError(f"unknown payload kind {kind!r}")
     except (struct.error, ValueError) as exc:  # a short field, bad UTF-8, or a value the message types reject
         raise WireFormatError(f"malformed {kind!r} payload: {exc}") from exc
-    if off != len(payload):  # trailing bytes, or a text running past the end
-        raise WireFormatError(f"{kind!r} fields end at byte {off} of a {len(payload)}-byte payload")
+    if off != len(data):  # trailing bytes, or a text running past the end
+        raise WireFormatError(f"{kind!r} fields end at byte {off - start} of a {len(data) - start}-byte payload")
     return msg
-
-
-def encode_envelope(origin: SiteId, seq: int, clock: VectorClock, payload: bytes) -> bytes:
-    items = clock.sorted_items()
-    head = struct.pack(">IQI", origin, seq, len(items))
-    return head + b"".join([_ENTRY.pack(s, n) for s, n in items]) + struct.pack(">I", len(payload)) + payload
-
-
-def decode_envelope(data: bytes) -> tuple:
-    try:
-        origin, seq, nclock = struct.unpack_from(">IQI", data, 0)
-        off = 16
-        entries = {}
-        last = -1
-        for _ in range(nclock):
-            s, n = _ENTRY.unpack_from(data, off)
-            if n == 0 or s <= last:
-                raise WireFormatError(f"clock entry ({s}, {n}) is zero or out of order")
-            entries[s] = n
-            last = s
-            off += 12
-        (plen,) = struct.unpack_from(">I", data, off)
-    except struct.error as exc:
-        raise WireFormatError(f"short envelope: {exc}") from exc
-    off += 4
-    if off + plen != len(data):
-        raise WireFormatError(f"payload length {plen}, but {len(data) - off} bytes follow")
-    return origin, seq, VectorClock._zero_free(entries), data[off:]
-
-
-def encode_message(msg: WireMessage) -> bytes:
-    return encode_envelope(*message_meta(msg), encode_payload(msg))
-
-
-def decode_message(data: bytes) -> WireMessage:
-    origin, seq, clock, payload = decode_envelope(data)
-    return decode_payload(payload, origin, seq, clock)
 
 
 # ---------------------------------------------------------------------------

@@ -153,9 +153,6 @@ class VectorClock(CheckedRecord, namedtuple("VectorClock", "entries")):
     def __hash__(self):
         return hash(frozenset(self.entries.items()))
 
-    def sorted_items(self) -> tuple:
-        return tuple(sorted(self.entries.items()))
-
 
 class TimestampedOp(CheckedRecord, namedtuple("TimestampedOp", "op origin seq clock")):
     """An op plus the metadata needed for causal replay: the wire record of a

@@ -27,6 +27,7 @@ out of `Simulator.run`; nothing is held back for a retry.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
@@ -59,6 +60,23 @@ class UniformLatency:
 
 
 LatencyModel = Union[FixedLatency, UniformLatency]
+
+
+def _latency_draw(latency: LatencyModel, rng: random.Random) -> Callable[[], int]:
+    """A model's delay draw, bound once, at least 1 tick; a uniform one draws as `rng.randint(lo, hi)` does."""
+    if isinstance(latency, FixedLatency):
+        return itertools.repeat(max(1, latency.ticks)).__next__
+    lo, width = latency.lo, latency.hi - latency.lo + 1
+    bits, getrandbits = width.bit_length(), rng.getrandbits
+
+    def draw() -> int:
+        r = getrandbits(bits)
+        while r >= width:
+            r = getrandbits(bits)
+        return max(1, lo + r)
+
+    return draw
+
 
 SEQUENCER_NODE = -1
 MODES = ("causal", "sequencer")
@@ -122,14 +140,16 @@ class Simulator:
         if config.mode == "sequencer" and sequencer_server is None:
             raise ValueError("sequencer mode requires a sequencer server")
         self.config = config
-        self.site_ids = list(site_ids)
+        self.site_ids = sorted(site_ids)
+        self._others = {s: [d for d in self.site_ids if d != s] for s in self.site_ids}  # a causal broadcast's destinations
+        self._sequenced = config.mode == "sequencer"
         self.generate_cb = generate_cb
         self.deliver_cb = deliver_cb
         self.clock_of = clock_of
         self.metrics = MetricsBundle() if metrics is None else metrics
-        self.rng = random.Random(config.seed)
+        self._draw_latency = _latency_draw(config.latency, random.Random(config.seed))
         self.events: list = []  # heap of (tick, counter, kind, data)
-        self._counter = 0
+        self._count = itertools.count().__next__  # the counter: ties at one tick keep their insertion order
         self.trace: List[str] = []
         self.now = 0
         # causal mode hold-back
@@ -145,19 +165,10 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def _push(self, tick: int, kind: str, data) -> None:
-        heapq.heappush(self.events, (tick, self._counter, kind, data))
-        self._counter += 1
+        heapq.heappush(self.events, (tick, self._count(), kind, data))
 
     def schedule_generation(self, tick: int, site: SiteId) -> None:
         self._push(tick, "gen", site)
-
-    def _draw_latency(self) -> int:
-        lat = self.config.latency
-        if isinstance(lat, FixedLatency):
-            d = lat.ticks
-        else:
-            d = self.rng.randint(lat.lo, lat.hi)
-        return max(1, d)
 
     def _encode(self, msg: WireMessage) -> bytes:
         data = encode_message(msg)
@@ -166,8 +177,9 @@ class Simulator:
         return data
 
     def broadcast(self, msg: WireMessage, dests: List[int]) -> None:
+        """Send `msg` to `dests` (ascending), drawing a latency for each."""
         env = Envelope(self._encode(msg))
-        for dst in sorted(dests):
+        for dst in dests:
             self._push(self.now + self._draw_latency(), "net", (dst, env))
 
     # -- event handling -----------------------------------------------------
@@ -177,13 +189,13 @@ class Simulator:
         if msg is None:
             return
         self.trace.append(f"tick={self.now} site={site} kind=gen op={message_text(msg)} key={msg.origin}:{msg.seq}")
-        if self.config.mode == "sequencer":
+        if self._sequenced:
             self.unacked[site] = 0  # the op's delivered count acks
             tick = self.now + self._draw_latency()
             self._push(tick, "net", (SEQUENCER_NODE, Envelope(self._encode(msg))))
             self.link_free[site] = max(self.link_free[site], tick)
         else:
-            self.broadcast(msg, [s for s in self.site_ids if s != site])
+            self.broadcast(msg, self._others[site])
 
     def _handle_sequencer(self, msg: WireMessage) -> None:
         origin = msg.origin
@@ -201,7 +213,7 @@ class Simulator:
             msg = env.msg = decode_message(env.payload)
         if dst == SEQUENCER_NODE:
             self._handle_sequencer(msg)
-        elif self.config.mode == "sequencer":
+        elif self._sequenced:
             self._arrive_sequenced(dst, msg)
         else:
             self.pending[dst].append(msg)
@@ -210,13 +222,14 @@ class Simulator:
     def _arrive_sequenced(self, dst: int, msg: WireMessage) -> None:
         # messages leave the sequencer in index order; per-destination links
         # may reorder them, so hold back until the stream index matches
-        self.seq_hold[dst][msg.index] = msg
-        while self.seq_next[dst] in self.seq_hold[dst]:
-            ready = self.seq_hold[dst].pop(self.seq_next[dst])
-            self.seq_next[dst] += 1
+        hold, nxt = self.seq_hold[dst], self.seq_next[dst]
+        hold[msg.index] = msg
+        while nxt in hold:
+            ready = hold.pop(nxt)
+            nxt = self.seq_next[dst] = nxt + 1
             self._deliver(dst, ready)
-            self.unacked[dst] += 1
-            if self.unacked[dst] == ACK_EVERY:
+            unacked = self.unacked[dst] = self.unacked[dst] + 1
+            if unacked == ACK_EVERY:
                 self._send_ack(dst)
 
     def _send_ack(self, site: SiteId) -> None:
@@ -234,22 +247,22 @@ class Simulator:
 
     def _drain_causal(self, dst: int) -> None:
         pending = self.pending[dst]
-        progress = True
-        while progress and pending:
-            progress = False
+        while pending:
             local = self.clock_of(dst)  # changes only by a delivery, which ends the scan
             for i, msg in enumerate(pending):
                 if causally_ready(msg, local):
                     del pending[i]
                     self._deliver(dst, msg)
-                    progress = True
                     break
+            else:
+                return
 
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> List[str]:
-        while self.events:
-            tick, _, kind, data = heapq.heappop(self.events)
+        events, pop = self.events, heapq.heappop
+        while events:
+            tick, _, kind, data = pop(events)
             if kind == "ack":  # writes no trace line, so it leaves `now`, the tick of the last one, as it is
                 ack = decode_message(data)
                 self.sequencer_server.ack(ack.origin, ack)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from coedit.model import Delete, Insert, NoOp, TimestampedOp, VectorClock
+from coedit.model import Delete, Insert, NoOp, TimestampedOp, VectorClock, format_op
 from coedit.framework import (
     EngineInvariantError,
     Site,
@@ -19,6 +19,7 @@ from coedit.framework import (
     encode_message,
     message_meta,
     message_text,
+    op_token,
 )
 from coedit.ot import Ack, ClientOp, OtSite, SequencerClient, SequencerServer, ServerOpMsg
 from coedit.woot import DeleteId, INIT_SID, InsertId, ObjectId, START, END, TOMB, WootSite
@@ -45,6 +46,16 @@ class TestTraceToken:
     def test_delete_token_matches_the_record_repr(self, target):
         op = DeleteId(target)
         assert message_text(TimestampedOp(op, 1, 1, VectorClock({1: 1}))) == str(op).replace(" ", "")
+
+    @given(st.one_of(
+        st.builds(Insert, st.integers(0, 2**32 - 1), st.one_of(TYPED, st.characters(blacklist_characters="\x00"))),
+        st.builds(Delete, st.integers(0, 2**32 - 1)),
+        st.just(NoOp()),
+    ))
+    def test_op_token_is_format_op_with_underscores(self, op):
+        """A position-based op's token, which every golden digest hashes, is
+        its canonical text with `_` for each space."""
+        assert op_token(op) == format_op(op).replace(" ", "_")
 
 
 class TestWireFormats:
@@ -105,6 +116,25 @@ class TestWireFormats:
         assert (origin, seq, clock, got) == (3, 7, VectorClock({1: 2, 3: 7}), payload)
         assert hash(clock) == hash(VectorClock({1: 2, 3: 7}))
 
+    @pytest.mark.parametrize("msg, hexdata", [
+        (ClientOp(Insert(3, "\U0001F600"), 1, 2, 7),
+         "0000000100000000000000020000000000000016430000000000000007490000000300000004f09f9880"),
+        (ClientOp(Delete(4), 0, 5, 3), "000000000000000000000005000000000000000e4300000000000000034400000004"),
+        (ServerOpMsg(Insert(2, "q"), 1, 3, 12), "000000010000000000000003000000000000001353000000000000000c49000000020000000171"),
+        (Ack(2, 32), "000000020000000000000020000000000000000141"),
+        (TimestampedOp(InsertId("q", ObjectId(1, 2), START, ObjectId(-1, 3)), 1, 2, VectorClock({1: 2})),
+         "0000000100000000000000020000000100000001000000000000000200000036570000000171000000000000000100000000"
+         "00000002ffffffff800000000000000000000000ffffffffffffffff0000000000000003"),
+        (TimestampedOp(DeleteId(ObjectId(1, 1)), 0, 9, VectorClock({0: 9, 1: 1})),
+         "0000000000000000000000090000000200000000000000000000000900000001000000000000000100000011580000000000"
+         "0000010000000000000001"),
+    ], ids=["C-insert-non-BMP", "C-delete", "S", "A", "W", "X-two-entry-clock"])
+    def test_bytes_pinned(self, msg, hexdata):
+        """Each payload kind's bytes, fixed so an encoder and a decoder that
+        drift together still fail: a round trip alone cannot catch that."""
+        assert encode_message(msg).hex() == hexdata
+        assert decode_message(bytes.fromhex(hexdata)) == msg
+
     def test_message_meta(self):
         """What the envelope carries: a sequencer kind's clock is empty, and
         an ack's seq is its delivered count."""
@@ -150,7 +180,7 @@ class TestStrictDecoding:
         with pytest.raises(WireFormatError):
             decode_message(encode_message(msg) + b"junk")
 
-    @pytest.mark.parametrize("msg", SAMPLES, ids=SAMPLE_IDS)
+    @pytest.mark.parametrize("msg", SAMPLES + [ClientOp(Insert(0, "\U0001F600"), 1, 2, 7)], ids=SAMPLE_IDS + ["C-non-BMP"])
     def test_every_truncation_rejected(self, msg):
         data = encode_message(msg)
         for n in range(len(data)):
@@ -193,8 +223,10 @@ class TestStrictDecoding:
 
     @pytest.mark.parametrize("kind", [b"C", b"S"], ids=["C", "S"])
     def test_sequencer_op_seq_below_1_rejected(self, kind):
-        with pytest.raises(WireFormatError, match="seq >= 1"):
-            decode_message(encode_envelope(0, 0, VectorClock(), _counted(kind)))
+        """Whatever the op: an insert, a delete or a NoOp."""
+        for op in (b"I" + struct.pack(">II", 0, 1) + b"x", b"D" + struct.pack(">I", 0), b"N"):
+            with pytest.raises(WireFormatError, match="seq >= 1"):
+                decode_message(encode_envelope(0, 0, VectorClock(), kind + struct.pack(">Q", 0) + op))
 
     def test_ack_payload_is_its_kind_alone(self):
         with pytest.raises(WireFormatError):

@@ -241,6 +241,14 @@ class TestCli:
         assert main(["run", "--engine", "woot", "--scenario", str(scn)]) == 2
         assert "at least 1 site" in capsys.readouterr().err
 
+    def test_non_utf8_scenario_exits_two(self, tmp_path, capsys):
+        """A scenario file is UTF-8 text; other bytes are a bad scenario, not a crash."""
+        scn = tmp_path / "latin1.scn"
+        scn.write_bytes(b"sites 2\ndoc ab\n@1 s0 I 0 \xff\n")
+        assert main(["run", "--engine", "ot", "--scenario", str(scn)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad scenario: ") and "can't decode byte 0xff" in err and "Traceback" not in err
+
     @staticmethod
     def _exits_two(argv, capsys, message):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """Discrete-event network: latency models, causal gating, sequencer order,
 determinism, liveness."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -90,7 +91,17 @@ class TestLatencyModels:
     def test_minimum_one_tick(self):
         sim = self._sim(FixedLatency(0))
         sim.broadcast(ClientOp(Delete(0), 0, 1, 0), [1])
-        assert self._arrivals(sim)[1] >= 1
+        assert self._arrivals(sim)[1] == 1
+
+    @pytest.mark.parametrize("lo, hi", [(1, 10), (0, 3)], ids=["1-10", "0-3-clamped"])
+    def test_uniform_draws_are_randint_in_order(self, lo, hi):
+        """The arrival ticks are the seed's `randint(lo, hi)` draws, in the
+        order the events were scheduled, each at least 1."""
+        sim = self._sim(UniformLatency(lo, hi), sites=9, seed=42)
+        for seq in range(1, 51):
+            sim.broadcast(ClientOp(Delete(0), 0, seq, 0), list(range(1, 9)))
+        rng = random.Random(42)
+        assert [tick for tick, *_ in sorted(sim.events, key=lambda e: e[1])] == [max(1, rng.randint(lo, hi)) for _ in range(400)]
 
     def test_uniform_bounds_checked_at_construction(self):
         # an inverted range would only fail later, inside the run's latency draw
