@@ -3,7 +3,8 @@
     python3 scripts/bench_pairs.py --parent REV --scratch DIR --out BENCH_x.json \\
         [--workloads fuzz_mixed,woot_bigdoc] [--seeds 101-110] [--seconds 30] \\
         [--title TEXT] [--claim WORKLOAD:METRIC] [--profile WORKLOAD:SEED] \\
-        [--timeit-setup CODE] [--timeit LABEL=STATEMENT ...] [--sweep N,N,...]
+        [--timeit-setup CODE] [--timeit LABEL=STATEMENT ...] [--sweep N,N,...] \\
+        [--setup-probes N]
 
 Run from the repository root. Two checkouts are built side by side under
 DIR, replacing any earlier ones there: DIR/parent from `git archive REV`,
@@ -41,7 +42,13 @@ p99 local and remote times and of `init.woot_init_ns`, and the rows'
 `search_steps_total`, `C` and `C_t`, each of which must be the same in every
 round on both sides (the scans' cost depends on the tombstone ratio).
 The times are the library's own summary keys; a revision whose summary lacks
-one reports it as None. The output also records each checkout's line count
+one reports it as None.
+--setup-probes runs `perfbench/setup_probe.py` N times per side per workload,
+alternating sides, on the sessions of the workload's first round at the
+first seed (the sites `setup_s` builds), and writes each side's quartiles in
+seconds and the ratio of the medians under `probes` beside `setup_s`'s
+verdict: `setup_s` mostly times compiling the library, and its spread over
+ten pairs is often wider than its bound. The output also records each checkout's line count
 of `src/coedit/*.py`, as `wc -l` totals it.
 Exit code 1 if a run fails, a pair's exact blocks differ or a sweep's
 counts differ.
@@ -187,9 +194,14 @@ def sweep(dirs: dict, doc_len: int) -> dict:
     return out
 
 
+def quartiles(values: list) -> list:
+    """Q1, median and Q3 (inclusive method); a single value three times."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
 def summarize(pairs: list, name: str, higher_better: bool, bound: float) -> dict:
     values = {side: [p[side][name] for p in pairs] for side in SIDES}
-    q = {side: statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3 for side, v in values.items()}
+    q = {side: quartiles(v) for side, v in values.items()}
     better = sum((c > p) if higher_better else (c < p) for p, c in zip(values["parent"], values["change"]))
     worse = sum((c < p) if higher_better else (c > p) for p, c in zip(values["parent"], values["change"]))
     ratio = q["change"][1] / q["parent"][1]
@@ -251,9 +263,39 @@ print(json.dumps(out))
 """
 
 
-def python_json(checkout: Path, code: str, *args: str) -> dict:
+def python_json(checkout: Path, code: str, *args: str):
     done = subprocess.run([sys.executable, "-c", code, *args], cwd=checkout, capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+# the sessions of a workload's first round, as perfbench/setup_probe.py reads them
+FIRST_ROUND = """
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+from workloads import WORKLOADS
+first = WORKLOADS[sys.argv[1]].batch(int(sys.argv[2]))[0]
+print(json.dumps([{"engine": engine, "mode": s.mode, "sites": s.sites, "doc": s.initial} for s, engine in first]))
+"""
+
+
+def setup_probes(dirs: dict, workload: str, seed: int, n: int) -> dict:
+    """`n` alternating `perfbench/setup_probe.py` runs per side on the
+    workload's first round at `seed`: each side's quartiles in seconds."""
+    specs = {side: json.dumps({"src": str(dirs[side] / "src"), "sessions": python_json(dirs[side], FIRST_ROUND, workload, str(seed))})
+             for side in SIDES}
+    times = {side: [] for side in SIDES}
+    for k in range(n):
+        for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+            done = subprocess.run([sys.executable, "perfbench/setup_probe.py"], cwd=dirs[side], input=specs[side],
+                                  capture_output=True, text=True, check=True)
+            times[side].append(float(done.stdout))
+    q = {side: quartiles(times[side]) for side in SIDES}
+    return {
+        "seed": seed,
+        "probes_per_side": n,
+        **{f"{side}_q1_median_q3": [round(x, 6) for x in q[side]] for side in SIDES},
+        "change_over_parent_median": round(q["change"][1] / q["parent"][1], 4),
+    }
 
 
 def host() -> str:
@@ -279,6 +321,8 @@ def main(argv=None) -> int:
     p.add_argument("--timeit-setup", default="pass")
     p.add_argument("--timeit", action="append", default=[], help="LABEL=STATEMENT; repeatable")
     p.add_argument("--sweep", default="", help="N,N,...: document lengths for the `coedit bench --sites 3` table")
+    p.add_argument("--setup-probes", type=int, default=0, metavar="N",
+                   help="alternating perfbench/setup_probe.py runs per side per workload, reported beside setup_s")
     args = p.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -327,6 +371,11 @@ def main(argv=None) -> int:
             "summary": {name: summarize(timed, name, hi, bounds[name]) for name, hi in directions.items()} if timed else {},
             "pairs": pairs,
         }
+        if args.setup_probes > 0 and "setup_s" in out["workloads"][workload]["summary"]:
+            probes = setup_probes(dirs, workload, seeds[0], args.setup_probes)
+            out["workloads"][workload]["summary"]["setup_s"]["probes"] = probes
+            print(f"{workload} setup probes: median parent {probes['parent_q1_median_q3'][1] * 1e3:.1f} ms, "
+                  f"change {probes['change_q1_median_q3'][1] * 1e3:.1f} ms", flush=True)
     out["no_regression"] = no_regression(out["workloads"])
     for workload, w in out["workloads"].items():
         for name, s in w["summary"].items():

@@ -11,21 +11,23 @@ A Scenario (scripted or fuzzed) runs to quiescence on any engine named in
                      one after another at a site keep their relative order;
   liveness          - no message left in a hold-back queue at quiescence.
 
-Character instances are tracked by tagging every document position with the
-(origin, seq) of the op that created it, replicated alongside the text. A tag
-list only gains and loses entries, so a site's own inserts stay, in its own
-list, in the order its user typed them. Proxy (c) ranks them there once the
-run is over and walks every site's list for an instance ranked below the one
-of the same origin seen just before it: O(sites x doc) per run.
+Character instances are tracked by tagging every document position with an
+int, replicated alongside the text: `origin << 32 | seq` of the op that made
+it, or `-1 - k` for initial character k (a violation prints (origin, seq) or
+("init", k)). A tag list only gains and loses entries, so a site's own
+inserts stay, in its own list, in the order its user typed them. Proxy (c)
+ranks them there once the run is over and walks every site's list for an
+instance ranked below the one of the same origin seen just before it:
+O(sites x doc) per run.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-import time
 from dataclasses import asdict, dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from time import perf_counter_ns
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .model import (
     BoundsError,
@@ -48,6 +50,7 @@ from .netsim import (
     SimConfig,
     Simulator,
     UniformLatency,
+    draw_below,
 )
 from .ot import OtSite, SequencerClient, SequencerServer
 from .woot import SkipConversionSite, WootSite
@@ -58,8 +61,7 @@ class ScenarioError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ScriptEntry:
+class ScriptEntry(NamedTuple):
     tick: int
     site: SiteId
     op: ExternalOp
@@ -95,6 +97,8 @@ class Scenario:
             raise ScenarioError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.fuzz is not None and self.fuzz.window is not None and self.fuzz.window < 1:
             raise ScenarioError(f"a fuzz window needs at least 1 op, got {self.fuzz.window}")
+        if self.fuzz is not None and min(self.fuzz.n_ops, self.fuzz.gap) < 0:
+            raise ScenarioError(f"a fuzz spec needs n_ops >= 0 and gap >= 0, got {self.fuzz.n_ops} and {self.fuzz.gap}")
         if self.fuzz is not None and not self.fuzz.alphabet:
             raise ScenarioError("a fuzz alphabet needs at least 1 character")
         if NUL in self.initial or (self.fuzz is not None and NUL in self.fuzz.alphabet):
@@ -256,6 +260,11 @@ def _woot_engines(scenario: Scenario, ablation: bool, metrics: MetricsBundle) ->
 ENGINES = {"ot": ("sequencer", _ot_engines), "woot": ("causal", _woot_engines)}
 
 
+def _tag_text(tag: Optional[int]) -> Optional[tuple]:
+    """An instance tag as violations print it: (origin, seq), ("init", k) or None."""
+    return tag if tag is None else ("init", -1 - tag) if tag < 0 else (tag >> 32, tag & 0xFFFFFFFF)
+
+
 class _Run:
     """Mutable state of one scenario execution."""
 
@@ -270,17 +279,18 @@ class _Run:
         self.sites = {i: Site(id=i, engine=e, external=scenario.initial) for i, e in engines.items()}
 
         # instance tags: one per character position, mirrored per site
-        init_tags = [("init", k) for k in range(len(scenario.initial))]
+        init_tags = list(range(-1, -1 - len(scenario.initial), -1))
         self.tags: Dict[SiteId, list] = {i: list(init_tags) for i in ids}
         self.init_tags = set(init_tags)
         self.insert_tags: set = set()
-        self.delete_targets: Dict[tuple, tuple] = {}  # delete op key -> tag
+        self.delete_targets: Dict[int, int] = {}  # delete op's tag -> the tag it removed
         self.intention = IntentionVerdict()
         self.generated: List[ScriptEntry] = []
 
-        # generation plan
-        self.script_queue: Dict[tuple, list] = {}
+        # generation plan: a scripted run's entries by (tick, site), or fuzzed draws
+        self.script_queue: Optional[Dict[tuple, list]] = None if scenario.script is None else {}
         self.fuzz_rng = random.Random(f"ops-{scenario.seed}")
+        self._below = below = draw_below(self.fuzz_rng)
         self.sim = Simulator(
             SimConfig(scenario.mode, scenario.latency, scenario.seed),
             ids,
@@ -295,78 +305,73 @@ class _Run:
             for e in scenario.script:
                 if not 0 <= e.site < scenario.sites:
                     raise ScenarioError(f"script references unknown site {e.site}")
-                self.script_queue.setdefault((e.tick, e.site), []).append(e.op)
+                self.script_queue.setdefault((e.tick, e.site), []).append(e)
                 self.sim.schedule_generation(e.tick, e.site)
         elif spec.window is None:
             span = max(2, spec.n_ops)
             for _ in range(spec.n_ops):
-                self.sim.schedule_generation(self.fuzz_rng.randint(1, span), self.fuzz_rng.randrange(scenario.sites))
+                self.sim.schedule_generation(1 + below(span), below(scenario.sites))
         else:  # rounds of `window` ops, `gap` ticks apart
             for k in range(spec.n_ops):
-                self.sim.schedule_generation(1 + k // spec.window * spec.gap, self.fuzz_rng.randrange(scenario.sites))
+                self.sim.schedule_generation(1 + k // spec.window * spec.gap, below(scenario.sites))
 
     # -- op generation ------------------------------------------------------
 
     def _pick_fuzz_op(self, text: str) -> ExternalOp:
-        spec = self.scenario.fuzz
+        spec, below = self.scenario.fuzz, self._below
         if text and self.fuzz_rng.random() > spec.insert_ratio:
-            return Delete(self.fuzz_rng.randrange(len(text)))
-        return Insert(self.fuzz_rng.randint(0, len(text)), self.fuzz_rng.choice(spec.alphabet))
+            return Delete(below(len(text)))
+        return Insert(below(len(text) + 1), spec.alphabet[below(len(spec.alphabet))])
 
     def _generate(self, site_id: SiteId, tick: int) -> Optional[WireMessage]:
         site = self.sites[site_id]
-        scripted = self.scenario.script is not None
-        if scripted:
-            queue = self.script_queue.get((tick, site_id), [])
+        if self.script_queue is None:
+            entry, eo = None, self._pick_fuzz_op(site.external)
+        else:
+            queue = self.script_queue.get((tick, site_id))
             if not queue:
                 return None
-            eo = queue.pop(0)
-        else:
-            eo = self._pick_fuzz_op(site.external)
-        if isinstance(eo, NoOp):
+            entry = queue.pop(0)
+            eo = entry.op
+        kind = type(eo)
+        if kind is NoOp:
             return None
-        t0 = time.perf_counter_ns()
+        t0 = perf_counter_ns()
         try:
             msg = site.generate(eo)
         except BoundsError as exc:
-            if not scripted:
+            if entry is None:
                 raise
-            raise ScenarioError(f"script entry {_entry_to_text(ScriptEntry(tick, site_id, eo))!r}: {exc}") from exc
-        self.metrics.local_ns.append(time.perf_counter_ns() - t0)
-        self.generated.append(ScriptEntry(tick, site_id, eo))
-        self._track_local(site_id, eo, msg)
-        return msg
-
-    def _track_local(self, site_id: SiteId, eo: ExternalOp, msg: WireMessage) -> None:
-        key = (msg.origin, msg.seq)
-        tags = self.tags[site_id]
-        if isinstance(eo, Insert):
-            self.insert_tags.add(key)
-            tags.insert(eo.position, key)
+            raise ScenarioError(f"script entry {_entry_to_text(entry)!r}: {exc}") from exc
+        self.metrics.local_ns.append(perf_counter_ns() - t0)
+        self.generated.append(ScriptEntry(tick, site_id, eo) if entry is None else entry)
+        tag, tags = msg.origin << 32 | msg.seq, self.tags[site_id]
+        if kind is Insert:
+            self.insert_tags.add(tag)
+            tags.insert(eo.position, tag)
         else:
-            self.delete_targets[key] = tags.pop(eo.position)
+            self.delete_targets[tag] = tags.pop(eo.position)
+        return msg
 
     # -- delivery -----------------------------------------------------------
 
     def _deliver(self, site_id: SiteId, msg: WireMessage, tick: int) -> Optional[ExternalOp]:
         site = self.sites[site_id]
-        t0 = time.perf_counter_ns()
+        t0 = perf_counter_ns()
         eo = site.deliver(msg)
-        self.metrics.remote_ns.append(time.perf_counter_ns() - t0)
+        self.metrics.remote_ns.append(perf_counter_ns() - t0)
         site.engine.collect()  # untimed: what the delivery made stable
-        if eo is None:
-            return eo
-        key = (msg.origin, msg.seq)
-        tags = self.tags[site_id]
-        if isinstance(eo, Insert):
-            tags.insert(eo.position, key)
-        elif isinstance(eo, Delete):
-            removed = tags.pop(eo.position)
-            expected = self.delete_targets.get(key)
+        kind = type(eo)
+        if kind is Insert:
+            self.tags[site_id].insert(eo.position, msg.origin << 32 | msg.seq)
+        elif kind is Delete:
+            tag = msg.origin << 32 | msg.seq
+            removed = self.tags[site_id].pop(eo.position)
+            expected = self.delete_targets.get(tag)
             if removed != expected:
                 self.intention.deletions_ok = False
                 self.intention.violations.append(
-                    f"site {site_id}: delete {key} removed instance {removed}, targeted {expected}"
+                    f"site {site_id}: delete {_tag_text(tag)} removed instance {_tag_text(removed)}, targeted {_tag_text(expected)}"
                 )
         return eo
 
@@ -423,20 +428,22 @@ class _Run:
             return  # external states are deliberately left stale
         expected = (self.init_tags | self.insert_tags) - set(self.delete_targets.values())
         # proxy (c): each site's own inserts, ranked by their place in its own list
-        rank = {tag: k for s, tags in self.tags.items() for k, tag in enumerate(tags) if tag[0] == s}
+        # (an initial character's tag is negative, so its origin, tag >> 32, is -1)
+        rank = {tag: k for s, tags in self.tags.items() for k, tag in enumerate(tags) if tag >> 32 == s}
         for i, tags in self.tags.items():
-            if set(tags) != expected:
+            present = set(tags)
+            if present != expected:
                 self.intention.survivors_ok = False
-                missing = expected - set(tags)
-                extra = set(tags) - expected
+                missing = {_tag_text(t) for t in expected - present}
+                extra = {_tag_text(t) for t in present - expected}
                 self.intention.violations.append(f"site {i}: missing {missing}, extra {extra}")
-            last: Dict[SiteId, tuple] = {}  # origin -> its last ranked tag seen here
+            last: Dict[SiteId, int] = {}  # origin -> its last ranked tag seen here
             for tag in filter(rank.__contains__, tags):
-                prev = last.get(tag[0])
+                prev = last.get(tag >> 32)
                 if prev is not None and rank[tag] < rank[prev]:
                     self.intention.order_ok = False
-                    self.intention.violations.append(f"site {i}: instances {tag} and {prev} in reversed order")
-                last[tag[0]] = tag
+                    self.intention.violations.append(f"site {i}: instances {_tag_text(tag)} and {_tag_text(prev)} in reversed order")
+                last[tag >> 32] = tag
 
 
 def run_scenario(scenario: Scenario, engine: str, ablation: bool = False) -> RunReport:

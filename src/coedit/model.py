@@ -64,17 +64,20 @@ ExternalOp = Union[Insert, Delete, NoOp]
 
 
 def apply_external(text: str, op: ExternalOp) -> str:
-    """Apply a position-based operation to the visible text."""
-    if isinstance(op, NoOp):
+    """Apply a position-based operation to the visible text, built in one piece."""
+    kind = type(op)
+    if kind is Insert:
+        position, character = op
+        if not 0 <= position <= len(text):
+            raise BoundsError(f"insert position {position} out of range for length {len(text)} ({op})")
+        return f"{text[:position]}{character}{text[position:]}"
+    if kind is Delete:
+        (position,) = op
+        if not 0 <= position < len(text):
+            raise BoundsError(f"delete position {position} out of range for length {len(text)} ({op})")
+        return f"{text[:position]}{text[position + 1:]}"
+    if kind is NoOp:
         return text
-    if isinstance(op, Insert):
-        if not 0 <= op.position <= len(text):
-            raise BoundsError(f"insert position {op.position} out of range for length {len(text)} ({op})")
-        return text[: op.position] + op.character + text[op.position :]
-    if isinstance(op, Delete):
-        if not 0 <= op.position < len(text):
-            raise BoundsError(f"delete position {op.position} out of range for length {len(text)} ({op})")
-        return text[: op.position] + text[op.position + 1 :]
     raise TypeError(f"not an ExternalOp: {op!r}")
 
 

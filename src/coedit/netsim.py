@@ -2,11 +2,13 @@
 
 Virtual integer ticks, a seeded RNG for latency draws, and a strict event
 ordering (tick, insertion order) make every run a pure function of
-(scenario, config, seed). Messages cross the wire as encoded envelopes so
-the byte formats are exercised on every run: each envelope is encoded once
-when it is sent and decoded once, on its first arrival, and every
-destination (and the sequencer) shares that decoded message. Messages are
-immutable tuple records, so sharing one is safe.
+(scenario, config, seed). The event queue maps each tick to its events,
+(kind, data) in scheduling order, beside a heap of the distinct ticks.
+Messages cross the wire as encoded envelopes so the byte formats are
+exercised on every run: each envelope is encoded once when it is sent and
+decoded once, on its first arrival, and every destination (and the
+sequencer) shares that decoded message. Messages are immutable tuple
+records, so sharing one is safe.
 
 Two modes:
   causal    - every message is broadcast to all other sites and held at each
@@ -62,20 +64,28 @@ class UniformLatency:
 LatencyModel = Union[FixedLatency, UniformLatency]
 
 
+def draw_below(rng: random.Random) -> Callable[[int], int]:
+    """`below(n)`, for n >= 1, draws `rng.getrandbits` as `random.Random._randbelow`
+    does: it is `rng.randrange(n)`, so `lo + below(hi - lo + 1)` is `randint(lo, hi)`
+    and `seq[below(len(seq))]` is `choice(seq)`."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 def _latency_draw(latency: LatencyModel, rng: random.Random) -> Callable[[], int]:
     """A model's delay draw, bound once, at least 1 tick; a uniform one draws as `rng.randint(lo, hi)` does."""
     if isinstance(latency, FixedLatency):
         return itertools.repeat(max(1, latency.ticks)).__next__
-    lo, width = latency.lo, latency.hi - latency.lo + 1
-    bits, getrandbits = width.bit_length(), rng.getrandbits
-
-    def draw() -> int:
-        r = getrandbits(bits)
-        while r >= width:
-            r = getrandbits(bits)
-        return max(1, lo + r)
-
-    return draw
+    lo, width, below = latency.lo, latency.hi - latency.lo + 1, draw_below(rng)
+    return lambda: max(1, lo + below(width))
 
 
 SEQUENCER_NODE = -1
@@ -148,8 +158,8 @@ class Simulator:
         self.clock_of = clock_of
         self.metrics = MetricsBundle() if metrics is None else metrics
         self._draw_latency = _latency_draw(config.latency, random.Random(config.seed))
-        self.events: list = []  # heap of (tick, counter, kind, data)
-        self._count = itertools.count().__next__  # the counter: ties at one tick keep their insertion order
+        self.events: Dict[int, list] = {}  # tick -> its events, (kind, data) in scheduling order
+        self._ticks: List[int] = []  # heap of the ticks in `events`
         self.trace: List[str] = []
         self.now = 0
         # causal mode hold-back
@@ -165,7 +175,12 @@ class Simulator:
     # -- scheduling ---------------------------------------------------------
 
     def _push(self, tick: int, kind: str, data) -> None:
-        heapq.heappush(self.events, (tick, self._count(), kind, data))
+        bucket = self.events.get(tick)
+        if bucket is None:
+            self.events[tick] = [(kind, data)]
+            heapq.heappush(self._ticks, tick)
+        else:
+            bucket.append((kind, data))
 
     def schedule_generation(self, tick: int, site: SiteId) -> None:
         self._push(tick, "gen", site)
@@ -260,19 +275,20 @@ class Simulator:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> List[str]:
-        events, pop = self.events, heapq.heappop
-        while events:
-            tick, _, kind, data = pop(events)
-            if kind == "ack":  # writes no trace line, so it leaves `now`, the tick of the last one, as it is
-                ack = decode_message(data)
-                self.sequencer_server.ack(ack.origin, ack)
-                continue
-            self.now = tick
-            if kind == "gen":
-                self._handle_generation(data)
-            else:
-                dst, env = data
-                self._handle_arrival(dst, env)
+        events, ticks, pop = self.events, self._ticks, heapq.heappop
+        while ticks:
+            tick = pop(ticks)
+            for kind, data in events[tick]:  # one scheduled at this tick while it runs would run last
+                if kind == "ack":  # writes no trace line, so it leaves `now`, the tick of the last one, as it is
+                    ack = decode_message(data)
+                    self.sequencer_server.ack(ack.origin, ack)
+                    continue
+                self.now = tick
+                if kind == "gen":
+                    self._handle_generation(data)
+                else:
+                    self._handle_arrival(*data)
+            del events[tick]
         return self.trace
 
     def quiescent(self) -> bool:

@@ -31,6 +31,7 @@ of the sequence.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, repeat
 from operator import attrgetter
@@ -39,6 +40,7 @@ from typing import Dict, List, NamedTuple, Optional, Union
 from .metrics import MetricsBundle
 from .model import (
     BoundsError,
+    CheckedRecord,
     Delete,
     ExternalOp,
     Insert,
@@ -95,21 +97,17 @@ class WObject:
     block: Block
 
 
-@dataclass(frozen=True)
-class InsertId:
-    character: str
-    id: ObjectId
-    prev: ObjectId
-    next: ObjectId
+class InsertId(CheckedRecord, namedtuple("InsertId", "character id prev next")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.character) != 1 or self.character == NUL:
-            raise ValueError(f"InsertId must carry exactly one character other than NUL, got {self.character!r}")
+    def __new__(cls, character: str, id: ObjectId, prev: ObjectId, next: ObjectId):
+        if len(character) != 1 or character == NUL:
+            raise ValueError(f"InsertId must carry exactly one character other than NUL, got {character!r}")
+        return tuple.__new__(cls, (character, id, prev, next))
 
 
-@dataclass(frozen=True)
-class DeleteId:
-    target: ObjectId
+class DeleteId(namedtuple("DeleteId", "target")):
+    __slots__ = ()
 
 
 class NotExecutableError(RuntimeError):
@@ -380,25 +378,25 @@ class ObjectSequence:
         the new id is ordered among them, and placement recurses into the
         chosen sub-span. All replicas resolve concurrent siblings identically.
         """
-        if self.contains(op.id):  # duplicate delivery
+        character, oid, prev, nxt = op  # unpacked once: a tuple record reads a field slower than an instance dict
+        if self.contains(oid):  # duplicate delivery
             return False
-        prev, nxt = op.prev, op.next
         while True:
             b, k, p = self._find(prev) or self._absent(prev)
             nb, nk, n = self._find(nxt) or self._absent(nxt)
             if p >= n:
-                raise NotExecutableError(f"anchor order violated for {op.id}: {prev} !< {nxt}")
+                raise NotExecutableError(f"anchor order violated for {oid}: {prev} !< {nxt}")
             if n == p + 1:  # the new object takes `nxt`'s slot
                 if self.lens:
                     nb.visible += 1
                     self.lens[nb.pos] += 1
-                new = WObject(op.character, op.id, op.prev, op.next, nb)
-                self.by_id[op.id] = new
-                self.located = {op.id: (nb, nk, n)}  # every slot from n on has moved
+                new = WObject(character, oid, op.prev, op.next, nb)
+                self.by_id[oid] = new
+                self.located = {oid: (nb, nk, n)}  # every slot from n on has moved
                 self.n_visible += 1
                 nb.objects.insert(nk, new)
                 shown = nb.shown
-                nb.shown = f"{shown[:nk]}{op.character}{shown[nk:]}"
+                nb.shown = f"{shown[:nk]}{character}{shown[nk:]}"
                 if len(nb.objects) > 2 * BLOCK:
                     self._split(nb)
                 return True
@@ -418,10 +416,10 @@ class ObjectSequence:
             candidates.append(nb.objects[nk])
             if len(candidates) == 2:
                 raise RuntimeError(
-                    f"placement stalled for {op.id}: no candidate strictly between {prev} and {nxt}"
+                    f"placement stalled for {oid}: no candidate strictly between {prev} and {nxt}"
                 )
             i = 1
-            while i < len(candidates) - 1 and candidates[i].id < op.id:
+            while i < len(candidates) - 1 and candidates[i].id < oid:
                 i += 1
             prev, nxt = candidates[i - 1].id, candidates[i].id
 

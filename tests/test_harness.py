@@ -105,6 +105,20 @@ class TestScenarioFiles:
         with pytest.raises(ScenarioError, match="fuzz window"):
             Scenario("ab", 2, fuzz=FuzzSpec(n_ops=4, window=window))
 
+    @pytest.mark.parametrize("spec", [FuzzSpec(n_ops=-3), FuzzSpec(n_ops=-3, window=2), FuzzSpec(n_ops=6, window=2, gap=-5)],
+                             ids=["n_ops", "n_ops-windowed", "gap"])
+    def test_negative_fuzz_counts_rejected(self, spec):
+        # a negative gap would run the rounds backwards from tick 1, a
+        # negative n_ops would ask for ops it never makes
+        with pytest.raises(ScenarioError, match="n_ops >= 0 and gap >= 0"):
+            Scenario("ab", 2, fuzz=spec)
+
+    def test_zero_fuzz_counts_accepted(self):
+        report = run_scenario(Scenario("ab", 2, fuzz=FuzzSpec(n_ops=0, window=2, gap=0)), "ot")
+        assert report.ok and report.script == ()
+        report = run_scenario(Scenario("ab", 2, fuzz=FuzzSpec(n_ops=4, window=2, gap=0)), "ot")
+        assert report.ok and {e.tick for e in report.script} == {1}
+
     def test_empty_fuzz_alphabet_rejected(self):
         # an insert would draw from nothing
         with pytest.raises(ScenarioError, match="fuzz alphabet"):
@@ -278,10 +292,13 @@ class TestIntentionProxies:
         run = harness._Run(scenario, "ot", ablation=False)
         # claim the delete targeted the 'e' instance instead of 'b'
         trace = run.sim.run()
-        assert run.delete_targets == {(0, 1): ("init", 1)}
-        run.delete_targets[(0, 1)] = ("init", 2)
+        # tags are ints: (origin << 32) | seq for an op, -1 - k for initial character k
+        assert run.delete_targets == {(0 << 32) | 1: -1 - 1}
+        run.delete_targets[(0 << 32) | 1] = -1 - 2
         run._check_intention()
         assert not run.intention.survivors_ok
+        # violations print tags in their tuple form
+        assert run.intention.violations == [f"site {i}: missing {{('init', 1)}}, extra {{('init', 2)}}" for i in (0, 1)]
 
     def test_order_violation_detected(self):
         """Proxy (c): sequential same-site inserts must keep their order."""
@@ -293,7 +310,7 @@ class TestIntentionProxies:
         ))
         run = harness._Run(scenario, "ot", ablation=False)
         run.sim.run()
-        assert run.tags[1] == [(0, 1), (0, 2)]
+        assert run.tags[1] == [(0 << 32) | 1, (0 << 32) | 2]
         # swap the two instances at the receiving site: the checker must flag it
         run.tags[1].reverse()
         run._check_intention()
@@ -316,11 +333,30 @@ class TestIntentionProxies:
         run.sim.run()
         assert {s.external for s in run.sites.values()} == {"pqxyzab"}
         tags = run.tags[site]
-        k = next(k for k in range(len(tags) - 1) if (tags[k][0], tags[k + 1][0]) == origins)
+        k = next(k for k in range(len(tags) - 1) if (tags[k] >> 32, tags[k + 1] >> 32) == origins)
         tags[k], tags[k + 1] = tags[k + 1], tags[k]
         run._check_intention()
         assert run.intention.survivors_ok and run.intention.deletions_ok
         assert run.intention.order_ok is not flagged
+
+    def test_swap_at_reader_reported_as_tuples(self):
+        """Three origins type into a 4-site sequencer run and site 3 only
+        reads. Swapping origin 0's first two inserts in site 3's tag list
+        gives one violation, which names the instances as (origin, seq)."""
+        from coedit import harness
+
+        typed = [ScriptEntry(1 + k, 0, Insert(k, c)) for k, c in enumerate("xyz")]
+        typed += [ScriptEntry(10 + k, 1, Insert(k, c)) for k, c in enumerate("pq")]
+        typed += [ScriptEntry(20 + k, 2, Insert(2 + k, c)) for k, c in enumerate("mn")]
+        run = harness._Run(Scenario("ab", 4, "sequencer", FixedLatency(1), 0, script=tuple(typed)), "ot", ablation=False)
+        run.sim.run()
+        assert len({s.external for s in run.sites.values()}) == 1
+        tags = run.tags[3]
+        i, j = tags.index((0 << 32) | 1), tags.index((0 << 32) | 2)
+        tags[i], tags[j] = tags[j], tags[i]
+        run._check_intention()
+        assert run.intention.survivors_ok and run.intention.deletions_ok and not run.intention.order_ok
+        assert run.intention.violations == ["site 3: instances (0, 1) and (0, 2) in reversed order"]
 
 
 class TestFuzz:

@@ -21,6 +21,7 @@ from coedit.model import (
     parse_op,
 )
 from coedit.ot import ClientOp, ServerOpMsg
+from coedit.woot import END, START, DeleteId, InsertId, ObjectId
 
 from conftest import stamp
 
@@ -132,12 +133,15 @@ RECORDS = [
     TimestampedOp(Insert(0, "x"), 0, 1, CLOCK),
     ServerOpMsg(Insert(0, "x"), 0, 1, 0),
     ClientOp(Insert(0, "x"), 0, 1, 0),
+    InsertId("x", ObjectId(0, 1), START, END),
+    DeleteId(ObjectId(0, 1)),
 ]
 
 
 class TestRecords:
-    """Ops, clocks and stamps are immutable tuple records whose every public
-    constructor checks its fields."""
+    """Ops, clocks and stamps, WOOT's identifier ops among them, are
+    immutable tuple records whose every public constructor checks its
+    fields."""
 
     @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
     def test_fields_cannot_be_set(self, record):
@@ -155,8 +159,11 @@ class TestRecords:
         lambda: TimestampedOp._make((Insert(0, "x"), 0, 0, CLOCK)),
         lambda: ServerOpMsg(Insert(0, "x"), 0, 1, 0)._replace(seq=0),
         lambda: ClientOp(Insert(0, "x"), 0, 1, 0)._replace(delivered=-1),
+        lambda: InsertId("xy", ObjectId(0, 1), START, END),
+        lambda: InsertId._make(("", ObjectId(0, 1), START, END)),
+        lambda: InsertId("x", ObjectId(0, 1), START, END)._replace(character=NUL),
     ], ids=["insert-two-chars", "insert-nul", "insert-make", "insert-replace", "stamp-seq-0", "stamp-make", "server-op-replace",
-            "client-op-replace"])
+            "client-op-replace", "insert-id-two-chars", "insert-id-make", "insert-id-replace"])
     def test_every_constructor_checks(self, build):
         with pytest.raises(ValueError):
             build()

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import coedit.netsim
-from coedit.framework import Site, encode_message
+from coedit.framework import Ack, Site, decode_message, encode_message
 from coedit.model import Delete, Insert, VectorClock
 from coedit.netsim import (
     ACK_EVERY,
@@ -17,6 +17,7 @@ from coedit.netsim import (
     Simulator,
     UniformLatency,
     causally_ready,
+    draw_below,
 )
 from coedit.ot import ClientOp, SequencerServer
 from coedit.woot import NotExecutableError
@@ -67,7 +68,7 @@ class TestLatencyModels:
     @staticmethod
     def _arrivals(sim):
         """Destination -> arrival tick of each scheduled network event."""
-        return {dst: tick for tick, _, _, (dst, _) in sim.events}
+        return {dst: tick for tick, bucket in sim.events.items() for kind, (dst, _) in bucket if kind == "net"}
 
     def test_fixed_latency_schedule(self):
         sim = self._sim(FixedLatency(3))
@@ -100,8 +101,28 @@ class TestLatencyModels:
         sim = self._sim(UniformLatency(lo, hi), sites=9, seed=42)
         for seq in range(1, 51):
             sim.broadcast(ClientOp(Delete(0), 0, seq, 0), list(range(1, 9)))
+        # each broadcast sends its seq to destinations 1..8 in turn, so
+        # (seq, destination) is the order the 400 events were scheduled in
+        scheduled = sorted((decode_message(env.payload).seq, dst, tick)
+                           for tick, bucket in sim.events.items() for _, (dst, env) in bucket)
+        assert len(scheduled) == 400 and len(set(scheduled)) == 400
         rng = random.Random(42)
-        assert [tick for tick, *_ in sorted(sim.events, key=lambda e: e[1])] == [max(1, rng.randint(lo, hi)) for _ in range(400)]
+        assert [tick for *_, tick in scheduled] == [max(1, rng.randint(lo, hi)) for _ in range(400)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2026])
+    def test_below_draws_as_random(self, seed):
+        """`below(n)` is `randrange(n)`, `lo + below(n)` is `randint(lo,
+        lo + n - 1)` and `seq[below(len(seq))]` is `choice(seq)`, draw for
+        draw, on this interpreter: both generators end in the same state."""
+        rng, ref = random.Random(seed), random.Random(seed)
+        below = draw_below(rng)
+        for n in range(1, 301):
+            seq = [chr(0x61 + k % 26) * (1 + k // 26) for k in range(n)]
+            for _ in range(3):
+                assert below(n) == ref.randrange(n)
+                assert 5 + below(n) == ref.randint(5, n + 4)
+                assert seq[below(len(seq))] == ref.choice(seq)
+        assert rng.getstate() == ref.getstate()
 
     def test_uniform_bounds_checked_at_construction(self):
         # an inverted range would only fail later, inside the run's latency draw
@@ -116,6 +137,41 @@ class TestLatencyModels:
 
 def _script_scenario(entries, sites=2, mode="causal", latency=FixedLatency(1), doc="abe", seed=0):
     return Scenario(doc, sites, mode, latency, seed, script=tuple(entries))
+
+
+class TestEventOrder:
+    def test_events_at_one_tick_run_in_scheduling_order(self):
+        """Events run by tick, and the events of one tick (generations,
+        arrivals and acks alike) in the order they were scheduled, also
+        when an earlier event schedules one at a tick that already has some."""
+        handled = []
+
+        class Server:
+            def ack(self, sender, ack):
+                handled.append(("ack", sender))
+
+        sim = Simulator(SimConfig("sequencer", FixedLatency(1), 0), [0, 1, 2], None, None, None, sequencer_server=Server())
+
+        def generation(site):
+            handled.append(("gen", site, sim.now))
+            if site == 2:  # at tick 3, one more event at tick 5
+                sim.schedule_generation(5, 9)
+
+        sim._handle_generation = generation
+        sim._handle_arrival = lambda dst, env: handled.append(("net", dst, sim.now))
+        ack = encode_message(Ack(2, 1))
+        sim.schedule_generation(5, 0)
+        sim._push(5, "net", (1, None))
+        sim._push(5, "ack", ack)
+        sim.schedule_generation(5, 1)
+        sim._push(5, "net", (0, None))
+        sim.schedule_generation(3, 2)
+        sim.run()
+        assert handled == [
+            ("gen", 2, 3),
+            ("gen", 0, 5), ("net", 1, 5), ("ack", 2), ("gen", 1, 5), ("net", 0, 5), ("gen", 9, 5),
+        ]
+        assert sim.events == {} and sim.quiescent()
 
 
 class TestDeliveryOrder:

@@ -91,6 +91,22 @@ def test_bench_pairs_verdict_on_synthetic_pairs():
             (parent, change, higher_better)
 
 
+def test_bench_pairs_setup_probes():
+    """--setup-probes 2: two alternating probes per side on the sessions of
+    ot_long's first round, each side's quartiles in seconds. Both sides are
+    this checkout here."""
+    bench_pairs = load_bench_pairs()
+    assert "--setup-probes" in run_script("scripts/bench_pairs.py", "--help")
+    t0 = time.perf_counter()
+    probes = bench_pairs.setup_probes({"parent": ROOT, "change": ROOT}, "ot_long", 7, 2)
+    assert time.perf_counter() - t0 < 30
+    assert (probes["seed"], probes["probes_per_side"]) == (7, 2)
+    for side in bench_pairs.SIDES:
+        q1, median, q3 = probes[f"{side}_q1_median_q3"]
+        assert 0 < q1 <= median <= q3 < 10
+    assert probes["change_over_parent_median"] > 0
+
+
 def test_bench_pairs_no_regression():
     no_regression = load_bench_pairs().no_regression
 
